@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the basic objects: p-value samples, order statistics, and the
-counting processes R(t), V(t), S(t) that every estimator consumes."""
+counting processes R(t) and V(t) that every estimator consumes; the
+false-null count S(t) is their difference."""
 
 import numpy as np
 
@@ -24,12 +25,13 @@ print(f"\nm = {sample.m} hypotheses, {sample.m0} true nulls, {sample.m1} false n
 
 sp = sort_pvalues(sample)
 print("order statistics:", np.round(sp.ordered, 3))
-print("rank of original index 0:", sp.rank_of(0))
+print("original index of each order statistic:", sp.order)
 
 proc = EmpiricalProcesses.from_sample(sample)
 print("\n t      R(t)  V(t)  S(t)")
 for t in (0.005, 0.05, 0.25, 0.5, 1.0):
-    print(f" {t:<6g} {proc.count_R(t):>4} {proc.count_V(t):>5} {proc.count_S(t):>5}")
+    r, v = proc.count_R(t), proc.count_V(t)
+    print(f" {t:<6g} {r:>4} {v:>5} {r - v:>5}")
 
 # The tail estimators of the true-null proportion: the plus-one variant
 # never vanishes, which is what lets it sit in a denominator downstream.

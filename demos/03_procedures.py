@@ -23,8 +23,8 @@ for spec in DEFAULT_PROCEDURES:
     res = run_procedure(spec, sample, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
     v = int(np.count_nonzero(sample.truth[res.rejected]))
     fdp = v / max(res.n_rejected, 1)
-    lam = f"{res.pi0.lam:.3f}" if res.pi0 else "-"
-    pi0 = f"{res.pi0.value:.3f}" if res.pi0 else ("1.000" if spec == "bh" else f"{cfg.pi0:.3f}")
+    lam = "-" if np.isnan(res.pi0.lam) else f"{res.pi0.lam:.3f}"  # the step-up baselines pick none
+    pi0 = f"{res.pi0.value:.3f}"
     print(f"{spec:<11} {lam:>7} {pi0:>7} {res.threshold:>10.6f} {res.n_rejected:>9} "
           f"{v:>10} {fdp:>6.3f}")
 

@@ -3,107 +3,25 @@
 Step-up multiple-testing procedures whose tuning parameter is selected
 from the data by forward stopping rules, plus the Monte Carlo harness
 and the empirical theory checks that back them up.
+
+The package re-exports the public names of its library modules; each
+module's ``__all__`` is the one list of what it makes public.
 """
 
-from .estimators import (
-    STOREY,
-    STOREY_PLUS,
-    FdrEstimatorConfig,
-    Pi0Estimate,
-    fdr_hat_star,
-    m0_hat,
-    pi0_storey,
-    pi0_storey_plus,
-)
-from .procedures import (
-    DEFAULT_PROCEDURES,
-    ProcedureResult,
-    bh_step_up,
-    dynamic_adaptive,
-    run_procedure,
-    threshold_functional,
-)
-from .pvalues import (
-    EmpiricalProcesses,
-    MissingTruthLabels,
-    PValueSample,
-    SortedPValues,
-    sort_pvalues,
-)
-from .selection import (
-    TWENTY_BIN_GRID,
-    FixedRule,
-    KQuantileRule,
-    LambdaRule,
-    LowestSlopeRule,
-    RightBoundaryQuantileRule,
-    RightBoundaryRule,
-    evenly_spaced_grid,
-    parse_rule_spec,
-    rule_id,
-    select,
-    select_fixed,
-    select_k_quantile,
-    select_lowest_slope,
-    select_right_boundary,
-    select_right_boundary_quantile,
-)
-from .simulate import (
-    BlockAR,
-    MetricsRow,
-    MetricsTable,
-    ScenarioConfig,
-    emit_figure_data,
-    generate_statistics,
-    normal_cdf,
-    run_experiment,
-)
+from . import estimators, procedures, pvalues, selection, simulate
+from .estimators import *  # noqa: F401,F403
+from .procedures import *  # noqa: F401,F403
+from .pvalues import *  # noqa: F401,F403
+from .selection import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "STOREY",
-    "STOREY_PLUS",
-    "FdrEstimatorConfig",
-    "Pi0Estimate",
-    "fdr_hat_star",
-    "m0_hat",
-    "pi0_storey",
-    "pi0_storey_plus",
-    "DEFAULT_PROCEDURES",
-    "ProcedureResult",
-    "bh_step_up",
-    "dynamic_adaptive",
-    "run_procedure",
-    "threshold_functional",
-    "EmpiricalProcesses",
-    "MissingTruthLabels",
-    "PValueSample",
-    "SortedPValues",
-    "sort_pvalues",
-    "TWENTY_BIN_GRID",
-    "FixedRule",
-    "KQuantileRule",
-    "LambdaRule",
-    "LowestSlopeRule",
-    "RightBoundaryQuantileRule",
-    "RightBoundaryRule",
-    "evenly_spaced_grid",
-    "parse_rule_spec",
-    "rule_id",
-    "select",
-    "select_fixed",
-    "select_k_quantile",
-    "select_lowest_slope",
-    "select_right_boundary",
-    "select_right_boundary_quantile",
-    "BlockAR",
-    "MetricsRow",
-    "MetricsTable",
-    "ScenarioConfig",
-    "emit_figure_data",
-    "generate_statistics",
-    "normal_cdf",
-    "run_experiment",
+    *estimators.__all__,
+    *procedures.__all__,
+    *pvalues.__all__,
+    *selection.__all__,
+    *simulate.__all__,
 ]

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
+from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import MissingTruthLabels, PValueSample
-from .selection import parse_rule_spec
+from .pvalues import PValueSample
+from .selection import SPEC_HELP, parse_rule_spec
 from .simulate import (
     BlockAR,
     MetricsTable,
@@ -29,10 +30,6 @@ from .simulate import (
 )
 
 __all__ = ["main", "console_entry"]
-
-_PROCEDURE_HELP = (
-    "bh, orc, fixed:<lambda>, rb:<grid>, rb20, lsl, kq:<k|median>, rbq:<levels>, rb20q"
-)
 
 VERIFY_SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative", "all")
 
@@ -80,31 +77,37 @@ def _read_pvalue_file(path: str) -> PValueSample:
     return PValueSample(values=np.asarray(values, dtype=float), truth=truth)
 
 
-def _validate_spec(spec: str, kappa: float, parser: argparse.ArgumentParser) -> None:
-    if spec in ("bh", "orc"):
-        return
-    try:
-        parse_rule_spec(spec, kappa)
-    except ValueError:
-        parser.error(f"invalid procedure spec {spec!r}; valid specs: {_PROCEDURE_HELP}")
+def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> None:
+    for spec in specs:
+        try:
+            parse_rule_spec(spec, kappa)
+        except ValueError as exc:
+            parser.error(f"invalid procedure spec {spec!r}: {exc}")
+
+
+def _flag_type(name: str, check):
+    """argparse type for --<name>: a float that ``check(name, value)`` accepts."""
+
+    def parse(text: str) -> float:
+        try:
+            return check(name, text)
+        except ValueError as exc:  # argparse turns this into a usage error naming the flag
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kappa = args.alpha if args.kappa is None else args.kappa
-    _validate_spec(args.procedure, kappa, parser)
+    _check_specs([args.procedure], kappa, parser)
     sample = _read_pvalue_file(args.input)
     try:
         res = run_procedure(args.procedure, sample, args.alpha, kappa, pi0=args.pi0)
-    except MissingTruthLabels as exc:
+    except ValueError as exc:  # the arguments were checked above, so the data is at fault
         raise CliError(str(exc)) from exc
 
-    if res.pi0 is not None:
-        lam, pi0_star = res.pi0.lam, res.pi0.value
-        flags = ",".join(res.pi0.flags) if res.pi0.flags else "-"
-    else:
-        lam = float("nan")
-        pi0_star = 1.0 if args.procedure == "bh" else (args.pi0 or sample.m0 / sample.m)
-        flags = "-"
+    lam, pi0_star = res.pi0.lam, res.pi0.value
+    flags = ",".join(res.pi0.flags) if res.pi0.flags else "-"
     lines = [
         f"procedure: {args.procedure}",
         f"m: {sample.m}",
@@ -181,6 +184,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         mus = [float(v) for v in mus]
     except (TypeError, ValueError):
         parser.error(f"config field 'mu' has bad value {mu_raw!r}")
+    if not mus:
+        parser.error("config field 'mu' is an empty list")
     dependence = _parse_dependence(cfg, parser)
     placement = cfg.get("signal_placement", "head")
 
@@ -188,14 +193,11 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         procedures = [s.strip() for s in args.procedures.split(",") if s.strip()]
     else:
         procedures = cfg.get("procedures", list(DEFAULT_PROCEDURES))
-    eff_kappa = alpha if kappa is None else kappa
-    for spec in procedures:
-        _validate_spec(spec, eff_kappa, parser)
 
     rows = []
-    for idx, mu in enumerate(mus):
-        try:
-            scenario = ScenarioConfig(
+    try:
+        scenarios = [
+            ScenarioConfig(
                 m=m,
                 pi0=pi0,
                 mu=mu,
@@ -206,10 +208,14 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 dependence=dependence,
                 signal_placement=placement,
             )
-        except ValueError as exc:
-            parser.error(f"config rejected: {exc}")
-        table = run_experiment(scenario, procedures)
-        rows.extend(table.rows)
+            for idx, mu in enumerate(mus)
+        ]
+        _check_specs(procedures, scenarios[0].kappa, parser)
+        for scenario in scenarios:
+            # a valid config can still imply data a procedure rejects (lsl at m = 1)
+            rows.extend(run_experiment(scenario, procedures).rows)
+    except ValueError as exc:
+        parser.error(f"config rejected: {exc}")
     table = MetricsTable(rows=tuple(rows))
     emit_figure_data(table, args.out)
 
@@ -259,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run one procedure on a p-value file")
     p_an.add_argument("input", help="text file: one p-value per line, optional 0/1 truth column (1 = true null)")
-    p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {_PROCEDURE_HELP}")
-    p_an.add_argument("--alpha", type=float, default=0.05, help="target FDR level (default 0.05)")
-    p_an.add_argument("--kappa", type=float, default=None, help="rejection-region bound (default: alpha)")
-    p_an.add_argument("--pi0", type=float, default=None, help="true null proportion for orc")
+    p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {SPEC_HELP}")
+    p_an.add_argument("--alpha", type=_flag_type("alpha", check_open_unit), default=0.05, help="target FDR level (default 0.05)")
+    p_an.add_argument("--kappa", type=_flag_type("kappa", check_open_unit), default=None, help="rejection-region bound (default: alpha)")
+    p_an.add_argument("--pi0", type=_flag_type("pi0", check_proportion), default=None, help="true null proportion for orc")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_an.set_defaults(func=_cmd_analyze)
 

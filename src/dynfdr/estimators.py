@@ -21,26 +21,41 @@ __all__ = [
     "pi0_storey",
     "pi0_storey_plus",
     "fdr_hat_star",
-    "m0_hat",
 ]
 
 STOREY = "storey"
 STOREY_PLUS = "storey_plus"
 
 
+def check_open_unit(name: str, value: float) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless 0 < value < 1."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name}={value} outside (0, 1)")
+    return value
+
+
+def check_proportion(name: str, value: float) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless 0 < value <= 1."""
+    value = float(value)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name}={value} outside (0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class Pi0Estimate:
-    """Outcome of a tuning-parameter selection rule.
+    """The pi0 a procedure used, and how it was chosen.
 
-    ``lam`` is the chosen tuning parameter, ``value`` the pi0 estimate at
-    ``lam`` (selection rules always report the plus-one variant, whatever
-    they compared with), ``trace`` every (candidate, estimate) pair the
-    rule examined in scan order, and ``flags`` any fallbacks or clamps
-    that fired.
+    ``lam`` is the chosen tuning parameter, ``value`` the plus-one pi0
+    estimate at ``lam`` (whatever variant the rule compared with),
+    ``trace`` every (candidate, estimate) pair the rule examined in scan
+    order, and ``flags`` any fallbacks or clamps that fired.  The step-up
+    baselines select no lambda: they record ``lam = nan`` and their fixed
+    pi0 as ``value``.
     """
 
     lam: float
-    variant: str
     value: float
     trace: tuple[tuple[float, float], ...] = ()
     flags: tuple[str, ...] = ()
@@ -60,12 +75,9 @@ class FdrEstimatorConfig:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha={self.alpha} outside (0, 1)")
-        kappa = self.alpha if self.kappa is None else float(self.kappa)
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"kappa={kappa} outside (0, 1)")
-        object.__setattr__(self, "kappa", kappa)
+        check_open_unit("alpha", self.alpha)
+        kappa = self.alpha if self.kappa is None else self.kappa
+        object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))
 
 
 def _check_lambda(lam: float) -> float:
@@ -106,9 +118,3 @@ def fdr_hat_star(
         return 1.0
     return proc.m * pi0_star * t / max(proc.count_R(t), 1)
 
-
-def m0_hat(pi0: float, m: int) -> float:
-    """Estimated count of true nulls, pi0 * m."""
-    if pi0 < 0.0:
-        raise ValueError(f"pi0={pi0} must be nonnegative")
-    return float(pi0) * m

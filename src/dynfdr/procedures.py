@@ -14,14 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FdrEstimatorConfig, Pi0Estimate, fdr_hat_star
+from .estimators import (
+    FdrEstimatorConfig,
+    Pi0Estimate,
+    check_open_unit,
+    check_proportion,
+    fdr_hat_star,
+)
 from .pvalues import (
     EmpiricalProcesses,
     MissingTruthLabels,
     PValueSample,
     SortedPValues,
 )
-from .selection import LambdaRule, parse_rule_spec, rule_id, select
+from .selection import BH, ORACLE, LambdaRule, parse_rule_spec
 
 __all__ = [
     "ProcedureResult",
@@ -41,15 +47,15 @@ class ProcedureResult:
     """Threshold, rejection set and the estimates that produced them.
 
     ``rejected`` holds the original indices with p_i <= threshold, sorted
-    ascending.  ``pi0`` is None for procedures that do not estimate it
-    (plain step-up and the oracle).
+    ascending.  ``pi0`` is the pi0 the procedure used: the selected
+    estimate, or the fixed one of a step-up baseline (with lam = nan).
     """
 
     procedure_id: str
     threshold: float
     rejected: np.ndarray
     fdr_estimate_at_threshold: float
-    pi0: Pi0Estimate | None = None
+    pi0: Pi0Estimate
 
     @property
     def n_rejected(self) -> int:
@@ -73,19 +79,17 @@ def bh_step_up(
     1 gives the plain procedure, the true null proportion gives the
     oracle.  The reported FDR estimate at the threshold uses pi0_target.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    if not 0.0 < pi0_target <= 1.0:
-        raise ValueError(f"pi0_target={pi0_target} outside (0, 1]")
+    check_open_unit("alpha", alpha)
+    pi0 = Pi0Estimate(lam=float("nan"), value=check_proportion("pi0_target", pi0_target))
     level = min(alpha / pi0_target, 1.0)
     m = sp.m
     passing = np.flatnonzero(sp.ordered <= np.arange(1, m + 1) * (level / m))
     if passing.size == 0:
-        return ProcedureResult(procedure_id, 0.0, np.empty(0, dtype=np.int64), 0.0, None)
+        return ProcedureResult(procedure_id, 0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
     threshold = float(sp.ordered[int(passing[-1])])
     rejected = _rejection_set(sp, threshold)
     estimate = m * pi0_target * threshold / max(rejected.size, 1)
-    return ProcedureResult(procedure_id, threshold, rejected, float(estimate), None)
+    return ProcedureResult(procedure_id, threshold, rejected, float(estimate), pi0)
 
 
 def threshold_functional(
@@ -126,12 +130,12 @@ def dynamic_adaptive(
             f"rule kappa={rule.kappa} does not match estimator config kappa={cfg.kappa}"
         )
     proc = sample if isinstance(sample, EmpiricalProcesses) else EmpiricalProcesses.from_sample(sample)
-    est = select(proc, rule)
+    est = rule.select(proc)
     threshold = threshold_functional(proc, est.value, cfg)
     rejected = _rejection_set(proc.sorted, threshold)
     estimate_at = fdr_hat_star(proc, est.value, threshold, cfg)
     return ProcedureResult(
-        procedure_id or rule_id(rule),
+        procedure_id or rule.spec,
         float(threshold),
         rejected,
         float(estimate_at),
@@ -146,7 +150,7 @@ def run_procedure(
     kappa: float | None = None,
     pi0: float | None = None,
 ) -> ProcedureResult:
-    """Run a procedure named by its string id.
+    """Run a procedure named by its string spec (see parse_rule_spec).
 
     ``bh`` and ``orc`` are the step-up baselines (``orc`` needs pi0, either
     given explicitly or derived from truth labels); every other spec is a
@@ -154,18 +158,16 @@ def run_procedure(
     """
     spec = spec.strip()
     proc = sample if isinstance(sample, EmpiricalProcesses) else EmpiricalProcesses.from_sample(sample)
-    if spec == "bh":
-        return bh_step_up(proc.sorted, alpha, 1.0, "bh")
-    if spec == "orc":
+    cfg = FdrEstimatorConfig(alpha=alpha, kappa=kappa)
+    rule = parse_rule_spec(spec, cfg.kappa)
+    if rule == BH:
+        return bh_step_up(proc.sorted, alpha, 1.0, spec)
+    if rule == ORACLE:
         if pi0 is None:
             if proc.truth is None:
                 raise MissingTruthLabels(
                     "orc needs the true null proportion: pass pi0 or supply truth labels"
                 )
             pi0 = float(np.count_nonzero(proc.truth)) / proc.m
-        if not 0.0 < pi0 <= 1.0:
-            raise ValueError(f"pi0={pi0} outside (0, 1]")
-        return bh_step_up(proc.sorted, alpha, pi0, "orc")
-    cfg = FdrEstimatorConfig(alpha=alpha, kappa=kappa)
-    rule = parse_rule_spec(spec, cfg.kappa)
+        return bh_step_up(proc.sorted, alpha, pi0, spec)
     return dynamic_adaptive(proc, rule, cfg, procedure_id=spec)

@@ -1,8 +1,8 @@
 """P-value samples and the empirical counting processes built from them.
 
 Everything downstream (estimation, selection, thresholding) consumes a
-sample only through R(t) = #{p_i <= t} and, when ground-truth labels are
-available, its true-null / false-null decomposition V(t) + S(t).
+sample only through R(t) = #{p_i <= t}; when ground-truth labels are
+available, V(t) counts the true nulls among them.
 """
 
 from __future__ import annotations
@@ -90,52 +90,36 @@ class PValueSample:
 
 @dataclass(frozen=True)
 class SortedPValues:
-    """Nondecreasing view of a sample plus the rank <-> original-index maps.
+    """Nondecreasing view of a sample.
 
-    ``ordered[r]`` is the (r+1)-th order statistic, ``order[r]`` the original
-    index it came from, and ``ranks[i]`` the 1-based rank of original index i.
-    Ties keep their original relative order.
+    ``ordered[r]`` is the (r+1)-th order statistic and ``order[r]`` the
+    original index it came from.  Ties keep their original relative order.
     """
 
     ordered: np.ndarray
     order: np.ndarray
-    ranks: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ordered", _frozen(np.asarray(self.ordered, dtype=float)))
         object.__setattr__(self, "order", _frozen(np.asarray(self.order, dtype=np.int64)))
-        object.__setattr__(self, "ranks", _frozen(np.asarray(self.ranks, dtype=np.int64)))
 
     @property
     def m(self) -> int:
         return int(self.ordered.size)
 
-    def rank_of(self, original_index: int) -> int:
-        """1-based rank of the value that sat at ``original_index``."""
-        return int(self.ranks[original_index])
-
-    def original_index(self, rank: int) -> int:
-        """Original position of the rank-th smallest value (rank is 1-based)."""
-        if not 1 <= rank <= self.m:
-            raise ValueError(f"rank {rank} outside 1..{self.m}")
-        return int(self.order[rank - 1])
-
 
 def sort_pvalues(sample: PValueSample) -> SortedPValues:
-    """Sort a sample (stable, so ties keep input order) and build rank maps."""
+    """Sort a sample, stably, so ties keep input order."""
     order = np.argsort(sample.values, kind="stable")
-    ordered = sample.values[order]
-    ranks = np.empty(sample.m, dtype=np.int64)
-    ranks[order] = np.arange(1, sample.m + 1)
-    return SortedPValues(ordered=ordered, order=order, ranks=ranks)
+    return SortedPValues(ordered=sample.values[order], order=order)
 
 
 @dataclass(frozen=True)
 class EmpiricalProcesses:
-    """Evaluators for the counting processes R(t), V(t), S(t).
+    """Evaluators for the counting processes R(t) and V(t).
 
-    R(t) counts all p-values at or below t; V and S count the true-null and
-    false-null subsets and are only defined when truth labels are present.
+    R(t) counts all p-values at or below t; V counts the true-null subset
+    and is only defined when truth labels are present.
     Counting is a binary search on the sorted values.  Immutable, so any
     number of concurrent readers is safe.
     """
@@ -154,7 +138,6 @@ class EmpiricalProcesses:
             # truth is indexed by original position; realign to rank order
             truth_by_rank = truth[self.sorted.order]
             object.__setattr__(self, "_null_ordered", _frozen(self.sorted.ordered[truth_by_rank]))
-            object.__setattr__(self, "_false_ordered", _frozen(self.sorted.ordered[~truth_by_rank]))
 
     @classmethod
     def from_sample(cls, sample: PValueSample) -> "EmpiricalProcesses":
@@ -176,9 +159,3 @@ class EmpiricalProcesses:
             raise MissingTruthLabels("V(t) needs truth labels, sample has none")
         return int(np.searchsorted(self._null_ordered, t, side="right"))
 
-    def count_S(self, t: float) -> int:
-        """#{false-null p_i <= t}; requires truth labels."""
-        t = _check_threshold(t)
-        if self.truth is None:
-            raise MissingTruthLabels("S(t) needs truth labels, sample has none")
-        return int(np.searchsorted(self._false_ordered, t, side="right"))

@@ -8,7 +8,8 @@ truncated FDR estimator without losing finite-sample control.
 
 Rules are addressable by compact string specs (``fixed:0.5``, ``rb20``,
 ``lsl``, ``kq:median``, ``rbq:0.05:0.05:0.95``, ...), which the CLI and
-the simulation harness consume.
+the simulation harness consume.  The step-up baselines ``bh`` and ``orc``
+select no lambda but parse through the same function.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .estimators import (
     STOREY,
     STOREY_PLUS,
     Pi0Estimate,
+    check_open_unit,
     pi0_storey,
     pi0_storey_plus,
 )
@@ -35,14 +37,13 @@ __all__ = [
     "KQuantileRule",
     "RightBoundaryQuantileRule",
     "LambdaRule",
+    "StepUpRule",
     "evenly_spaced_grid",
-    "select",
     "select_fixed",
     "select_right_boundary",
     "select_lowest_slope",
     "select_k_quantile",
     "select_right_boundary_quantile",
-    "rule_id",
     "parse_rule_spec",
 ]
 
@@ -60,10 +61,14 @@ TWENTY_BIN_GRID = evenly_spaced_grid(0.05, 0.05, 0.95)
 
 
 def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa={kappa} outside (0, 1)")
-    return kappa
+    return check_open_unit("kappa", kappa)
+
+
+def _check_fixed_lambda(lam: float, kappa: float) -> float:
+    lam = float(lam)
+    if not kappa <= lam < 1.0:
+        raise ValueError(f"fixed lambda={lam} outside [kappa={kappa}, 1)")
+    return lam
 
 
 def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
@@ -84,6 +89,22 @@ def _check_estimator(estimator: str) -> str:
     return estimator
 
 
+def _grid_spec(grid: tuple[float, ...]) -> str:
+    """start:step:stop when that rebuilds the grid exactly, else a comma list."""
+    step = round(grid[1] - grid[0], 12) if len(grid) >= 3 else 0.0
+    # the length test keeps a tiny step from building a huge candidate grid
+    if step > 0 and round((grid[-1] - grid[0]) / step) + 1 == len(grid):
+        if evenly_spaced_grid(grid[0], step, grid[-1]) == grid:
+            return f"{grid[0]!r}:{step!r}:{grid[-1]!r}"
+    return ",".join(map(repr, grid))
+
+
+# A rule validates its fields at construction, with the same checks its
+# select_* function applies to arguments.  ``select(proc)`` runs the rule;
+# parse_rule_spec turns ``spec`` back into an equal rule (a spec cannot name
+# the comparison variant, so that holds for the default one).
+
+
 @dataclass(frozen=True)
 class FixedRule:
     """Use a pre-chosen lambda; must lie in [kappa, 1)."""
@@ -93,10 +114,14 @@ class FixedRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", _check_kappa(self.kappa))
-        lam = float(self.lam)
-        if not self.kappa <= lam < 1.0:
-            raise ValueError(f"fixed lambda={lam} outside [kappa={self.kappa}, 1)")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _check_fixed_lambda(self.lam, self.kappa))
+
+    @property
+    def spec(self) -> str:
+        return f"fixed:{self.lam!r}"
+
+    def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
+        return select_fixed(proc, self.lam, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,13 @@ class RightBoundaryRule:
         object.__setattr__(self, "kappa", _check_kappa(self.kappa))
         object.__setattr__(self, "estimator", _check_estimator(self.estimator))
 
+    @property
+    def spec(self) -> str:
+        return f"rb:{_grid_spec(self.grid)}"
+
+    def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
+        return select_right_boundary(proc, self.grid, self.kappa, self.estimator)
+
 
 @dataclass(frozen=True)
 class LowestSlopeRule:
@@ -125,6 +157,13 @@ class LowestSlopeRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", _check_kappa(self.kappa))
+
+    @property
+    def spec(self) -> str:
+        return "lsl"
+
+    def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
+        return select_lowest_slope(proc, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -142,6 +181,13 @@ class KQuantileRule:
                 raise ValueError(f"quantile index k={k} must be >= 1")
             object.__setattr__(self, "k", k)
 
+    @property
+    def spec(self) -> str:
+        return "kq:median" if self.k is None else f"kq:{self.k}"
+
+    def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
+        return select_k_quantile(proc, self.k, self.kappa)
+
 
 @dataclass(frozen=True)
 class RightBoundaryQuantileRule:
@@ -156,24 +202,42 @@ class RightBoundaryQuantileRule:
         object.__setattr__(self, "kappa", _check_kappa(self.kappa))
         object.__setattr__(self, "estimator", _check_estimator(self.estimator))
 
+    @property
+    def spec(self) -> str:
+        return f"rbq:{_grid_spec(self.levels)}"
 
-LambdaRule = Union[
-    FixedRule,
-    RightBoundaryRule,
-    LowestSlopeRule,
-    KQuantileRule,
-    RightBoundaryQuantileRule,
-]
+    def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
+        return select_right_boundary_quantile(proc, self.levels, self.kappa, self.estimator)
+
+
+LambdaRule = Union[FixedRule, RightBoundaryRule, LowestSlopeRule, KQuantileRule, RightBoundaryQuantileRule]
+
+
+@dataclass(frozen=True)
+class StepUpRule:
+    """No lambda to select: the linear step-up at alpha / pi0 over all of [0, 1].
+
+    ``bh`` takes pi0 = 1; ``orc`` (``oracle=True``) takes the true null
+    proportion, which the caller supplies (run_procedure's ``pi0`` or the
+    sample's truth labels).
+    """
+
+    oracle: bool = False
+
+    @property
+    def spec(self) -> str:
+        return "orc" if self.oracle else "bh"
+
+
+BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
 
 
 def select_fixed(proc: EmpiricalProcesses, lam: float, kappa: float) -> Pi0Estimate:
     """Identity rule: keep the given lambda, estimate pi0 there."""
     kappa = _check_kappa(kappa)
-    lam = float(lam)
-    if not kappa <= lam < 1.0:
-        raise ValueError(f"fixed lambda={lam} outside [kappa={kappa}, 1)")
+    lam = _check_fixed_lambda(lam, kappa)
     value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam=lam, variant=STOREY_PLUS, value=value, trace=((lam, value),))
+    return Pi0Estimate(lam=lam, value=value, trace=((lam, value),))
 
 
 def select_right_boundary(
@@ -214,7 +278,7 @@ def select_right_boundary(
         chosen = kappa
         flags = ("grid-below-kappa",)
     value = pi0_storey_plus(proc, chosen)
-    return Pi0Estimate(lam=chosen, variant=STOREY_PLUS, value=value, trace=tuple(trace), flags=flags)
+    return Pi0Estimate(lam=chosen, value=value, trace=tuple(trace), flags=flags)
 
 
 def select_lowest_slope(proc: EmpiricalProcesses, kappa: float) -> Pi0Estimate:
@@ -258,7 +322,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, kappa: float) -> Pi0Estimate:
 
     trace = tuple(zip(p[: last_examined + 1].tolist(), est[: last_examined + 1].tolist()))
     value = pi0_storey_plus(proc, chosen)
-    return Pi0Estimate(lam=chosen, variant=STOREY_PLUS, value=value, trace=trace, flags=flags)
+    return Pi0Estimate(lam=chosen, value=value, trace=trace, flags=flags)
 
 
 def select_k_quantile(proc: EmpiricalProcesses, k: int | None, kappa: float) -> Pi0Estimate:
@@ -281,7 +345,7 @@ def select_k_quantile(proc: EmpiricalProcesses, k: int | None, kappa: float) -> 
         lam = max(kappa, 1.0 - 1.0 / m)
         flags = ("clamped-below-one",)
     value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam=lam, variant=STOREY_PLUS, value=value, trace=((lam, value),), flags=flags)
+    return Pi0Estimate(lam=lam, value=value, trace=((lam, value),), flags=flags)
 
 
 def select_right_boundary_quantile(
@@ -306,57 +370,12 @@ def select_right_boundary_quantile(
     grid = grid[(grid >= kappa) & (grid < 1.0)]
     if grid.size == 0:
         value = pi0_storey_plus(proc, kappa)
-        return Pi0Estimate(
-            lam=kappa,
-            variant=STOREY_PLUS,
-            value=value,
-            trace=((kappa, value),),
-            flags=("empty-grid-fallback",),
-        )
+        return Pi0Estimate(lam=kappa, value=value, trace=((kappa, value),), flags=("empty-grid-fallback",))
     return select_right_boundary(proc, tuple(grid.tolist()), kappa, estimator)
 
 
-def select(proc: EmpiricalProcesses, rule: LambdaRule) -> Pi0Estimate:
-    """Dispatch a rule object to its selection function."""
-    if isinstance(rule, FixedRule):
-        return select_fixed(proc, rule.lam, rule.kappa)
-    if isinstance(rule, RightBoundaryRule):
-        return select_right_boundary(proc, rule.grid, rule.kappa, rule.estimator)
-    if isinstance(rule, LowestSlopeRule):
-        return select_lowest_slope(proc, rule.kappa)
-    if isinstance(rule, KQuantileRule):
-        return select_k_quantile(proc, rule.k, rule.kappa)
-    if isinstance(rule, RightBoundaryQuantileRule):
-        return select_right_boundary_quantile(proc, rule.levels, rule.kappa, rule.estimator)
-    raise TypeError(f"not a lambda rule: {rule!r}")
-
-
-def _grid_spec(grid: Sequence[float]) -> str:
-    vals = tuple(grid)
-    if len(vals) >= 3:
-        step = vals[1] - vals[0]
-        if all(abs((b - a) - step) < 1e-9 for a, b in zip(vals, vals[1:])):
-            return f"{vals[0]:g}:{step:g}:{vals[-1]:g}"
-    return ",".join(f"{v:g}" for v in vals)
-
-
-def rule_id(rule: LambdaRule) -> str:
-    """Canonical string spec for a rule; parse_rule_spec round-trips it."""
-    if isinstance(rule, FixedRule):
-        return f"fixed:{rule.lam:g}"
-    if isinstance(rule, RightBoundaryRule):
-        return f"rb:{_grid_spec(rule.grid)}"
-    if isinstance(rule, LowestSlopeRule):
-        return "lsl"
-    if isinstance(rule, KQuantileRule):
-        return "kq:median" if rule.k is None else f"kq:{rule.k}"
-    if isinstance(rule, RightBoundaryQuantileRule):
-        return f"rbq:{_grid_spec(rule.levels)}"
-    raise TypeError(f"not a lambda rule: {rule!r}")
-
-
-_SPEC_HELP = (
-    "fixed:<lambda>, rb:<grid>, rb20, lsl, kq:<k|median>, rbq:<levels>, rb20q "
+SPEC_HELP = (
+    "bh, orc, fixed:<lambda>, rb:<grid>, rb20, lsl, kq:<k|median>, rbq:<levels>, rb20q "
     "(grids are start:step:stop or comma-separated values)"
 )
 
@@ -375,14 +394,19 @@ def _parse_grid(arg: str, spec: str) -> tuple[float, ...]:
     raise ValueError(f"bad grid in rule spec {spec!r}; expected start:step:stop or a comma list")
 
 
-def parse_rule_spec(spec: str, kappa: float) -> LambdaRule:
-    """Build a rule object from its string spec.
+def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:
+    """Build a rule object from its string spec; the one parser of procedure specs.
 
-    Accepted forms: fixed:<lambda>, rb:<grid>, rb20, lsl, kq:<k|median>,
-    rbq:<levels>, rb20q.  ``rb20``/``rb20q`` are shorthands for the
-    equal-width 20-bin grid (and its quantile analogue).
+    Accepted forms: bh, orc, fixed:<lambda>, rb:<grid>, rb20, lsl,
+    kq:<k|median>, rbq:<levels>, rb20q.  ``rb20``/``rb20q`` are shorthands
+    for the equal-width 20-bin grid (and its quantile analogue).  ``bh``
+    and ``orc`` select no lambda, so they ignore kappa.
     """
     s = spec.strip()
+    if s == "bh":
+        return BH
+    if s == "orc":
+        return ORACLE
     if s == "lsl":
         return LowestSlopeRule(kappa=kappa)
     if s == "rb20":
@@ -409,4 +433,4 @@ def parse_rule_spec(spec: str, kappa: float) -> LambdaRule:
             except ValueError as exc:
                 raise ValueError(f"bad quantile index in rule spec {spec!r}") from exc
             return KQuantileRule(k=k, kappa=kappa)
-    raise ValueError(f"unknown rule spec {spec!r}; expected one of {_SPEC_HELP}")
+    raise ValueError(f"unknown rule spec {spec!r}; valid specs: {SPEC_HELP}")

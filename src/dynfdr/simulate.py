@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
+from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, PValueSample, sort_pvalues
 
@@ -35,6 +35,8 @@ __all__ = [
 
 def normal_cdf(x):
     """Standard normal distribution function (vectorized)."""
+    from scipy import special  # imported on first use: only simulated p-values need scipy
+
     return special.ndtr(x)
 
 
@@ -78,8 +80,7 @@ class ScenarioConfig:
         if int(self.m) < 1:
             raise ValueError(f"m={self.m} must be >= 1")
         object.__setattr__(self, "m", int(self.m))
-        if not 0.0 < self.pi0 <= 1.0:
-            raise ValueError(f"pi0={self.pi0} outside (0, 1]")
+        check_proportion("pi0", self.pi0)
         if self.mu < 0.0:
             raise ValueError(f"mu={self.mu} must be >= 0")
         if int(self.n_reps) < 1:
@@ -88,12 +89,9 @@ class ScenarioConfig:
         if int(self.seed) < 0:
             raise ValueError(f"seed={self.seed} must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha={self.alpha} outside (0, 1)")
-        kappa = self.alpha if self.kappa is None else float(self.kappa)
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"kappa={kappa} outside (0, 1)")
-        object.__setattr__(self, "kappa", kappa)
+        check_open_unit("alpha", self.alpha)
+        kappa = self.alpha if self.kappa is None else self.kappa
+        object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))
         if self.signal_placement not in ("head", "random"):
             raise ValueError(f"signal_placement={self.signal_placement!r} not 'head' or 'random'")
 
@@ -238,14 +236,9 @@ def run_experiment(
             v = int(np.count_nonzero(sample.truth[res.rejected]))
             fdp[s][j] = v / max(n_rej, 1)
             power[s][j] = (n_rej - v) / m1 if m1 > 0 else 0.0
-            if res.pi0 is not None:
-                pi0_used = res.pi0.value
-                lam[s][j] = res.pi0.lam
-            else:
-                pi0_used = 1.0 if s == "bh" else cfg.pi0
-                lam[s][j] = np.nan
-            pi0v[s][j] = pi0_used
-            m0h[s][j] = pi0_used * m
+            lam[s][j] = res.pi0.lam
+            pi0v[s][j] = res.pi0.value
+            m0h[s][j] = res.pi0.value * m
 
     rows = []
     for s in specs:

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .estimators import check_open_unit
 from .procedures import run_procedure
 from .pvalues import EmpiricalProcesses, sort_pvalues
 from .simulate import ScenarioConfig, generate_statistics
@@ -107,9 +108,7 @@ def lemma2_exact_check(
     for n in range(1, n_max + 1):
         weights = [math.comb(n, x) for x in range(n + 1)]
         for p in p_grid:
-            p = float(p)
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"p={p} outside (0, 1)")
+            p = check_open_unit("p", p)
             expectation = math.fsum(
                 w * p**x * (1.0 - p) ** (n - x) / (n - x + 1)
                 for x, w in enumerate(weights)

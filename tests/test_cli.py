@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +94,49 @@ def test_analyze_orc_without_pi0(four_pvalues, capsys):
     assert run_cli(["analyze", str(four_pvalues), "--procedure", "orc", "--pi0", "0.8"]) == 0
 
 
+def test_analyze_reports_the_pi0_each_baseline_used(tmp_path, capsys):
+    path = tmp_path / "pvals.txt"
+    path.write_text("0.001 0\n0.02 1\n0.5 1\n0.9 1\n")
+    assert run_cli(["analyze", str(path), "--procedure", "bh"]) == 0
+    out = capsys.readouterr().out
+    assert "lambda: nan\npi0_star: 1\nm0_hat: 4\n" in out
+    assert run_cli(["analyze", str(path), "--procedure", "orc"]) == 0
+    assert "pi0_star: 0.75\nm0_hat: 3\n" in capsys.readouterr().out
+    assert run_cli(["analyze", str(path), "--procedure", "orc", "--pi0", "0.5"]) == 0
+    assert "pi0_star: 0.5\nm0_hat: 2\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--alpha", "0"], "--alpha"),
+        (["--alpha", "1.5"], "--alpha"),
+        (["--kappa", "1.5"], "--kappa"),
+        (["--procedure", "orc", "--pi0", "0"], "--pi0"),
+    ],
+)
+def test_analyze_bad_level_is_usage_error_naming_the_flag(four_pvalues, capsys, flags, named):
+    code = run_cli(["analyze", str(four_pvalues), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"argument {named}: " in err
+    assert "procedure spec" not in err
+
+
+@pytest.mark.parametrize(
+    "pvalues, spec, reason",
+    [("0.4\n", "lsl", "at least 2 p-values"), ("0.1\n0.2\n0.3\n", "kq:5", "k=5 outside 1..3")],
+)
+def test_analyze_too_few_pvalues_for_rule(tmp_path, capsys, pvalues, spec, reason):
+    path = tmp_path / "pvals.txt"
+    path.write_text(pvalues)
+    code = run_cli(["analyze", str(path), "--procedure", spec])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_analyze_inconsistent_labels(tmp_path, capsys):
     path = tmp_path / "pvals.txt"
     path.write_text("0.01 1\n0.5\n")
@@ -142,6 +188,22 @@ def test_simulate_rejects_zero_replications(tmp_path, capsys):
     assert "n_reps" in capsys.readouterr().err
 
 
+def test_simulate_m_one_is_rejected_config(tmp_path, capsys):
+    # the default procedures include lsl, which needs two p-values
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 1, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}))
+    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert "config rejected: lowest-slope selection needs at least 2 p-values" in capsys.readouterr().err
+
+
+def test_simulate_rejects_empty_mu_list(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 10, "pi0": 0.8, "mu": [], "J": 5, "seed": 1}))
+    assert run_cli(["simulate", str(path)]) == 2
+    assert "'mu'" in capsys.readouterr().err
+
+
 def test_simulate_names_missing_field(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}))
@@ -189,3 +251,13 @@ def test_verify_unknown_suite(capsys):
     code = run_cli(["verify", "nonsense"])
     assert code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_import_cli_does_not_load_scipy():
+    # scipy is only needed to generate simulated p-values
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, dynfdr.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,6 @@ from dynfdr import (
     FdrEstimatorConfig,
     PValueSample,
     fdr_hat_star,
-    m0_hat,
     pi0_storey,
     pi0_storey_plus,
 )
@@ -123,14 +122,6 @@ def test_config_validation():
         FdrEstimatorConfig(alpha=0.0)
     with pytest.raises(ValueError):
         FdrEstimatorConfig(alpha=0.05, kappa=1.0)
-
-
-def test_m0_hat():
-    assert m0_hat(0.8, 10000) == pytest.approx(8000.0)
-    assert m0_hat(1.0, 5) == pytest.approx(5.0)
-    assert m0_hat(1.125, 8) == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        m0_hat(-0.1, 5)
 
 
 def test_plus_estimator_conservative_under_null():

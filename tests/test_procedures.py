@@ -38,7 +38,7 @@ def test_bh_hand_enumeration():
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
     assert res.fdr_estimate_at_threshold == pytest.approx(0.04)
-    assert res.pi0 is None
+    assert res.pi0.value == 1.0
 
 
 def test_bh_nothing_passes():
@@ -248,6 +248,16 @@ def test_run_procedure_orc_from_labels():
     res = run_procedure("orc", sample, 0.05)  # pi0 = 3/4 from the labels
     expected = bh_step_up(sort_pvalues(sample), 0.05, pi0_target=0.75)
     assert res.threshold == expected.threshold
+
+
+def test_run_procedure_records_the_pi0_used():
+    sample = PValueSample([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
+    cases = [("bh", None, 1.0), ("orc", None, 0.75), ("orc", 0.5, 0.5)]
+    for spec, pi0, expected in cases:
+        res = run_procedure(spec, sample, 0.05, pi0=pi0)
+        assert np.isnan(res.pi0.lam) and res.pi0.value == expected
+    res = run_procedure("fixed:0.5", sample, 0.05)
+    assert res.pi0.lam == 0.5
 
 
 def test_run_procedure_unknown_spec():

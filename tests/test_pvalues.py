@@ -18,28 +18,19 @@ from conftest import naive_count
 def test_sort_basic():
     sp = sort_pvalues(PValueSample([0.3, 0.1, 0.2]))
     np.testing.assert_array_equal(sp.ordered, [0.1, 0.2, 0.3])
-    assert sp.rank_of(0) == 3
-    assert sp.rank_of(1) == 1
-    assert sp.original_index(3) == 0
+    assert sp.order.tolist() == [1, 2, 0]
 
 
 def test_sort_singleton():
     sp = sort_pvalues(PValueSample([0.5]))
     np.testing.assert_array_equal(sp.ordered, [0.5])
-    assert sp.rank_of(0) == 1
+    assert sp.order.tolist() == [0]
 
 
 def test_sort_ties_keep_original_order():
     sp = sort_pvalues(PValueSample([0.2, 0.2]))
     np.testing.assert_array_equal(sp.ordered, [0.2, 0.2])
     assert sp.order.tolist() == [0, 1]
-
-
-def test_rank_maps_are_inverse():
-    rng = np.random.default_rng(3)
-    sp = sort_pvalues(PValueSample(rng.random(40)))
-    for i in range(40):
-        assert sp.original_index(sp.rank_of(i)) == i
 
 
 def test_validation_names_offending_index():
@@ -87,7 +78,7 @@ def test_count_V_S_examples():
         PValueSample([0.1, 0.9], truth=[False, True])
     )
     assert proc.count_V(0.5) == 0
-    assert proc.count_S(0.5) == 1
+    assert proc.count_R(0.5) - proc.count_V(0.5) == 1  # S(0.5): the one false null
 
     proc = EmpiricalProcesses.from_sample(
         PValueSample([0.2, 0.4, 0.6], truth=[True, True, True])
@@ -100,8 +91,6 @@ def test_counts_need_labels():
     proc = EmpiricalProcesses.from_sample(PValueSample([0.1, 0.9]))
     with pytest.raises(MissingTruthLabels):
         proc.count_V(0.5)
-    with pytest.raises(MissingTruthLabels):
-        proc.count_S(0.5)
 
 
 def test_count_R_matches_naive_scan():
@@ -120,7 +109,7 @@ def test_counts_monotone_in_t():
     truth = rng.random(200) < 0.7
     proc = EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
     ts = np.sort(rng.random(50))
-    for count in (proc.count_R, proc.count_V, proc.count_S):
+    for count in (proc.count_R, proc.count_V):
         values = [count(float(t)) for t in ts]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -134,7 +123,9 @@ def test_V_plus_S_equals_R():
         proc = EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
         for t in rng.random(100):
             t = float(t)
-            assert proc.count_V(t) + proc.count_S(t) == proc.count_R(t)
+            v = proc.count_V(t)
+            assert v == naive_count(pvals[truth], t)
+            assert v + naive_count(pvals[~truth], t) == proc.count_R(t)
 
 
 def test_arrays_are_immutable():

@@ -19,8 +19,6 @@ from dynfdr import (
     evenly_spaced_grid,
     parse_rule_spec,
     pi0_storey_plus,
-    rule_id,
-    select,
     select_fixed,
     select_k_quantile,
     select_lowest_slope,
@@ -65,7 +63,6 @@ def test_right_boundary_hand_example_plus_comparison():
     est = select_right_boundary(proc, (0.25, 0.5, 0.75), 0.05, estimator=STOREY_PLUS)
     assert est.lam == 0.5
     assert est.value == pytest.approx(1.0)
-    assert est.variant == STOREY_PLUS
     # scan: 9/8 at 0, then 1.0 < 1.125 keeps going, then 1.0 >= 1.0 stops
     assert est.trace == ((0.0, 1.125), (0.25, 1.0), (0.5, 1.0))
 
@@ -76,7 +73,6 @@ def test_right_boundary_hand_example_storey_comparison():
     est = select_right_boundary(proc, (0.25, 0.5, 0.75), 0.05, estimator=STOREY)
     assert est.lam == 0.75
     assert est.value == pytest.approx(1.5)  # reported value is still the plus variant
-    assert est.variant == STOREY_PLUS
 
 
 def test_right_boundary_stops_at_first_candidate():
@@ -260,7 +256,7 @@ def test_every_rule_returns_admissible_lambda():
         pvals = random_mixture_pvalues(rng, int(rng.integers(4, 80)))
         proc = processes(pvals)
         for rule in rules:
-            est = select(proc, rule)
+            est = rule.select(proc)
             assert kappa <= est.lam < 1.0, (rule, est.lam)
 
 
@@ -296,15 +292,25 @@ def test_stopping_rules_ignore_the_tail():
 
 def test_parse_rule_spec_roundtrip():
     kappa = 0.05
-    specs = ["fixed:0.5", "rb:0.05:0.05:0.95", "lsl", "kq:median", "kq:17", "rbq:0.1,0.4,0.7"]
+    specs = [
+        "fixed:0.5", "rb:0.05:0.05:0.95", "lsl", "kq:median", "kq:17", "rbq:0.1,0.4,0.7",
+        "fixed:0.1234567", "rb:0.1,0.2,0.3000001",
+    ]
     for spec in specs:
         rule = parse_rule_spec(spec, kappa)
-        assert parse_rule_spec(rule_id(rule), kappa) == rule
+        assert parse_rule_spec(rule.spec, kappa) == rule
 
 
 def test_parse_rule_spec_shorthands():
     assert parse_rule_spec("rb20", 0.05) == RightBoundaryRule(TWENTY_BIN_GRID, 0.05)
     assert parse_rule_spec("rb20q", 0.05) == RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05)
+
+
+def test_parse_rule_spec_step_up_baselines():
+    for spec in ("bh", " orc "):
+        rule = parse_rule_spec(spec, 0.05)
+        assert rule.spec == spec.strip()
+        assert parse_rule_spec(rule.spec, 0.2) == rule  # no lambda, so kappa plays no part
 
 
 def test_parse_rule_spec_rejects_unknown():
