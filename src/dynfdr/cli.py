@@ -85,10 +85,25 @@ def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser
             parser.error(f"invalid procedure spec {spec!r}: {exc}")
 
 
-def _flag_type(name: str, check):
-    """argparse type for --<name>: a float that ``check(name, value)`` accepts."""
+def _int_at_least(low: int):
+    """A ``check(name, text)`` for integers >= ``low``."""
 
-    def parse(text: str) -> float:
+    def check(name: str, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{name}={text!r} is not an integer") from None
+        if value < low:
+            raise ValueError(f"{name}={value} must be >= {low}")
+        return value
+
+    return check
+
+
+def _flag_type(name: str, check):
+    """argparse type for --<name>: a value that ``check(name, text)`` accepts."""
+
+    def parse(text: str) -> float | int:
         try:
             return check(name, text)
         except ValueError as exc:  # argparse turns this into a usage error naming the flag
@@ -280,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the theory-check suites")
     p_ver.add_argument("suite", choices=VERIFY_SUITES, help="which suite to run")
-    p_ver.add_argument("--seed", type=int, default=20260808, help="Monte Carlo seed")
-    p_ver.add_argument("--reps", type=int, default=1000, help="replications for the simulation-backed suites")
+    p_ver.add_argument("--seed", type=_flag_type("seed", _int_at_least(0)), default=20260808, help="Monte Carlo seed (>= 0)")
+    # a 3-SE check needs a standard error, so at least two replications
+    p_ver.add_argument("--reps", type=_flag_type("reps", _int_at_least(2)), default=1000, help="replications for the simulation-backed suites (>= 2)")
     p_ver.add_argument("--out", default=None, help="also write the report as CSV")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

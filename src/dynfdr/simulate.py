@@ -205,57 +205,61 @@ def _ratio_of_means_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return r, math.sqrt(max(var_r, 0.0))
 
 
+def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
+    """The one replication loop behind ``run_experiment`` and the Monte Carlo checks.
+
+    Per replication j, in order: draw, sort, run every spec once.  Yields
+    that replication's EmpiricalProcesses and a (4, len(specs)) array whose
+    rows are FDP = V/(R v 1), power = S/m1 (0 when m1 = 0), the chosen
+    lambda and the pi0 used.  ``np.stack(..., axis=-1)`` of the arrays
+    gives each quantity as one contiguous series per spec.
+    """
+    m1 = cfg.m1
+    for j in range(cfg.n_reps):
+        sample = generate_statistics(cfg, j)
+        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
+        rec = np.empty((4, len(specs)))
+        for i, s in enumerate(specs):
+            res = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
+            n_rej = res.n_rejected
+            v = int(np.count_nonzero(sample.truth[res.rejected]))
+            power = (n_rej - v) / m1 if m1 > 0 else 0.0
+            rec[:, i] = (v / max(n_rej, 1), power, res.pi0.lam, res.pi0.value)
+        yield proc, rec
+
+
 def run_experiment(
     cfg: ScenarioConfig, procedures: Sequence[str] = DEFAULT_PROCEDURES
 ) -> MetricsTable:
     """Run every procedure over cfg.n_reps replications and aggregate.
 
-    Per replication: FDP = V/(R v 1), power = S/m1 (0 when m1 = 0), and
-    the implied true-null count estimate.  The oracle is always run (it
-    anchors the corrected FDR and the power ratio); realized FDR is
-    additionally reported with the oracle's deviation from alpha
-    subtracted out.  Deterministic given (cfg, procedures).
+    The oracle is always run (it anchors the corrected FDR and the power
+    ratio); realized FDR is additionally reported with the oracle's
+    deviation from alpha subtracted out.  At m1 = 0 power is 0 in every
+    replication, so relative power is nan except for the oracle's 1.0.
+    Deterministic given (cfg, procedures).
     """
     specs = list(dict.fromkeys(procedures))
     if "orc" not in specs:
         specs.append("orc")
-    J, m, m0, m1 = cfg.n_reps, cfg.m, cfg.m0, cfg.m1
-
-    fdp = {s: np.empty(J) for s in specs}
-    power = {s: np.empty(J) for s in specs}
-    m0h = {s: np.empty(J) for s in specs}
-    lam = {s: np.empty(J) for s in specs}
-    pi0v = {s: np.empty(J) for s in specs}
-
-    for j in range(J):
-        sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
-        for s in specs:
-            res = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
-            n_rej = res.n_rejected
-            v = int(np.count_nonzero(sample.truth[res.rejected]))
-            fdp[s][j] = v / max(n_rej, 1)
-            power[s][j] = (n_rej - v) / m1 if m1 > 0 else 0.0
-            lam[s][j] = res.pi0.lam
-            pi0v[s][j] = res.pi0.value
-            m0h[s][j] = res.pi0.value * m
+    fdp, power, lam, pi0v = np.stack([rec for _, rec in _replications(cfg, specs)], axis=-1)
+    orc = specs.index("orc")
 
     rows = []
-    for s in specs:
-        realized, fdr_se = _mean_se(fdp[s])
+    for i, s in enumerate(specs):
+        realized, fdr_se = _mean_se(fdp[i])
         if s == "orc":
             corrected, corrected_se = cfg.alpha, 0.0
             rel, rel_se = 1.0, 0.0
         else:
-            diff = fdp[s] - fdp["orc"]
-            corrected, corrected_se = _mean_se(diff)
+            corrected, corrected_se = _mean_se(fdp[i] - fdp[orc])
             corrected += cfg.alpha
-            rel, rel_se = _ratio_of_means_se(power[s], power["orc"])
-        mse, mse_se = _mean_se((m0h[s] - m0) ** 2)
-        if np.isnan(lam[s]).all():
+            rel, rel_se = _ratio_of_means_se(power[i], power[orc])
+        mse, mse_se = _mean_se((pi0v[i] * cfg.m - cfg.m0) ** 2)
+        if np.isnan(lam[i]).all():
             mean_lam, lam_se = float("nan"), float("nan")
         else:
-            mean_lam, lam_se = _mean_se(lam[s])
+            mean_lam, lam_se = _mean_se(lam[i])
         rows.append(
             MetricsRow(
                 scenario=cfg.label,
@@ -270,8 +274,8 @@ def run_experiment(
                 mse_m0_se=mse_se,
                 mean_lambda=mean_lam,
                 mean_lambda_se=lam_se,
-                mean_pi0=float(pi0v[s].mean()),
-                n_reps=J,
+                mean_pi0=float(pi0v[i].mean()),
+                n_reps=cfg.n_reps,
             )
         )
     return MetricsTable(rows=tuple(rows))

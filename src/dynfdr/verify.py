@@ -23,9 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import check_open_unit
-from .procedures import run_procedure
-from .pvalues import EmpiricalProcesses, sort_pvalues
-from .simulate import ScenarioConfig, generate_statistics
+from .simulate import ScenarioConfig, _mean_se, _replications
 
 __all__ = [
     "CheckResult",
@@ -59,6 +57,26 @@ class CheckResult:
     tolerance: float
     passed: bool
     detail: str = ""
+
+
+def _three_se_check(
+    check: str, x: np.ndarray, bound: float, detail: str, side: str = "upper", slack: float = 0.0
+) -> CheckResult:
+    """Mean of ``x`` against ``bound`` at a 3-standard-error tolerance.
+
+    ``side`` "upper" asserts mean <= bound + 3 SE (+ ``slack``), "lower"
+    mean >= bound - 3 SE, "both" |mean - bound| <= 3 SE.  With one draw
+    the SE is nan and the check fails.
+    """
+    mean, se = _mean_se(x)
+    tol = 3.0 * se
+    if side == "upper":
+        passed = mean <= bound + tol + slack
+    elif side == "lower":
+        passed = mean >= bound - tol
+    else:
+        passed = abs(mean - bound) <= tol
+    return CheckResult(check, mean, bound, tol, passed, detail)
 
 
 def _phi(x: float) -> float:
@@ -178,20 +196,8 @@ def supermartingale_check(
                 )
             )
             continue
-        stratum = m_t[sel]
-        mean = float(stratum.mean())
-        se = float(stratum.std(ddof=1) / math.sqrt(n))
         # 1e-12 absorbs accumulation rounding in the degenerate s == t case
-        results.append(
-            CheckResult(
-                check=name,
-                statistic=mean,
-                bound=m_s,
-                tolerance=3.0 * se,
-                passed=mean <= m_s + 3.0 * se + 1e-12,
-                detail=f"{n} draws",
-            )
-        )
+        results.append(_three_se_check(name, m_t[sel], m_s, f"{n} draws", slack=1e-12))
     return results
 
 
@@ -206,79 +212,28 @@ def fdr_control_check(
     noise the baselines are calibrated two-sided: the plain step-up
     procedure at pi0 * alpha and the oracle at alpha.
     """
-    alpha, kappa, m, J = cfg.alpha, cfg.kappa, cfg.m, cfg.n_reps
-    specs = list(rules)
-    fdp = {s: np.empty(J) for s in specs + ["bh", "orc"]}
-    bound_rhs = {s: np.empty(J) for s in specs}
-
-    for j in range(J):
-        sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
-        v_kappa = proc.count_V(kappa)
-        for s in specs + ["bh", "orc"]:
-            res = run_procedure(s, proc, alpha, kappa, pi0=cfg.pi0)
-            v = int(np.count_nonzero(sample.truth[res.rejected]))
-            fdp[s][j] = v / max(res.n_rejected, 1)
-            if s in bound_rhs:
-                bound_rhs[s][j] = (alpha / kappa) * v_kappa / (m * res.pi0.value)
+    alpha, kappa = cfg.alpha, cfg.kappa
+    specs = list(dict.fromkeys([*rules, "bh", "orc"]))
+    v_kappa, recs = [], []
+    for proc, rec in _replications(cfg, specs):
+        v_kappa.append(proc.count_V(kappa))
+        recs.append(rec)
+    fdp, _, _, pi0v = np.stack(recs, axis=-1)
+    fdp = dict(zip(specs, fdp))
+    bound_rhs = dict(zip(specs, (alpha / kappa) * np.array(v_kappa) / (cfg.m * pi0v)))
 
     results = []
-    for s in specs:
-        mean = float(fdp[s].mean())
-        se = float(fdp[s].std(ddof=1) / math.sqrt(J))
-        results.append(
-            CheckResult(
-                check=f"fdr-control[{s}]",
-                statistic=mean,
-                bound=alpha,
-                tolerance=3.0 * se,
-                passed=mean <= alpha + 3.0 * se,
-                detail=f"J={J}",
-            )
-        )
-        diff = fdp[s] - bound_rhs[s]
-        dmean = float(diff.mean())
-        dse = float(diff.std(ddof=1) / math.sqrt(J))
-        results.append(
-            CheckResult(
-                check=f"fdr-bound[{s}]",
-                statistic=dmean,
-                bound=0.0,
-                tolerance=3.0 * dse,
-                passed=dmean <= 3.0 * dse,
-                detail="mean FDP minus (alpha/kappa) E[V(kappa)/(m pi0*)]",
-            )
-        )
-
-    independent = cfg.dependence is None
-    for s, target, target_desc in (
-        ("bh", cfg.pi0 * alpha, "pi0 * alpha"),
-        ("orc", alpha, "alpha"),
-    ):
-        mean = float(fdp[s].mean())
-        se = float(fdp[s].std(ddof=1) / math.sqrt(J))
-        if independent:
-            results.append(
-                CheckResult(
-                    check=f"fdr-calibration[{s}]",
-                    statistic=mean,
-                    bound=target,
-                    tolerance=3.0 * se,
-                    passed=abs(mean - target) <= 3.0 * se,
-                    detail=f"two-sided at {target_desc}",
-                )
-            )
+    for s in rules:
+        results.append(_three_se_check(f"fdr-control[{s}]", fdp[s], alpha, f"J={cfg.n_reps}"))
+        detail = "mean FDP minus (alpha/kappa) E[V(kappa)/(m pi0*)]"
+        results.append(_three_se_check(f"fdr-bound[{s}]", fdp[s] - bound_rhs[s], 0.0, detail))
+    for s, target, target_desc in (("bh", cfg.pi0 * alpha, "pi0 * alpha"), ("orc", alpha, "alpha")):
+        if cfg.dependence is None:
+            detail = f"two-sided at {target_desc}"
+            results.append(_three_se_check(f"fdr-calibration[{s}]", fdp[s], target, detail, side="both"))
         else:
-            results.append(
-                CheckResult(
-                    check=f"fdr-control[{s}]",
-                    statistic=mean,
-                    bound=alpha,
-                    tolerance=3.0 * se,
-                    passed=mean <= alpha + 3.0 * se,
-                    detail="dependent noise: one-sided only",
-                )
-            )
+            detail = "dependent noise: one-sided only"
+            results.append(_three_se_check(f"fdr-control[{s}]", fdp[s], alpha, detail))
     return results
 
 
@@ -290,29 +245,12 @@ def conservative_estimation_check(
     For each rule asserts mean pi0*(lambda) >= cfg.pi0 - 3 SE over
     cfg.n_reps replications.
     """
-    J = cfg.n_reps
-    specs = list(rules)
-    pi0s = {s: np.empty(J) for s in specs}
-    for j in range(J):
-        sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
-        for s in specs:
-            pi0s[s][j] = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0).pi0.value
-    results = []
-    for s in specs:
-        mean = float(pi0s[s].mean())
-        se = float(pi0s[s].std(ddof=1) / math.sqrt(J))
-        results.append(
-            CheckResult(
-                check=f"conservative-pi0[{s}]",
-                statistic=mean,
-                bound=cfg.pi0,
-                tolerance=3.0 * se,
-                passed=mean >= cfg.pi0 - 3.0 * se,
-                detail=f"J={J}",
-            )
-        )
-    return results
+    specs = list(dict.fromkeys(rules))
+    pi0s = dict(zip(specs, np.stack([rec[3] for _, rec in _replications(cfg, specs)], axis=-1)))
+    return [
+        _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.pi0, f"J={cfg.n_reps}", side="lower")
+        for s in rules
+    ]
 
 
 def all_passed(results: Sequence[CheckResult]) -> bool:

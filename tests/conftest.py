@@ -40,3 +40,27 @@ def random_mixture_pvalues(rng, m, null_fraction=0.7, rate=8.0):
     pvals = np.concatenate([nulls, alts])
     rng.shuffle(pvals)
     return pvals
+
+
+def replication_records(cfg, specs):
+    """The per-replication loop written out: generate -> sort -> run_procedure -> FDP/power/pi0.
+
+    Returns ``(records, v_kappa)``: ``records[s]`` is a (J, 4) array of
+    (FDP, power, lambda, pi0) per replication for spec ``s``, ``v_kappa``
+    the naive count of true nulls at or below kappa per replication.
+    """
+    from dynfdr import EmpiricalProcesses, generate_statistics, run_procedure, sort_pvalues
+
+    records = {s: np.empty((cfg.n_reps, 4)) for s in specs}
+    v_kappa = np.empty(cfg.n_reps)
+    for j in range(cfg.n_reps):
+        sample = generate_statistics(cfg, j)
+        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
+        v_kappa[j] = naive_count(sample.values[sample.truth], cfg.kappa)
+        for s in specs:
+            res = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
+            v = sum(1 for i in res.rejected if sample.truth[i])
+            r = len(res.rejected)
+            power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0
+            records[s][j] = (v / max(r, 1), power, res.pi0.lam, res.pi0.value)
+    return records, v_kappa

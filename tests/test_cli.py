@@ -247,6 +247,24 @@ def test_verify_lemma2_suite(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 60 * 19
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fdr-control", "--reps", "0"], "argument --reps: reps=0 must be >= 2"),
+        (["fdr-control", "--reps", "1"], "argument --reps: reps=1 must be >= 2"),
+        (["conservative", "--seed", "-5"], "argument --seed: seed=-5 must be >= 0"),
+        (["supermartingale", "--seed", "-1"], "argument --seed: seed=-1 must be >= 0"),
+    ],
+)
+def test_verify_bad_reps_or_seed_is_usage_error_naming_the_flag(capsys, args, message):
+    code = run_cli(["verify", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"dynfdr verify: error: {message}"
+    assert "Traceback" not in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     code = run_cli(["verify", "nonsense"])
     assert code == 2
