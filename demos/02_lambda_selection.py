@@ -10,14 +10,14 @@ import numpy as np
 
 from dynfdr import (
     EmpiricalProcesses,
+    FixedRule,
+    KQuantileRule,
+    LowestSlopeRule,
     PValueSample,
+    RightBoundaryQuantileRule,
+    RightBoundaryRule,
     generate_statistics,
     ScenarioConfig,
-    select_fixed,
-    select_k_quantile,
-    select_lowest_slope,
-    select_right_boundary,
-    select_right_boundary_quantile,
     TWENTY_BIN_GRID,
 )
 
@@ -31,30 +31,30 @@ print(f"one replication: m = {cfg.m}, true pi0 = {cfg.pi0}, effect size mu = {cf
 print("\nrule                      lambda   pi0*     candidates examined")
 print("-" * 72)
 rules = [
-    ("fixed lambda = 0.5", lambda: select_fixed(proc, 0.5, KAPPA)),
-    ("right boundary (20 bins)", lambda: select_right_boundary(proc, TWENTY_BIN_GRID, KAPPA)),
-    ("lowest slope", lambda: select_lowest_slope(proc, KAPPA)),
-    ("median quantile", lambda: select_k_quantile(proc, None, KAPPA)),
-    ("rb over 19 quantiles", lambda: select_right_boundary_quantile(proc, TWENTY_BIN_GRID, KAPPA)),
+    ("fixed lambda = 0.5", FixedRule(0.5, KAPPA)),
+    ("right boundary (20 bins)", RightBoundaryRule(TWENTY_BIN_GRID, KAPPA)),
+    ("lowest slope", LowestSlopeRule(KAPPA)),
+    ("median quantile", KQuantileRule(None, KAPPA)),
+    ("rb over 19 quantiles", RightBoundaryQuantileRule(TWENTY_BIN_GRID, KAPPA)),
 ]
-for name, run in rules:
-    est = run()
+for name, rule in rules:
+    est = rule.select(proc)
     print(f"{name:<25} {est.lam:<8.4f} {est.value:<8.4f} {len(est.trace)}")
 
 print("\nThe lowest-slope rule checks a stopping condition at every order")
 print("statistic, so it tends to stop very early and over-estimate pi0:")
-est = select_lowest_slope(proc, KAPPA)
+est = LowestSlopeRule(KAPPA).select(proc)
 for lam, value in est.trace[:6]:
     print(f"  candidate {lam:.5f} -> estimate {value:.4f}")
 print(f"  ... stopped at lambda = {est.lam:.5f}")
 
 print("\nThe right-boundary scan looks at far fewer candidates:")
-est = select_right_boundary(proc, TWENTY_BIN_GRID, KAPPA)
+est = RightBoundaryRule(TWENTY_BIN_GRID, KAPPA).select(proc)
 for lam, value in est.trace:
     print(f"  candidate {lam:.2f} -> estimate {value:.4f}")
 print(f"  stopped at lambda = {est.lam:.2f}, pi0* = {est.value:.4f}")
 
 # Degenerate inputs fall back gracefully and say so.
 tiny = EmpiricalProcesses.from_sample(PValueSample([0.001, 0.002, 0.004]))
-est = select_right_boundary_quantile(tiny, TWENTY_BIN_GRID, KAPPA)
+est = RightBoundaryQuantileRule(TWENTY_BIN_GRID, KAPPA).select(tiny)
 print(f"\nall p-values below kappa: lambda = {est.lam}, flags = {est.flags}")

@@ -8,6 +8,7 @@ from dynfdr import (
     DEFAULT_PROCEDURES,
     ScenarioConfig,
     generate_statistics,
+    parse_rule_spec,
     run_procedure,
 )
 
@@ -20,7 +21,7 @@ print(f"{'procedure':<11} {'lambda':>7} {'pi0*':>7} {'threshold':>10} {'rejected
       f"{'false pos':>10} {'FDP':>6}")
 print("-" * 66)
 for spec in DEFAULT_PROCEDURES:
-    res = run_procedure(spec, sample, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
+    res = run_procedure(parse_rule_spec(spec, cfg.kappa), sample, cfg.alpha, pi0=cfg.pi0)
     v = int(np.count_nonzero(sample.truth[res.rejected]))
     fdp = v / max(res.n_rejected, 1)
     lam = "-" if np.isnan(res.pi0.lam) else f"{res.pi0.lam:.3f}"  # the step-up baselines pick none
@@ -32,5 +33,5 @@ print("\nThe plain step-up procedure implicitly works at pi0 = 1 and leaves")
 print("power on the table; the adaptive procedures recover most of the gap")
 print("to the oracle while keeping the false discovery proportion in check.")
 print("\nEvery adaptive rejection sits inside the region [0, kappa]:")
-res = run_procedure("rb20", sample, cfg.alpha, cfg.kappa)
+res = run_procedure(parse_rule_spec("rb20", cfg.kappa), sample, cfg.alpha)
 print(f"  rb20 threshold = {res.threshold:.6f} <= kappa = {cfg.kappa}")

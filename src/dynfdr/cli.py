@@ -77,12 +77,23 @@ def _read_pvalue_file(path: str) -> PValueSample:
     return PValueSample(values=np.asarray(values, dtype=float), truth=truth)
 
 
-def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> None:
+def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> list:
+    """The rule of every spec; a spec that does not parse is a usage error."""
+    rules = []
     for spec in specs:
         try:
-            parse_rule_spec(spec, kappa)
+            rules.append(parse_rule_spec(spec, kappa))
         except ValueError as exc:
             parser.error(f"invalid procedure spec {spec!r}: {exc}")
+    return rules
+
+
+def _write_out(path: str, write) -> None:
+    """Call ``write(path)``; a file that cannot be written is an ``error:``, exit 1."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _int_at_least(low: int):
@@ -114,10 +125,10 @@ def _flag_type(name: str, check):
 
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kappa = args.alpha if args.kappa is None else args.kappa
-    _check_specs([args.procedure], kappa, parser)
+    (rule,) = _check_specs([args.procedure], kappa, parser)
     sample = _read_pvalue_file(args.input)
     try:
-        res = run_procedure(args.procedure, sample, args.alpha, kappa, pi0=args.pi0)
+        res = run_procedure(rule, sample, args.alpha, pi0=args.pi0)
     except ValueError as exc:  # the arguments were checked above, so the data is at fault
         raise CliError(str(exc)) from exc
 
@@ -139,10 +150,17 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     ]
     out = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_out(args.out, lambda path: Path(path).write_text(out, encoding="utf-8"))
     else:
         sys.stdout.write(out)
     return 0
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; 2.7, "3" and true are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def _cfg_field(cfg: dict, name: str, kind, parser, required=True, default=None):
@@ -172,7 +190,6 @@ def _parse_dependence(cfg: dict, parser: argparse.ArgumentParser) -> BlockAR | N
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"config field 'dependence' is malformed: {exc}")
     parser.error(f"config field 'dependence.type' unknown: {kind!r}")
-    return None  # unreachable
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -185,12 +202,12 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not isinstance(cfg, dict):
         parser.error("config must be a JSON object")
 
-    m = _cfg_field(cfg, "m", int, parser)
+    m = _cfg_field(cfg, "m", _json_int, parser)
     pi0 = _cfg_field(cfg, "pi0", float, parser)
     alpha = _cfg_field(cfg, "alpha", float, parser, required=False, default=0.05)
     kappa = _cfg_field(cfg, "kappa", float, parser, required=False, default=None)
-    n_reps = _cfg_field(cfg, "J", int, parser)
-    seed = _cfg_field(cfg, "seed", int, parser)
+    n_reps = _cfg_field(cfg, "J", _json_int, parser)
+    seed = _cfg_field(cfg, "seed", _json_int, parser)
     mu_raw = cfg.get("mu")
     if mu_raw is None:
         parser.error("config is missing field 'mu'")
@@ -232,7 +249,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     except ValueError as exc:
         parser.error(f"config rejected: {exc}")
     table = MetricsTable(rows=tuple(rows))
-    emit_figure_data(table, args.out)
+    _write_out(args.out, lambda path: emit_figure_data(table, path))
 
     header = f"{'scenario':<40} {'procedure':<10} {'fdr':>8} {'corr_fdr':>9} {'rel_pow':>8} {'mse_m0':>12}"
     print(header)
@@ -266,7 +283,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             results.extend(verify_mod.conservative_estimation_check(cfg))
     print(verify_mod.format_report(results))
     if args.out:
-        verify_mod.write_report_csv(results, args.out)
+        _write_out(args.out, lambda path: verify_mod.write_report_csv(results, path))
         print(f"wrote {args.out}")
     return 0 if verify_mod.all_passed(results) else 1
 

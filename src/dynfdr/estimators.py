@@ -2,8 +2,8 @@
 
 The plus-one variant of the tail estimator is bounded away from zero and
 is what the thresholding step always consumes; the plain variant exists
-because some selection rules prefer to run their stopping comparison on
-it.  Estimates above 1 are legal and are never clipped here: capping is a
+because the right-boundary rules run their stopping comparison on it.
+Estimates above 1 are legal and are never clipped here: capping is a
 caller decision, not an estimator one.
 """
 
@@ -14,17 +14,12 @@ from dataclasses import dataclass
 from .pvalues import EmpiricalProcesses
 
 __all__ = [
-    "STOREY",
-    "STOREY_PLUS",
     "Pi0Estimate",
     "FdrEstimatorConfig",
     "pi0_storey",
     "pi0_storey_plus",
     "fdr_hat_star",
 ]
-
-STOREY = "storey"
-STOREY_PLUS = "storey_plus"
 
 
 def check_open_unit(name: str, value: float) -> float:

@@ -27,7 +27,7 @@ from .pvalues import (
     PValueSample,
     SortedPValues,
 )
-from .selection import BH, ORACLE, LambdaRule, parse_rule_spec
+from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
 __all__ = [
     "ProcedureResult",
@@ -51,7 +51,6 @@ class ProcedureResult:
     estimate, or the fixed one of a step-up baseline (with lam = nan).
     """
 
-    procedure_id: str
     threshold: float
     rejected: np.ndarray
     fdr_estimate_at_threshold: float
@@ -67,12 +66,7 @@ def _rejection_set(sp: SortedPValues, threshold: float) -> np.ndarray:
     return np.sort(sp.order[:n])
 
 
-def bh_step_up(
-    sp: SortedPValues,
-    alpha: float,
-    pi0_target: float = 1.0,
-    procedure_id: str = "bh",
-) -> ProcedureResult:
+def bh_step_up(sp: SortedPValues, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
     """Linear step-up cut at the largest p_(k) with p_(k) <= k * level / m.
 
     ``pi0_target`` inflates the level to alpha / pi0_target (capped at 1):
@@ -85,11 +79,11 @@ def bh_step_up(
     m = sp.m
     passing = np.flatnonzero(sp.ordered <= np.arange(1, m + 1) * (level / m))
     if passing.size == 0:
-        return ProcedureResult(procedure_id, 0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
+        return ProcedureResult(0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
     threshold = float(sp.ordered[int(passing[-1])])
     rejected = _rejection_set(sp, threshold)
     estimate = m * pi0_target * threshold / max(rejected.size, 1)
-    return ProcedureResult(procedure_id, threshold, rejected, float(estimate), pi0)
+    return ProcedureResult(threshold, rejected, float(estimate), pi0)
 
 
 def threshold_functional(
@@ -122,7 +116,6 @@ def dynamic_adaptive(
     sample: PValueSample | EmpiricalProcesses,
     rule: LambdaRule,
     cfg: FdrEstimatorConfig,
-    procedure_id: str | None = None,
 ) -> ProcedureResult:
     """Select lambda, estimate pi0, threshold the truncated FDR estimate."""
     if rule.kappa != cfg.kappa:
@@ -134,34 +127,24 @@ def dynamic_adaptive(
     threshold = threshold_functional(proc, est.value, cfg)
     rejected = _rejection_set(proc.sorted, threshold)
     estimate_at = fdr_hat_star(proc, est.value, threshold, cfg)
-    return ProcedureResult(
-        procedure_id or rule.spec,
-        float(threshold),
-        rejected,
-        float(estimate_at),
-        est,
-    )
+    return ProcedureResult(float(threshold), rejected, float(estimate_at), est)
 
 
 def run_procedure(
-    spec: str,
+    rule: LambdaRule | StepUpRule,
     sample: PValueSample | EmpiricalProcesses,
     alpha: float,
-    kappa: float | None = None,
     pi0: float | None = None,
 ) -> ProcedureResult:
-    """Run a procedure named by its string spec (see parse_rule_spec).
+    """Run a procedure given as a rule that parse_rule_spec returned.
 
     ``bh`` and ``orc`` are the step-up baselines (``orc`` needs pi0, either
-    given explicitly or derived from truth labels); every other spec is a
-    lambda-selection rule fed to the dynamic adaptive pipeline.
+    given explicitly or derived from truth labels); every lambda rule is
+    fed to the dynamic adaptive pipeline at its own kappa.
     """
-    spec = spec.strip()
     proc = sample if isinstance(sample, EmpiricalProcesses) else EmpiricalProcesses.from_sample(sample)
-    cfg = FdrEstimatorConfig(alpha=alpha, kappa=kappa)
-    rule = parse_rule_spec(spec, cfg.kappa)
     if rule == BH:
-        return bh_step_up(proc.sorted, alpha, 1.0, spec)
+        return bh_step_up(proc.sorted, alpha)
     if rule == ORACLE:
         if pi0 is None:
             if proc.truth is None:
@@ -169,5 +152,5 @@ def run_procedure(
                     "orc needs the true null proportion: pass pi0 or supply truth labels"
                 )
             pi0 = float(np.count_nonzero(proc.truth)) / proc.m
-        return bh_step_up(proc.sorted, alpha, pi0, spec)
-    return dynamic_adaptive(proc, rule, cfg, procedure_id=spec)
+        return bh_step_up(proc.sorted, alpha, pi0)
+    return dynamic_adaptive(proc, rule, FdrEstimatorConfig(alpha=alpha, kappa=rule.kappa))

@@ -4,7 +4,9 @@ Each rule scans candidates from the left and stops the first time the
 pi0 estimate stops improving (decreasing), so the decision at a candidate
 depends only on p-value counts at or below it.  That forward-scan
 structure is what licenses plugging the selected lambda into the
-truncated FDR estimator without losing finite-sample control.
+truncated FDR estimator without losing finite-sample control.  The claim
+holds unless the estimate carries a flag: a flagged fallback or clamp
+may depend on p-values above the chosen lambda.
 
 Rules are addressable by compact string specs (``fixed:0.5``, ``rb20``,
 ``lsl``, ``kq:median``, ``rbq:0.05:0.05:0.95``, ...), which the CLI and
@@ -19,14 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import (
-    STOREY,
-    STOREY_PLUS,
-    Pi0Estimate,
-    check_open_unit,
-    pi0_storey,
-    pi0_storey_plus,
-)
+from .estimators import Pi0Estimate, check_open_unit, pi0_storey, pi0_storey_plus
 from .pvalues import EmpiricalProcesses
 
 __all__ = [
@@ -60,17 +55,6 @@ def evenly_spaced_grid(start: float = 0.05, step: float = 0.05, stop: float = 0.
 TWENTY_BIN_GRID = evenly_spaced_grid(0.05, 0.05, 0.95)
 
 
-def _check_kappa(kappa: float) -> float:
-    return check_open_unit("kappa", kappa)
-
-
-def _check_fixed_lambda(lam: float, kappa: float) -> float:
-    lam = float(lam)
-    if not kappa <= lam < 1.0:
-        raise ValueError(f"fixed lambda={lam} outside [kappa={kappa}, 1)")
-    return lam
-
-
 def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
     vals = tuple(float(g) for g in grid)
     if not vals:
@@ -83,12 +67,6 @@ def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
     return vals
 
 
-def _check_estimator(estimator: str) -> str:
-    if estimator not in (STOREY, STOREY_PLUS):
-        raise ValueError(f"estimator must be {STOREY!r} or {STOREY_PLUS!r}, got {estimator!r}")
-    return estimator
-
-
 def _grid_spec(grid: tuple[float, ...]) -> str:
     """start:step:stop when that rebuilds the grid exactly, else a comma list."""
     step = round(grid[1] - grid[0], 12) if len(grid) >= 3 else 0.0
@@ -99,10 +77,10 @@ def _grid_spec(grid: tuple[float, ...]) -> str:
     return ",".join(map(repr, grid))
 
 
-# A rule validates its fields at construction, with the same checks its
-# select_* function applies to arguments.  ``select(proc)`` runs the rule;
-# parse_rule_spec turns ``spec`` back into an equal rule (a spec cannot name
-# the comparison variant, so that holds for the default one).
+# A rule validates its fields once, at construction; its select_* function
+# runs on those fields and checks only what depends on the data.
+# ``select(proc)`` runs the rule; parse_rule_spec turns ``spec`` back into
+# an equal rule.
 
 
 @dataclass(frozen=True)
@@ -113,40 +91,36 @@ class FixedRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
-        object.__setattr__(self, "lam", _check_fixed_lambda(self.lam, self.kappa))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "lam", float(self.lam))
+        if not self.kappa <= self.lam < 1.0:
+            raise ValueError(f"fixed lambda={self.lam} outside [kappa={self.kappa}, 1)")
 
     @property
     def spec(self) -> str:
         return f"fixed:{self.lam!r}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_fixed(proc, self.lam, self.kappa)
+        return select_fixed(proc, self)
 
 
 @dataclass(frozen=True)
 class RightBoundaryRule:
-    """Stop at the first histogram boundary whose pi0 estimate stops decreasing.
-
-    ``estimator`` picks which variant runs the stopping comparison; the
-    reported estimate is the plus-one variant either way.
-    """
+    """Stop at the first histogram boundary whose pi0 estimate stops decreasing."""
 
     grid: tuple[float, ...]
     kappa: float
-    estimator: str = STOREY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _check_grid(self.grid, "candidate grid"))
-        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
-        object.__setattr__(self, "estimator", _check_estimator(self.estimator))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
 
     @property
     def spec(self) -> str:
         return f"rb:{_grid_spec(self.grid)}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_right_boundary(proc, self.grid, self.kappa, self.estimator)
+        return select_right_boundary(proc, self)
 
 
 @dataclass(frozen=True)
@@ -156,14 +130,14 @@ class LowestSlopeRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
 
     @property
     def spec(self) -> str:
         return "lsl"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_lowest_slope(proc, self.kappa)
+        return select_lowest_slope(proc, self)
 
 
 @dataclass(frozen=True)
@@ -174,7 +148,7 @@ class KQuantileRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
         if self.k is not None:
             k = int(self.k)
             if k < 1:
@@ -186,7 +160,7 @@ class KQuantileRule:
         return "kq:median" if self.k is None else f"kq:{self.k}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_k_quantile(proc, self.k, self.kappa)
+        return select_k_quantile(proc, self)
 
 
 @dataclass(frozen=True)
@@ -195,19 +169,17 @@ class RightBoundaryQuantileRule:
 
     levels: tuple[float, ...]
     kappa: float
-    estimator: str = STOREY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", _check_grid(self.levels, "quantile levels"))
-        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
-        object.__setattr__(self, "estimator", _check_estimator(self.estimator))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
 
     @property
     def spec(self) -> str:
         return f"rbq:{_grid_spec(self.levels)}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_right_boundary_quantile(proc, self.levels, self.kappa, self.estimator)
+        return select_right_boundary_quantile(proc, self)
 
 
 LambdaRule = Union[FixedRule, RightBoundaryRule, LowestSlopeRule, KQuantileRule, RightBoundaryQuantileRule]
@@ -232,56 +204,52 @@ class StepUpRule:
 BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
 
 
-def select_fixed(proc: EmpiricalProcesses, lam: float, kappa: float) -> Pi0Estimate:
-    """Identity rule: keep the given lambda, estimate pi0 there."""
-    kappa = _check_kappa(kappa)
-    lam = _check_fixed_lambda(lam, kappa)
-    value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam=lam, value=value, trace=((lam, value),))
+def select_fixed(proc: EmpiricalProcesses, rule: FixedRule) -> Pi0Estimate:
+    """Identity rule: keep the rule's lambda, estimate pi0 there."""
+    value = pi0_storey_plus(proc, rule.lam)
+    return Pi0Estimate(lam=rule.lam, value=value, trace=((rule.lam, value),))
 
 
-def select_right_boundary(
-    proc: EmpiricalProcesses,
-    grid: Sequence[float],
-    kappa: float,
-    estimator: str = STOREY,
-) -> Pi0Estimate:
+def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> Pi0Estimate:
     """Pick the right edge of the first bin where the pi0 estimate levels off.
 
-    Scans the boundaries left to right, comparing the estimate at each
-    boundary with the estimate at the previous one (the leftmost compares
-    against 0).  A boundary qualifies when it is >= kappa and its estimate
-    is >= its predecessor's; if none qualifies the last boundary wins.
-    Boundaries below kappa are skipped as candidates but still serve as
-    comparison baselines.
+    Scans the boundaries left to right, comparing the plain estimate at
+    each boundary with the one at the previous boundary (the leftmost
+    compares against 0).  A boundary qualifies when it is >= kappa and its
+    estimate is >= its predecessor's; if none qualifies the last boundary
+    wins.  Boundaries below kappa are skipped as candidates but still
+    serve as comparison baselines.  The reported value is the plus-one
+    estimate at the chosen boundary.
     """
-    grid = _check_grid(grid, "candidate grid")
-    kappa = _check_kappa(kappa)
-    est_fn = pi0_storey if _check_estimator(estimator) == STOREY else pi0_storey_plus
+    return _right_boundary_scan(proc, rule.grid, rule.kappa)
 
-    prev = est_fn(proc, 0.0)
+
+def _right_boundary_scan(
+    proc: EmpiricalProcesses, grid: Sequence[float], kappa: float, flags: tuple[str, ...] = ()
+) -> Pi0Estimate:
+    """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
+    prev = pi0_storey(proc, 0.0)
     trace = [(0.0, prev)]
     chosen: float | None = None
     for lam in grid:
-        cur = est_fn(proc, lam)
+        cur = pi0_storey(proc, lam)
         trace.append((lam, cur))
         if lam >= kappa and cur >= prev:
             chosen = lam
             break
         prev = cur
 
-    flags: tuple[str, ...] = ()
     if chosen is None:
         chosen = grid[-1]
     if chosen < kappa:
         # whole grid sits below the rejection region; keep lambda admissible
         chosen = kappa
-        flags = ("grid-below-kappa",)
+        flags += ("grid-below-kappa",)
     value = pi0_storey_plus(proc, chosen)
     return Pi0Estimate(lam=chosen, value=value, trace=tuple(trace), flags=flags)
 
 
-def select_lowest_slope(proc: EmpiricalProcesses, kappa: float) -> Pi0Estimate:
+def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0Estimate:
     """Stopping scan over every order statistic, with a strict comparison.
 
     Picks the first p_(i), i >= 2, with p_(i) >= kappa whose plus-one
@@ -289,7 +257,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, kappa: float) -> Pi0Estimate:
     stops, falls back to the largest order statistic in [kappa, 1); if
     even that fails, to kappa itself.  Both fallbacks are flagged.
     """
-    kappa = _check_kappa(kappa)
+    kappa = rule.kappa
     m = proc.m
     if m < 2:
         raise ValueError("lowest-slope selection needs at least 2 p-values")
@@ -325,53 +293,51 @@ def select_lowest_slope(proc: EmpiricalProcesses, kappa: float) -> Pi0Estimate:
     return Pi0Estimate(lam=chosen, value=value, trace=trace, flags=flags)
 
 
-def select_k_quantile(proc: EmpiricalProcesses, k: int | None, kappa: float) -> Pi0Estimate:
+def select_k_quantile(proc: EmpiricalProcesses, rule: KQuantileRule) -> Pi0Estimate:
     """lambda = max(p_(k), kappa), clamped below 1.
 
     ``k=None`` means the median rank.  An order statistic equal to 1 (ties
     at the top are a discrete-input artifact) is replaced by
     max(kappa, 1 - 1/m) and flagged.
     """
-    kappa = _check_kappa(kappa)
     m = proc.m
-    if k is None:
-        k = max(1, m // 2)
-    k = int(k)
-    if not 1 <= k <= m:
+    k = max(1, m // 2) if rule.k is None else rule.k
+    if k > m:
         raise ValueError(f"quantile index k={k} outside 1..{m}")
-    lam = max(float(proc.sorted.ordered[k - 1]), kappa)
+    lam = max(float(proc.sorted.ordered[k - 1]), rule.kappa)
     flags: tuple[str, ...] = ()
     if lam >= 1.0:
-        lam = max(kappa, 1.0 - 1.0 / m)
+        lam = max(rule.kappa, 1.0 - 1.0 / m)
         flags = ("clamped-below-one",)
     value = pi0_storey_plus(proc, lam)
     return Pi0Estimate(lam=lam, value=value, trace=((lam, value),), flags=flags)
 
 
 def select_right_boundary_quantile(
-    proc: EmpiricalProcesses,
-    levels: Sequence[float],
-    kappa: float,
-    estimator: str = STOREY,
+    proc: EmpiricalProcesses, rule: RightBoundaryQuantileRule
 ) -> Pi0Estimate:
     """Right-boundary scan over the sample quantiles q_gamma = p_(ceil(gamma m)).
 
     The quantile grid is deduplicated, entries below kappa or >= 1 are
     dropped, and the fixed-grid scan runs on what survives.  An empty
-    surviving grid falls back to lambda = kappa with a flag.
+    surviving grid falls back to lambda = kappa with a flag.  A quantile
+    equal to 1 is flagged too: dropping it makes the choice depend on
+    p-values above lambda.
     """
-    levels = _check_grid(levels, "quantile levels")
-    kappa = _check_kappa(kappa)
+    kappa = rule.kappa
     m = proc.m
     # small backoff so exact integer boundaries like 0.25 * 20 stay rank 5
-    ranks = np.ceil(np.asarray(levels) * m - 1e-9).astype(np.int64)
+    ranks = np.ceil(np.asarray(rule.levels) * m - 1e-9).astype(np.int64)
     ranks = np.clip(ranks, 1, m)
-    grid = np.unique(proc.sorted.ordered[ranks - 1])
+    quantiles = proc.sorted.ordered[ranks - 1]
+    flags = ("quantile-at-one",) if quantiles[-1] >= 1.0 else ()
+    grid = np.unique(quantiles)
     grid = grid[(grid >= kappa) & (grid < 1.0)]
     if grid.size == 0:
         value = pi0_storey_plus(proc, kappa)
-        return Pi0Estimate(lam=kappa, value=value, trace=((kappa, value),), flags=("empty-grid-fallback",))
-    return select_right_boundary(proc, tuple(grid.tolist()), kappa, estimator)
+        flags = ("empty-grid-fallback",) + flags
+        return Pi0Estimate(lam=kappa, value=value, trace=((kappa, value),), flags=flags)
+    return _right_boundary_scan(proc, tuple(grid.tolist()), kappa, flags)
 
 
 SPEC_HELP = (

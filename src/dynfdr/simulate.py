@@ -20,6 +20,7 @@ import numpy as np
 from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, PValueSample, sort_pvalues
+from .selection import parse_rule_spec
 
 __all__ = [
     "BlockAR",
@@ -208,19 +209,21 @@ def _ratio_of_means_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
     """The one replication loop behind ``run_experiment`` and the Monte Carlo checks.
 
-    Per replication j, in order: draw, sort, run every spec once.  Yields
+    Parses each spec once, then per replication j, in order: draw, sort,
+    run every rule once.  Yields
     that replication's EmpiricalProcesses and a (4, len(specs)) array whose
     rows are FDP = V/(R v 1), power = S/m1 (0 when m1 = 0), the chosen
     lambda and the pi0 used.  ``np.stack(..., axis=-1)`` of the arrays
     gives each quantity as one contiguous series per spec.
     """
     m1 = cfg.m1
+    rules = [parse_rule_spec(s, cfg.kappa) for s in specs]
     for j in range(cfg.n_reps):
         sample = generate_statistics(cfg, j)
         proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
-        rec = np.empty((4, len(specs)))
-        for i, s in enumerate(specs):
-            res = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
+        rec = np.empty((4, len(rules)))
+        for i, rule in enumerate(rules):
+            res = run_procedure(rule, proc, cfg.alpha, pi0=cfg.pi0)
             n_rej = res.n_rejected
             v = int(np.count_nonzero(sample.truth[res.rejected]))
             power = (n_rej - v) / m1 if m1 > 0 else 0.0
@@ -294,25 +297,21 @@ def emit_figure_data(table: MetricsTable, path: str | Path) -> None:
     """
     if not table.rows:
         raise ValueError("metrics table is empty, nothing to emit")
-    path = Path(path)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["scenario", "procedure", "metric", "value", "mc_se"])
-            for row in table.rows:
-                if row.mse_m0 > 0.0:
-                    log_mse = math.log(row.mse_m0)
-                    log_mse_se = row.mse_m0_se / row.mse_m0
-                else:
-                    log_mse, log_mse_se = float("-inf"), float("nan")
-                metrics = [
-                    ("fdr", row.realized_fdr, row.fdr_se),
-                    ("corrected_fdr", row.corrected_fdr, row.corrected_fdr_se),
-                    ("rel_power", row.relative_power, row.relative_power_se),
-                    ("log_mse_m0", log_mse, log_mse_se),
-                    ("mean_lambda", row.mean_lambda, row.mean_lambda_se),
-                ]
-                for name, value, se in metrics:
-                    writer.writerow([row.scenario, row.procedure, name, _fmt(value), _fmt(se)])
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["scenario", "procedure", "metric", "value", "mc_se"])
+        for row in table.rows:
+            if row.mse_m0 > 0.0:
+                log_mse = math.log(row.mse_m0)
+                log_mse_se = row.mse_m0_se / row.mse_m0
+            else:
+                log_mse, log_mse_se = float("-inf"), float("nan")
+            metrics = [
+                ("fdr", row.realized_fdr, row.fdr_se),
+                ("corrected_fdr", row.corrected_fdr, row.corrected_fdr_se),
+                ("rel_power", row.relative_power, row.relative_power_se),
+                ("log_mse_m0", log_mse, log_mse_se),
+                ("mean_lambda", row.mean_lambda, row.mean_lambda_se),
+            ]
+            for name, value, se in metrics:
+                writer.writerow([row.scenario, row.procedure, name, _fmt(value), _fmt(se)])

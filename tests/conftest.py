@@ -49,8 +49,9 @@ def replication_records(cfg, specs):
     (FDP, power, lambda, pi0) per replication for spec ``s``, ``v_kappa``
     the naive count of true nulls at or below kappa per replication.
     """
-    from dynfdr import EmpiricalProcesses, generate_statistics, run_procedure, sort_pvalues
+    from dynfdr import EmpiricalProcesses, generate_statistics, parse_rule_spec, run_procedure, sort_pvalues
 
+    rules = {s: parse_rule_spec(s, cfg.kappa) for s in specs}
     records = {s: np.empty((cfg.n_reps, 4)) for s in specs}
     v_kappa = np.empty(cfg.n_reps)
     for j in range(cfg.n_reps):
@@ -58,7 +59,7 @@ def replication_records(cfg, specs):
         proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
         v_kappa[j] = naive_count(sample.values[sample.truth], cfg.kappa)
         for s in specs:
-            res = run_procedure(s, proc, cfg.alpha, cfg.kappa, pi0=cfg.pi0)
+            res = run_procedure(rules[s], proc, cfg.alpha, pi0=cfg.pi0)
             v = sum(1 for i in res.rejected if sample.truth[i])
             r = len(res.rejected)
             power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0

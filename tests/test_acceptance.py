@@ -21,6 +21,7 @@ from dynfdr import (
     ScenarioConfig,
     cli,
     generate_statistics,
+    parse_rule_spec,
     run_experiment,
     run_procedure,
     sort_pvalues,
@@ -204,11 +205,12 @@ def test_criterion_10_conservative_under_null():
     cfg = ScenarioConfig(m=1000, pi0=1.0, mu=0.0, n_reps=2000, seed=SEED + 5)
     rules = ADAPTIVE + ("kq:median",)
     estimates = {rule: np.empty(cfg.n_reps) for rule in rules}
+    parsed = {rule: parse_rule_spec(rule, cfg.kappa) for rule in rules}
     for j in range(cfg.n_reps):
         sample = generate_statistics(cfg, j)
         proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
         for rule in rules:
-            estimates[rule][j] = run_procedure(rule, proc, cfg.alpha, cfg.kappa, pi0=1.0).pi0.value
+            estimates[rule][j] = run_procedure(parsed[rule], proc, cfg.alpha, pi0=1.0).pi0.value
     ok = True
     detail = []
     for rule, values in estimates.items():

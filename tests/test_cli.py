@@ -152,6 +152,24 @@ def test_analyze_writes_out_file(four_pvalues, tmp_path):
     assert "n_rejected: 2" in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "{pvalues}", "--procedure", "bh"],
+        ["verify", "lemma2"],
+        ["simulate", "{config}", "--procedures", "bh"],
+    ],
+    ids=["analyze", "verify", "simulate"],
+)
+def test_unwritable_out_is_one_line_error(four_pvalues, sim_config, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    args = [a.format(pvalues=four_pvalues, config=sim_config) for a in command]
+    code = run_cli([*args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
 @pytest.fixture()
 def sim_config(tmp_path):
     path = tmp_path / "cfg.json"
@@ -202,6 +220,21 @@ def test_simulate_rejects_empty_mu_list(tmp_path, capsys):
     path.write_text(json.dumps({"m": 10, "pi0": 0.8, "mu": [], "J": 5, "seed": 1}))
     assert run_cli(["simulate", str(path)]) == 2
     assert "'mu'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("J", 2.7), ("m", 80.0), ("seed", True), ("J", "25"), ("m", None)],
+)
+def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
+    config = {"m": 80, "pi0": 0.8, "mu": 1.0, "J": 25, "seed": 42, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    message = f"config field {field!r} has bad value {value!r}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_simulate_names_missing_field(tmp_path, capsys):

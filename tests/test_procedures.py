@@ -16,6 +16,7 @@ from dynfdr import (
     TWENTY_BIN_GRID,
     bh_step_up,
     dynamic_adaptive,
+    parse_rule_spec,
     pi0_storey_plus,
     run_procedure,
     sort_pvalues,
@@ -27,6 +28,10 @@ from conftest import brute_force_threshold, naive_rejection_set, random_mixture_
 
 def processes(pvals, truth=None):
     return EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
+
+
+def rule(spec, kappa=0.05):
+    return parse_rule_spec(spec, kappa)
 
 
 # -------------------------------------------------------------- step-up
@@ -50,10 +55,10 @@ def test_bh_nothing_passes():
 
 def test_bh_inflated_level():
     sp = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
-    res = bh_step_up(sp, 0.05, pi0_target=0.5, procedure_id="orc")
+    res = bh_step_up(sp, 0.05, pi0_target=0.5)
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
-    assert res.procedure_id == "orc"
+    assert res.pi0.value == 0.5
 
 
 def test_bh_level_capped_at_one():
@@ -229,23 +234,30 @@ def test_fixed_rule_reproduces_inflated_step_up():
 def test_run_procedure_dispatch():
     pvals = [0.01, 0.02, 0.5, 0.9]
     sample = PValueSample(pvals)
-    assert run_procedure("bh", sample, 0.05).procedure_id == "bh"
-    assert run_procedure("bh", sample, 0.05).n_rejected == 2
-    assert run_procedure("rb20", sample, 0.05).procedure_id == "rb20"
-    assert run_procedure("lsl", sample, 0.05).pi0 is not None
+    bh = run_procedure(rule("bh"), sample, 0.05)
+    assert bh.n_rejected == 2 and np.isnan(bh.pi0.lam)
+    assert run_procedure(rule("rb20"), sample, 0.05).pi0.lam in TWENTY_BIN_GRID
+    assert run_procedure(rule("lsl"), sample, 0.05).pi0 is not None
+
+
+def test_run_procedure_runs_a_lambda_rule_at_its_own_kappa():
+    # pi0* = 0.5, so the FDR estimate at kappa is 0.5 * kappa <= alpha and all of [0, kappa] qualifies
+    sample = PValueSample([0.01, 0.02, 0.03, 0.04])
+    for kappa in (0.05, 0.1):
+        assert run_procedure(rule("fixed:0.5", kappa), sample, 0.05).threshold == kappa
 
 
 def test_run_procedure_orc_needs_pi0():
     sample = PValueSample([0.01, 0.5])
     with pytest.raises(MissingTruthLabels):
-        run_procedure("orc", sample, 0.05)
-    res = run_procedure("orc", sample, 0.05, pi0=0.5)
-    assert res.procedure_id == "orc"
+        run_procedure(rule("orc"), sample, 0.05)
+    res = run_procedure(rule("orc"), sample, 0.05, pi0=0.5)
+    assert res.pi0.value == 0.5
 
 
 def test_run_procedure_orc_from_labels():
     sample = PValueSample([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
-    res = run_procedure("orc", sample, 0.05)  # pi0 = 3/4 from the labels
+    res = run_procedure(rule("orc"), sample, 0.05)  # pi0 = 3/4 from the labels
     expected = bh_step_up(sort_pvalues(sample), 0.05, pi0_target=0.75)
     assert res.threshold == expected.threshold
 
@@ -254,12 +266,13 @@ def test_run_procedure_records_the_pi0_used():
     sample = PValueSample([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
     cases = [("bh", None, 1.0), ("orc", None, 0.75), ("orc", 0.5, 0.5)]
     for spec, pi0, expected in cases:
-        res = run_procedure(spec, sample, 0.05, pi0=pi0)
+        res = run_procedure(rule(spec), sample, 0.05, pi0=pi0)
         assert np.isnan(res.pi0.lam) and res.pi0.value == expected
-    res = run_procedure("fixed:0.5", sample, 0.05)
+    res = run_procedure(rule("fixed:0.5"), sample, 0.05)
     assert res.pi0.lam == 0.5
 
 
 def test_run_procedure_unknown_spec():
+    # specs are parsed where they enter the program, so an unknown one never reaches run_procedure
     with pytest.raises(ValueError, match="unknown rule spec"):
-        run_procedure("bogus", PValueSample([0.1]), 0.05)
+        rule("bogus")

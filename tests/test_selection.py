@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from dynfdr import (
-    STOREY,
-    STOREY_PLUS,
     EmpiricalProcesses,
     FixedRule,
     KQuantileRule,
@@ -41,71 +39,56 @@ EIGHT_POINT = [0.01, 0.02, 0.03, 0.3, 0.4, 0.6, 0.8, 0.9]
 
 def test_fixed_is_identity():
     proc = processes(EIGHT_POINT)
-    assert select_fixed(proc, 0.5, 0.05).lam == 0.5
-    assert select_fixed(proc, 0.95, 0.05).lam == 0.95
+    assert select_fixed(proc, FixedRule(0.5, 0.05)).lam == 0.5
+    assert select_fixed(proc, FixedRule(0.95, 0.05)).lam == 0.95
 
 
 def test_fixed_rejects_lambda_outside_range():
-    proc = processes(EIGHT_POINT)
-    with pytest.raises(ValueError):
-        select_fixed(proc, 0.02, 0.05)
-    with pytest.raises(ValueError):
-        select_fixed(proc, 1.0, 0.05)
     with pytest.raises(ValueError):
         FixedRule(lam=0.02, kappa=0.05)
+    with pytest.raises(ValueError):
+        FixedRule(lam=1.0, kappa=0.05)
 
 
 # ---------------------------------------------------------- right boundary
 
 
-def test_right_boundary_hand_example_plus_comparison():
-    proc = processes(EIGHT_POINT)
-    est = select_right_boundary(proc, (0.25, 0.5, 0.75), 0.05, estimator=STOREY_PLUS)
-    assert est.lam == 0.5
-    assert est.value == pytest.approx(1.0)
-    # scan: 9/8 at 0, then 1.0 < 1.125 keeps going, then 1.0 >= 1.0 stops
-    assert est.trace == ((0.0, 1.125), (0.25, 1.0), (0.5, 1.0))
-
-
 def test_right_boundary_hand_example_storey_comparison():
-    # same sample, plain-variant comparison walks further before levelling off
+    # the plain-variant comparison: 1 at 0, 5/6 at 0.25, 0.75 at 0.5, 1.0 at 0.75 stops
     proc = processes(EIGHT_POINT)
-    est = select_right_boundary(proc, (0.25, 0.5, 0.75), 0.05, estimator=STOREY)
+    est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.75
-    assert est.value == pytest.approx(1.5)  # reported value is still the plus variant
+    assert est.value == pytest.approx(1.5)  # reported value is the plus variant
 
 
 def test_right_boundary_stops_at_first_candidate():
     # all mass above the grid: the first comparison already levels off
     proc = processes([0.99] * 4)
-    est = select_right_boundary(proc, (0.25, 0.5), 0.05, estimator=STOREY_PLUS)
+    est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5), 0.05))
     assert est.lam == 0.25
-    assert est.trace[0] == (0.0, 1.25)
-    assert est.trace[1][1] == pytest.approx(5.0 / 3.0)
+    assert est.trace[0] == (0.0, 1.0)
+    assert est.trace[1][1] == pytest.approx(4.0 / 3.0)
 
 
 def test_right_boundary_no_stop_falls_back_to_last_point():
-    # found by brute-force search: plus estimates strictly decrease over the scan
+    # the plain estimates strictly decrease over the scan: 1, 0.9375, 5/6, 0.625, 0
     pvals = [0.74, 0.27, 0.75, 0.3, 0.42, 0.08, 0.14, 0.5]
     proc = processes(pvals)
-    est = select_right_boundary(proc, (0.2, 0.4, 0.6, 0.8), 0.05, estimator=STOREY_PLUS)
+    est = select_right_boundary(proc, RightBoundaryRule((0.2, 0.4, 0.6, 0.8), 0.05))
     scanned = [v for _, v in est.trace]
     assert all(b < a for a, b in zip(scanned, scanned[1:]))
     assert est.lam == 0.8
 
 
 def test_right_boundary_empty_grid_is_config_error():
-    proc = processes(EIGHT_POINT)
     with pytest.raises(ValueError, match="empty"):
-        select_right_boundary(proc, (), 0.05)
-    with pytest.raises(ValueError):
         RightBoundaryRule(grid=(), kappa=0.05)
 
 
 def test_right_boundary_skips_candidates_below_kappa():
     # 0.1 is below kappa=0.2 so it may only serve as a comparison baseline
     proc = processes([0.99] * 4)
-    est = select_right_boundary(proc, (0.1, 0.3, 0.6), 0.2, estimator=STOREY_PLUS)
+    est = select_right_boundary(proc, RightBoundaryRule((0.1, 0.3, 0.6), 0.2))
     assert est.lam == 0.3
 
 
@@ -115,18 +98,18 @@ def test_right_boundary_singleton_grid_equals_fixed():
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
         proc = processes(pvals)
         point = float(rng.uniform(0.1, 0.9))
-        a = select_right_boundary(proc, (point,), 0.05, estimator=STOREY_PLUS)
-        b = select_fixed(proc, point, 0.05)
+        a = select_right_boundary(proc, RightBoundaryRule((point,), 0.05))
+        b = select_fixed(proc, FixedRule(point, 0.05))
         assert a.lam == b.lam
         assert a.value == b.value
 
 
 def test_right_boundary_value_is_always_plus_variant():
     rng = np.random.default_rng(32)
-    for comparison in (STOREY, STOREY_PLUS):
+    for _ in range(2):
         pvals = random_mixture_pvalues(rng, 40)
         proc = processes(pvals)
-        est = select_right_boundary(proc, TWENTY_BIN_GRID, 0.05, estimator=comparison)
+        est = select_right_boundary(proc, RightBoundaryRule(TWENTY_BIN_GRID, 0.05))
         assert est.value == pytest.approx(pi0_storey_plus(proc, est.lam))
 
 
@@ -135,7 +118,7 @@ def test_right_boundary_value_is_always_plus_variant():
 
 def test_lowest_slope_hand_example():
     proc = processes([0.1, 0.2, 0.7, 0.8])
-    est = select_lowest_slope(proc, 0.05)
+    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.7
     assert est.flags == ()
     traced = [(round(lam, 3), round(v, 4)) for lam, v in est.trace]
@@ -144,27 +127,27 @@ def test_lowest_slope_hand_example():
 
 def test_lowest_slope_fallback_largest_order_statistic():
     proc = processes([0.3, 0.6])
-    est = select_lowest_slope(proc, 0.05)
+    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.6
     assert est.flags == ("fallback-largest-order-statistic",)
 
 
 def test_lowest_slope_fallback_kappa():
     proc = processes([0.01, 0.02, 0.03])
-    est = select_lowest_slope(proc, 0.05)
+    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.05
     assert est.flags == ("fallback-kappa",)
 
 
 def test_lowest_slope_needs_two_pvalues():
     with pytest.raises(ValueError):
-        select_lowest_slope(processes([0.4]), 0.05)
+        select_lowest_slope(processes([0.4]), LowestSlopeRule(0.05))
 
 
 def test_lowest_slope_ignores_ones():
     # values pinned at 1 cannot be selected nor stop the scan
     proc = processes([0.2, 0.5, 1.0, 1.0])
-    est = select_lowest_slope(proc, 0.05)
+    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam < 1.0
 
 
@@ -173,19 +156,19 @@ def test_lowest_slope_ignores_ones():
 
 def test_k_quantile_median_recommendation():
     proc = processes([0.9, 0.4, 0.05, 0.6, 0.1, 0.7, 0.8])  # p_(3) = 0.4, k = floor(7/2)
-    est = select_k_quantile(proc, None, 0.05)
+    est = select_k_quantile(proc, KQuantileRule(None, 0.05))
     assert est.lam == 0.4
 
 
 def test_k_quantile_clamps_to_kappa():
     proc = processes([0.01, 0.01, 0.01, 0.9])
-    est = select_k_quantile(proc, 2, 0.05)
+    est = select_k_quantile(proc, KQuantileRule(2, 0.05))
     assert est.lam == 0.05
 
 
 def test_k_quantile_upper_clamp():
     proc = processes([0.2, 1.0, 1.0, 1.0])
-    est = select_k_quantile(proc, 4, 0.05)
+    est = select_k_quantile(proc, KQuantileRule(4, 0.05))
     assert est.lam == pytest.approx(1.0 - 1.0 / 4.0)
     assert est.flags == ("clamped-below-one",)
 
@@ -193,11 +176,9 @@ def test_k_quantile_upper_clamp():
 def test_k_quantile_range_errors():
     proc = processes([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
-        select_k_quantile(proc, 0, 0.05)
-    with pytest.raises(ValueError):
-        select_k_quantile(proc, 4, 0.05)
-    with pytest.raises(ValueError):
         KQuantileRule(k=0, kappa=0.05)
+    with pytest.raises(ValueError):
+        select_k_quantile(proc, KQuantileRule(4, 0.05))
 
 
 # ------------------------------------------------- right-boundary quantile
@@ -207,7 +188,7 @@ def test_rbq_rank_arithmetic():
     # m = 20, levels (0.25, 0.5, 0.75) -> order statistics 5, 10, 15
     pvals = [round(0.04 * i + 0.02, 4) for i in range(1, 21)]
     proc = processes(pvals)
-    est = select_right_boundary_quantile(proc, (0.25, 0.5, 0.75), 0.05)
+    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     sp = np.sort(pvals)
     expected_grid = [sp[4], sp[9], sp[14]]
     examined = [lam for lam, _ in est.trace[1:]]
@@ -217,14 +198,14 @@ def test_rbq_rank_arithmetic():
 
 def test_rbq_stops_at_first_surviving_quantile():
     proc = processes([0.2, 0.3, 0.35, 0.45, 0.55, 0.65, 0.8, 0.9])
-    est = select_right_boundary_quantile(proc, (0.25, 0.5, 0.75), 0.05)
+    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.3  # q_{0.25} = p_(2)
     assert est.trace == ((0.0, 1.0), (0.3, pytest.approx(15.0 / 14.0)))
 
 
 def test_rbq_all_below_kappa_falls_back():
     proc = processes([0.001, 0.002, 0.003, 0.004])
-    est = select_right_boundary_quantile(proc, (0.25, 0.5, 0.75), 0.05)
+    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.05
     assert est.flags == ("empty-grid-fallback",)
 
@@ -234,7 +215,7 @@ def test_rbq_grid_deduplicated_and_ascending():
     for _ in range(50):
         pvals = np.round(random_mixture_pvalues(rng, 30), 2)  # coarse => duplicate quantiles
         proc = processes(pvals)
-        est = select_right_boundary_quantile(proc, TWENTY_BIN_GRID, 0.05)
+        est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05))
         examined = [lam for lam, _ in est.trace[1:]]
         assert all(a < b for a, b in zip(examined, examined[1:]))
 
@@ -262,7 +243,7 @@ def test_every_rule_returns_admissible_lambda():
 
 def _rerun_with_tail_resampled(rng, pvals, chosen, rule_fn):
     """Replace every p-value strictly above the chosen lambda by a fresh
-    value still above it, and re-run the rule."""
+    value still above it (and below 1), and re-run the rule."""
     redrawn = pvals.copy()
     mask = redrawn > chosen
     if mask.any():
@@ -271,20 +252,53 @@ def _rerun_with_tail_resampled(rng, pvals, chosen, rule_fn):
     return rule_fn(processes(redrawn))
 
 
+def _with_ties(rng, pvals):
+    """Round to one or two decimals and pin a few entries at exactly 0 and 1."""
+    tied = np.round(pvals, int(rng.integers(1, 3)))
+    m = tied.size
+    tied[rng.integers(0, m, size=int(rng.integers(0, 3)))] = 0.0
+    tied[rng.integers(0, m, size=int(rng.integers(0, 3)))] = 1.0
+    return tied
+
+
 def test_stopping_rules_ignore_the_tail():
     # the decision must depend only on counts at or below the chosen lambda
     rng = np.random.default_rng(35)
     kappa = 0.05
-    rb = lambda proc: select_right_boundary(proc, TWENTY_BIN_GRID, kappa)
-    lsl = lambda proc: select_lowest_slope(proc, kappa)
+    rules = [
+        FixedRule(0.5, kappa),
+        RightBoundaryRule(TWENTY_BIN_GRID, kappa),
+        LowestSlopeRule(kappa),
+        KQuantileRule(None, kappa),
+        RightBoundaryQuantileRule(TWENTY_BIN_GRID, kappa),
+    ]
+    checked = {rule.spec: [0, 0] for rule in rules}  # runs on [continuous, tied] inputs
     for trial in range(1000):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 50)))
+        tied = trial % 2
+        if tied:
+            pvals = _with_ties(rng, pvals)
         proc = processes(pvals)
-        for rule_fn in (rb, lsl):
-            est = rule_fn(proc)
-            redone = _rerun_with_tail_resampled(rng, pvals, est.lam, rule_fn)
-            assert redone.lam == est.lam, f"trial {trial}: {est.lam} -> {redone.lam}"
+        for rule in rules:
+            est = rule.select(proc)
+            if est.flags:
+                continue  # a flagged fallback or clamp may look past lambda
+            redone = _rerun_with_tail_resampled(rng, pvals, est.lam, rule.select)
+            assert redone.lam == est.lam, f"trial {trial}, {rule.spec}: {est.lam} -> {redone.lam}"
             assert redone.value == pytest.approx(est.value)
+            checked[rule.spec][tied] += 1
+    for spec, counts in checked.items():
+        assert min(counts) >= 100, (spec, counts)  # every rule was exercised on both kinds
+
+
+def test_rbq_flags_a_quantile_at_one():
+    # q_0.75 = 1 drops out of the grid and the scan falls back to 0.4; with
+    # 0.95 in its place lambda is 0.95, so the choice looked past lambda
+    rule = RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05)
+    at_one = rule.select(processes([0.2, 0.4, 1.0, 1.0]))
+    assert (at_one.lam, at_one.flags) == (0.4, ("quantile-at-one",))
+    below_one = rule.select(processes([0.2, 0.4, 0.95, 0.95]))
+    assert (below_one.lam, below_one.flags) == (0.95, ())
 
 
 # ------------------------------------------------------------ string specs

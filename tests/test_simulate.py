@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from dynfdr import simulate
 from dynfdr import (
     BlockAR,
     MetricsTable,
@@ -185,3 +187,17 @@ def test_emit_surfaces_path_on_io_error(tmp_path):
     bad = tmp_path / "missing" / "metrics.csv"
     with pytest.raises(OSError, match="metrics.csv"):
         emit_figure_data(table, bad)
+
+
+def test_run_experiment_parses_each_spec_once(monkeypatch):
+    calls = Counter()
+    parse = simulate.parse_rule_spec
+
+    def counting_parse(spec, kappa):
+        calls[spec] += 1
+        return parse(spec, kappa)
+
+    monkeypatch.setattr(simulate, "parse_rule_spec", counting_parse)
+    cfg = ScenarioConfig(m=50, pi0=0.8, mu=2.0, n_reps=3, seed=36)
+    run_experiment(cfg, ("bh", "rb20", "lsl", "rb20"))
+    assert calls == {"bh": 1, "rb20": 1, "lsl": 1, "orc": 1}
