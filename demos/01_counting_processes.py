@@ -5,13 +5,7 @@ false-null count S(t) is their difference."""
 
 import numpy as np
 
-from dynfdr import (
-    EmpiricalProcesses,
-    PValueSample,
-    pi0_storey,
-    pi0_storey_plus,
-    sort_pvalues,
-)
+from dynfdr import PValueSample, pi0_storey, pi0_storey_plus, sort_pvalues
 
 print("=" * 72)
 print("p-value containers and counting processes")
@@ -21,13 +15,12 @@ print("=" * 72)
 pvals = [0.001, 0.004, 0.011, 0.23, 0.41, 0.48, 0.62, 0.77, 0.85, 0.93]
 truth = [False, False, False, True, True, True, True, True, True, True]
 sample = PValueSample(pvals, truth=truth)
-print(f"\nm = {sample.m} hypotheses, {sample.m0} true nulls, {sample.m1} false nulls")
+m0 = int(np.count_nonzero(sample.truth))
+print(f"\nm = {sample.m} hypotheses, {m0} true nulls, {sample.m - m0} false nulls")
 
-sp = sort_pvalues(sample)
-print("order statistics:", np.round(sp.ordered, 3))
-print("original index of each order statistic:", sp.order)
-
-proc = EmpiricalProcesses.from_sample(sample)
+proc = sort_pvalues(sample)
+print("order statistics:", np.round(proc.ordered, 3))
+print("original index of each order statistic:", proc.order)
 print("\n t      R(t)  V(t)  S(t)")
 for t in (0.005, 0.05, 0.25, 0.5, 1.0):
     r, v = proc.count_R(t), proc.count_V(t)

@@ -9,7 +9,6 @@ The trace shows exactly what each rule looked at before stopping.
 import numpy as np
 
 from dynfdr import (
-    EmpiricalProcesses,
     FixedRule,
     KQuantileRule,
     LowestSlopeRule,
@@ -18,6 +17,7 @@ from dynfdr import (
     RightBoundaryRule,
     generate_statistics,
     ScenarioConfig,
+    sort_pvalues,
     TWENTY_BIN_GRID,
 )
 
@@ -25,7 +25,7 @@ KAPPA = 0.05
 
 cfg = ScenarioConfig(m=2000, pi0=0.8, mu=1.5, n_reps=1, seed=424242)
 sample = generate_statistics(cfg, 0)
-proc = EmpiricalProcesses.from_sample(sample)
+proc = sort_pvalues(sample)
 print(f"one replication: m = {cfg.m}, true pi0 = {cfg.pi0}, effect size mu = {cfg.mu}")
 
 print("\nrule                      lambda   pi0*     candidates examined")
@@ -55,6 +55,6 @@ for lam, value in est.trace:
 print(f"  stopped at lambda = {est.lam:.2f}, pi0* = {est.value:.4f}")
 
 # Degenerate inputs fall back gracefully and say so.
-tiny = EmpiricalProcesses.from_sample(PValueSample([0.001, 0.002, 0.004]))
+tiny = sort_pvalues(PValueSample([0.001, 0.002, 0.004]))
 est = RightBoundaryQuantileRule(TWENTY_BIN_GRID, KAPPA).select(tiny)
 print(f"\nall p-values below kappa: lambda = {est.lam}, flags = {est.flags}")

@@ -21,13 +21,7 @@ from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import PValueSample
 from .selection import SPEC_HELP, parse_rule_spec
-from .simulate import (
-    BlockAR,
-    MetricsTable,
-    ScenarioConfig,
-    emit_figure_data,
-    run_experiment,
-)
+from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 __all__ = ["main", "console_entry"]
 
@@ -94,6 +88,14 @@ def _write_out(path: str, write) -> None:
         write(path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _probe_out(path: str) -> None:
+    """Fail now if ``path`` cannot be written; leave behind no file that was not there."""
+    existed = Path(path).exists()
+    _write_out(path, lambda p: Path(p).open("a").close())  # append mode keeps an existing file as it is
+    if not existed:
+        Path(path).unlink(missing_ok=True)
 
 
 def _int_at_least(low: int):
@@ -163,6 +165,13 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_number(value) -> float:
+    """``value`` as a float if it is a JSON number; "0.5" and true are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _cfg_field(cfg: dict, name: str, kind, parser, required=True, default=None):
     if name not in cfg:
         if required:
@@ -185,9 +194,11 @@ def _parse_dependence(cfg: dict, parser: argparse.ArgumentParser) -> BlockAR | N
     if kind in ("independent", "indep", "none"):
         return None
     if kind in ("block_ar", "blockar", "ar"):
+        block_size = _cfg_field(dep, "block_size", _json_int, parser)
+        rho = _cfg_field(dep, "rho", _json_number, parser)
         try:
-            return BlockAR(block_size=int(dep["block_size"]), rho=float(dep["rho"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return BlockAR(block_size=block_size, rho=rho)
+        except ValueError as exc:
             parser.error(f"config field 'dependence' is malformed: {exc}")
     parser.error(f"config field 'dependence.type' unknown: {kind!r}")
 
@@ -203,9 +214,9 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("config must be a JSON object")
 
     m = _cfg_field(cfg, "m", _json_int, parser)
-    pi0 = _cfg_field(cfg, "pi0", float, parser)
-    alpha = _cfg_field(cfg, "alpha", float, parser, required=False, default=0.05)
-    kappa = _cfg_field(cfg, "kappa", float, parser, required=False, default=None)
+    pi0 = _cfg_field(cfg, "pi0", _json_number, parser)
+    alpha = _cfg_field(cfg, "alpha", _json_number, parser, required=False, default=0.05)
+    kappa = _cfg_field(cfg, "kappa", _json_number, parser, required=False, default=None)
     n_reps = _cfg_field(cfg, "J", _json_int, parser)
     seed = _cfg_field(cfg, "seed", _json_int, parser)
     mu_raw = cfg.get("mu")
@@ -213,8 +224,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("config is missing field 'mu'")
     mus = mu_raw if isinstance(mu_raw, list) else [mu_raw]
     try:
-        mus = [float(v) for v in mus]
-    except (TypeError, ValueError):
+        mus = [_json_number(v) for v in mus]
+    except ValueError:
         parser.error(f"config field 'mu' has bad value {mu_raw!r}")
     if not mus:
         parser.error("config field 'mu' is an empty list")
@@ -243,18 +254,18 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             for idx, mu in enumerate(mus)
         ]
         _check_specs(procedures, scenarios[0].kappa, parser)
+        _probe_out(args.out)  # before the study, not after it
         for scenario in scenarios:
             # a valid config can still imply data a procedure rejects (lsl at m = 1)
-            rows.extend(run_experiment(scenario, procedures).rows)
+            rows.extend(run_experiment(scenario, procedures))
     except ValueError as exc:
         parser.error(f"config rejected: {exc}")
-    table = MetricsTable(rows=tuple(rows))
-    _write_out(args.out, lambda path: emit_figure_data(table, path))
+    _write_out(args.out, lambda path: emit_figure_data(rows, path))
 
     header = f"{'scenario':<40} {'procedure':<10} {'fdr':>8} {'corr_fdr':>9} {'rel_pow':>8} {'mse_m0':>12}"
     print(header)
     print("-" * len(header))
-    for row in table.rows:
+    for row in rows:
         print(
             f"{row.scenario:<40} {row.procedure:<10} {row.realized_fdr:>8.4f} "
             f"{row.corrected_fdr:>9.4f} {row.relative_power:>8.4f} {row.mse_m0:>12.1f}"

@@ -15,7 +15,6 @@ from .pvalues import EmpiricalProcesses
 
 __all__ = [
     "Pi0Estimate",
-    "FdrEstimatorConfig",
     "pi0_storey",
     "pi0_storey_plus",
     "fdr_hat_star",
@@ -56,25 +55,6 @@ class Pi0Estimate:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FdrEstimatorConfig:
-    """Rejection-region bound ``kappa`` and target level ``alpha``.
-
-    ``kappa`` splits the unit interval into the rejection region
-    [0, kappa] and the estimation region [kappa, 1]; it defaults to
-    ``alpha``, which keeps the restriction on the rejection threshold
-    immaterial in practice.
-    """
-
-    alpha: float
-    kappa: float | None = None
-
-    def __post_init__(self) -> None:
-        check_open_unit("alpha", self.alpha)
-        kappa = self.alpha if self.kappa is None else self.kappa
-        object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))
-
-
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not 0.0 <= lam < 1.0:
@@ -96,9 +76,7 @@ def pi0_storey_plus(proc: EmpiricalProcesses, lam: float) -> float:
     return (m - proc.count_R(lam) + 1) / ((1.0 - lam) * m)
 
 
-def fdr_hat_star(
-    proc: EmpiricalProcesses, pi0_star: float, t: float, cfg: FdrEstimatorConfig
-) -> float:
+def fdr_hat_star(proc: EmpiricalProcesses, pi0_star: float, t: float, kappa: float) -> float:
     """Truncated FDR estimate at cut-off t.
 
     Equals m * pi0_star * t / (R(t) v 1) for t <= kappa and is pinned to 1
@@ -106,10 +84,10 @@ def fdr_hat_star(
     """
     if pi0_star <= 0.0:
         raise ValueError(f"pi0_star={pi0_star} must be positive")
+    kappa = check_open_unit("kappa", kappa)
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
-    if t > cfg.kappa:
+    if t > kappa:
         return 1.0
     return proc.m * pi0_star * t / max(proc.count_R(t), 1)
-

@@ -14,19 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    FdrEstimatorConfig,
-    Pi0Estimate,
-    check_open_unit,
-    check_proportion,
-    fdr_hat_star,
-)
-from .pvalues import (
-    EmpiricalProcesses,
-    MissingTruthLabels,
-    PValueSample,
-    SortedPValues,
-)
+from .estimators import Pi0Estimate, check_open_unit, check_proportion, fdr_hat_star
+from .pvalues import EmpiricalProcesses, MissingTruthLabels, PValueSample, sort_pvalues
 from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
 __all__ = [
@@ -61,12 +50,16 @@ class ProcedureResult:
         return int(self.rejected.size)
 
 
-def _rejection_set(sp: SortedPValues, threshold: float) -> np.ndarray:
-    n = int(np.searchsorted(sp.ordered, threshold, side="right"))
-    return np.sort(sp.order[:n])
+def _processes(sample: PValueSample | EmpiricalProcesses) -> EmpiricalProcesses:
+    return sample if isinstance(sample, EmpiricalProcesses) else sort_pvalues(sample)
 
 
-def bh_step_up(sp: SortedPValues, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
+def _rejection_set(proc: EmpiricalProcesses, threshold: float) -> np.ndarray:
+    n = int(np.searchsorted(proc.ordered, threshold, side="right"))
+    return np.sort(proc.order[:n])
+
+
+def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
     """Linear step-up cut at the largest p_(k) with p_(k) <= k * level / m.
 
     ``pi0_target`` inflates the level to alpha / pi0_target (capped at 1):
@@ -76,19 +69,17 @@ def bh_step_up(sp: SortedPValues, alpha: float, pi0_target: float = 1.0) -> Proc
     check_open_unit("alpha", alpha)
     pi0 = Pi0Estimate(lam=float("nan"), value=check_proportion("pi0_target", pi0_target))
     level = min(alpha / pi0_target, 1.0)
-    m = sp.m
-    passing = np.flatnonzero(sp.ordered <= np.arange(1, m + 1) * (level / m))
+    m = proc.m
+    passing = np.flatnonzero(proc.ordered <= np.arange(1, m + 1) * (level / m))
     if passing.size == 0:
         return ProcedureResult(0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
-    threshold = float(sp.ordered[int(passing[-1])])
-    rejected = _rejection_set(sp, threshold)
+    threshold = float(proc.ordered[int(passing[-1])])
+    rejected = _rejection_set(proc, threshold)
     estimate = m * pi0_target * threshold / max(rejected.size, 1)
     return ProcedureResult(threshold, rejected, float(estimate), pi0)
 
 
-def threshold_functional(
-    proc: EmpiricalProcesses, pi0_star: float, cfg: FdrEstimatorConfig
-) -> float:
+def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float, kappa: float) -> float:
     """Largest cut-off in [0, kappa] whose FDR estimate stays at or below alpha.
 
     Scans the order statistics inside the rejection region step-up style;
@@ -98,14 +89,14 @@ def threshold_functional(
     """
     if pi0_star <= 0.0:
         raise ValueError(f"pi0_star={pi0_star} must be positive")
-    alpha, kappa = cfg.alpha, cfg.kappa
+    alpha, kappa = check_open_unit("alpha", alpha), check_open_unit("kappa", kappa)
     m = proc.m
     n_region = proc.count_R(kappa)
     if m * pi0_star * kappa / max(n_region, 1) <= alpha:
         return kappa
     if n_region == 0:
         return 0.0
-    head = proc.sorted.ordered[:n_region]
+    head = proc.ordered[:n_region]
     passing = np.flatnonzero(m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
     if passing.size == 0:
         return 0.0
@@ -113,20 +104,14 @@ def threshold_functional(
 
 
 def dynamic_adaptive(
-    sample: PValueSample | EmpiricalProcesses,
-    rule: LambdaRule,
-    cfg: FdrEstimatorConfig,
+    sample: PValueSample | EmpiricalProcesses, rule: LambdaRule, alpha: float
 ) -> ProcedureResult:
-    """Select lambda, estimate pi0, threshold the truncated FDR estimate."""
-    if rule.kappa != cfg.kappa:
-        raise ValueError(
-            f"rule kappa={rule.kappa} does not match estimator config kappa={cfg.kappa}"
-        )
-    proc = sample if isinstance(sample, EmpiricalProcesses) else EmpiricalProcesses.from_sample(sample)
+    """Select lambda, estimate pi0, threshold the truncated FDR estimate at ``rule.kappa``."""
+    proc = _processes(sample)
     est = rule.select(proc)
-    threshold = threshold_functional(proc, est.value, cfg)
-    rejected = _rejection_set(proc.sorted, threshold)
-    estimate_at = fdr_hat_star(proc, est.value, threshold, cfg)
+    threshold = threshold_functional(proc, est.value, alpha, rule.kappa)
+    rejected = _rejection_set(proc, threshold)
+    estimate_at = fdr_hat_star(proc, est.value, threshold, rule.kappa)
     return ProcedureResult(float(threshold), rejected, float(estimate_at), est)
 
 
@@ -142,9 +127,9 @@ def run_procedure(
     given explicitly or derived from truth labels); every lambda rule is
     fed to the dynamic adaptive pipeline at its own kappa.
     """
-    proc = sample if isinstance(sample, EmpiricalProcesses) else EmpiricalProcesses.from_sample(sample)
+    proc = _processes(sample)
     if rule == BH:
-        return bh_step_up(proc.sorted, alpha)
+        return bh_step_up(proc, alpha)
     if rule == ORACLE:
         if pi0 is None:
             if proc.truth is None:
@@ -152,5 +137,5 @@ def run_procedure(
                     "orc needs the true null proportion: pass pi0 or supply truth labels"
                 )
             pi0 = float(np.count_nonzero(proc.truth)) / proc.m
-        return bh_step_up(proc.sorted, alpha, pi0)
-    return dynamic_adaptive(proc, rule, FdrEstimatorConfig(alpha=alpha, kappa=rule.kappa))
+        return bh_step_up(proc, alpha, pi0)
+    return dynamic_adaptive(proc, rule, alpha)

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "MissingTruthLabels",
     "PValueSample",
-    "SortedPValues",
     "EmpiricalProcesses",
     "sort_pvalues",
 ]
@@ -25,8 +24,7 @@ class MissingTruthLabels(ValueError):
     """Raised when an operation needs null/alternative labels the sample lacks."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -39,7 +37,7 @@ def _as_pvalue_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"p-value at index {i} is {arr[i]!r}, outside [0, 1]")
-    return _frozen(arr)
+    return _read_only(arr.copy())
 
 
 def _check_threshold(t: float) -> float:
@@ -69,88 +67,43 @@ class PValueSample:
                 raise ValueError(
                     f"truth labels have length {truth.size}, expected {self.values.size}"
                 )
-            object.__setattr__(self, "truth", _frozen(truth))
+            object.__setattr__(self, "truth", _read_only(truth.copy()))
 
     @property
     def m(self) -> int:
         return int(self.values.size)
 
-    @property
-    def m0(self) -> int:
-        """Number of true nulls; requires labels."""
-        if self.truth is None:
-            raise MissingTruthLabels("sample carries no truth labels")
-        return int(np.count_nonzero(self.truth))
-
-    @property
-    def m1(self) -> int:
-        """Number of false nulls; requires labels."""
-        return self.m - self.m0
-
 
 @dataclass(frozen=True)
-class SortedPValues:
-    """Nondecreasing view of a sample.
+class EmpiricalProcesses:
+    """A sorted sample and evaluators for the counting processes R(t) and V(t).
 
     ``ordered[r]`` is the (r+1)-th order statistic and ``order[r]`` the
-    original index it came from.  Ties keep their original relative order.
+    original index it came from; ties keep their original relative order.
+    ``truth`` holds the sample's labels by original index, or None.
+    R(t) counts all p-values at or below t; V counts the true-null subset
+    and is only defined when truth labels are present.  Counting is a
+    binary search on the sorted values.  Built by ``sort_pvalues``, whose
+    arrays are read-only, so any number of concurrent readers is safe.
     """
 
     ordered: np.ndarray
     order: np.ndarray
+    truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ordered", _frozen(np.asarray(self.ordered, dtype=float)))
-        object.__setattr__(self, "order", _frozen(np.asarray(self.order, dtype=np.int64)))
+        if self.truth is not None:
+            # truth is indexed by original position; realign to rank order
+            object.__setattr__(self, "_null_ordered", _read_only(self.ordered[self.truth[self.order]]))
 
     @property
     def m(self) -> int:
         return int(self.ordered.size)
 
-
-def sort_pvalues(sample: PValueSample) -> SortedPValues:
-    """Sort a sample, stably, so ties keep input order."""
-    order = np.argsort(sample.values, kind="stable")
-    return SortedPValues(ordered=sample.values[order], order=order)
-
-
-@dataclass(frozen=True)
-class EmpiricalProcesses:
-    """Evaluators for the counting processes R(t) and V(t).
-
-    R(t) counts all p-values at or below t; V counts the true-null subset
-    and is only defined when truth labels are present.
-    Counting is a binary search on the sorted values.  Immutable, so any
-    number of concurrent readers is safe.
-    """
-
-    sorted: SortedPValues
-    truth: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.truth is not None:
-            truth = np.asarray(self.truth, dtype=bool)
-            if truth.size != self.sorted.m:
-                raise ValueError(
-                    f"truth labels have length {truth.size}, expected {self.sorted.m}"
-                )
-            object.__setattr__(self, "truth", _frozen(truth))
-            # truth is indexed by original position; realign to rank order
-            truth_by_rank = truth[self.sorted.order]
-            object.__setattr__(self, "_null_ordered", _frozen(self.sorted.ordered[truth_by_rank]))
-
-    @classmethod
-    def from_sample(cls, sample: PValueSample) -> "EmpiricalProcesses":
-        return cls(sort_pvalues(sample), sample.truth)
-
-    @property
-    def m(self) -> int:
-        return self.sorted.m
-
     def count_R(self, t: float) -> int:
         """#{p_i <= t}."""
         t = _check_threshold(t)
-        return int(np.searchsorted(self.sorted.ordered, t, side="right"))
+        return int(np.searchsorted(self.ordered, t, side="right"))
 
     def count_V(self, t: float) -> int:
         """#{true-null p_i <= t}; requires truth labels."""
@@ -159,3 +112,8 @@ class EmpiricalProcesses:
             raise MissingTruthLabels("V(t) needs truth labels, sample has none")
         return int(np.searchsorted(self._null_ordered, t, side="right"))
 
+
+def sort_pvalues(sample: PValueSample) -> EmpiricalProcesses:
+    """Sort a sample, stably, so ties keep input order; it keeps the sample's labels."""
+    order = np.argsort(sample.values, kind="stable")
+    return EmpiricalProcesses(_read_only(sample.values[order]), _read_only(order), sample.truth)

@@ -67,20 +67,9 @@ def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
     return vals
 
 
-def _grid_spec(grid: tuple[float, ...]) -> str:
-    """start:step:stop when that rebuilds the grid exactly, else a comma list."""
-    step = round(grid[1] - grid[0], 12) if len(grid) >= 3 else 0.0
-    # the length test keeps a tiny step from building a huge candidate grid
-    if step > 0 and round((grid[-1] - grid[0]) / step) + 1 == len(grid):
-        if evenly_spaced_grid(grid[0], step, grid[-1]) == grid:
-            return f"{grid[0]!r}:{step!r}:{grid[-1]!r}"
-    return ",".join(map(repr, grid))
-
-
 # A rule validates its fields once, at construction; its select_* function
 # runs on those fields and checks only what depends on the data.
-# ``select(proc)`` runs the rule; parse_rule_spec turns ``spec`` back into
-# an equal rule.
+# ``select(proc)`` runs the rule.
 
 
 @dataclass(frozen=True)
@@ -95,10 +84,6 @@ class FixedRule:
         object.__setattr__(self, "lam", float(self.lam))
         if not self.kappa <= self.lam < 1.0:
             raise ValueError(f"fixed lambda={self.lam} outside [kappa={self.kappa}, 1)")
-
-    @property
-    def spec(self) -> str:
-        return f"fixed:{self.lam!r}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_fixed(proc, self)
@@ -115,10 +100,6 @@ class RightBoundaryRule:
         object.__setattr__(self, "grid", _check_grid(self.grid, "candidate grid"))
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
 
-    @property
-    def spec(self) -> str:
-        return f"rb:{_grid_spec(self.grid)}"
-
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_right_boundary(proc, self)
 
@@ -131,10 +112,6 @@ class LowestSlopeRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
-
-    @property
-    def spec(self) -> str:
-        return "lsl"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_lowest_slope(proc, self)
@@ -155,10 +132,6 @@ class KQuantileRule:
                 raise ValueError(f"quantile index k={k} must be >= 1")
             object.__setattr__(self, "k", k)
 
-    @property
-    def spec(self) -> str:
-        return "kq:median" if self.k is None else f"kq:{self.k}"
-
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_k_quantile(proc, self)
 
@@ -173,10 +146,6 @@ class RightBoundaryQuantileRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", _check_grid(self.levels, "quantile levels"))
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
-
-    @property
-    def spec(self) -> str:
-        return f"rbq:{_grid_spec(self.levels)}"
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_right_boundary_quantile(proc, self)
@@ -195,10 +164,6 @@ class StepUpRule:
     """
 
     oracle: bool = False
-
-    @property
-    def spec(self) -> str:
-        return "orc" if self.oracle else "bh"
 
 
 BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
@@ -261,7 +226,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     m = proc.m
     if m < 2:
         raise ValueError("lowest-slope selection needs at least 2 p-values")
-    p = proc.sorted.ordered
+    p = proc.ordered
     below_one = p < 1.0
     ranks_right = np.searchsorted(p, p, side="right")  # R(p_(i)) including ties
     est = np.full(m, np.nan)
@@ -304,7 +269,7 @@ def select_k_quantile(proc: EmpiricalProcesses, rule: KQuantileRule) -> Pi0Estim
     k = max(1, m // 2) if rule.k is None else rule.k
     if k > m:
         raise ValueError(f"quantile index k={k} outside 1..{m}")
-    lam = max(float(proc.sorted.ordered[k - 1]), rule.kappa)
+    lam = max(float(proc.ordered[k - 1]), rule.kappa)
     flags: tuple[str, ...] = ()
     if lam >= 1.0:
         lam = max(rule.kappa, 1.0 - 1.0 / m)
@@ -329,7 +294,7 @@ def select_right_boundary_quantile(
     # small backoff so exact integer boundaries like 0.25 * 20 stay rank 5
     ranks = np.ceil(np.asarray(rule.levels) * m - 1e-9).astype(np.int64)
     ranks = np.clip(ranks, 1, m)
-    quantiles = proc.sorted.ordered[ranks - 1]
+    quantiles = proc.ordered[ranks - 1]
     flags = ("quantile-at-one",) if quantiles[-1] >= 1.0 else ()
     grid = np.unique(quantiles)
     grid = grid[(grid >= kappa) & (grid < 1.0)]

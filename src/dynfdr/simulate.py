@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,14 +19,13 @@ import numpy as np
 
 from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import EmpiricalProcesses, PValueSample, sort_pvalues
+from .pvalues import PValueSample, sort_pvalues
 from .selection import parse_rule_spec
 
 __all__ = [
     "BlockAR",
     "ScenarioConfig",
     "MetricsRow",
-    "MetricsTable",
     "normal_cdf",
     "generate_statistics",
     "run_experiment",
@@ -174,17 +173,6 @@ class MetricsRow:
     n_reps: int
 
 
-@dataclass(frozen=True)
-class MetricsTable:
-    rows: tuple[MetricsRow, ...] = field(default_factory=tuple)
-
-    def get(self, procedure: str, scenario: str | None = None) -> MetricsRow:
-        for row in self.rows:
-            if row.procedure == procedure and (scenario is None or row.scenario == scenario):
-                return row
-        raise KeyError(f"no row for procedure={procedure!r}, scenario={scenario!r}")
-
-
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     mean = float(x.mean())
     se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else float("nan")
@@ -220,7 +208,7 @@ def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
     rules = [parse_rule_spec(s, cfg.kappa) for s in specs]
     for j in range(cfg.n_reps):
         sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
+        proc = sort_pvalues(sample)
         rec = np.empty((4, len(rules)))
         for i, rule in enumerate(rules):
             res = run_procedure(rule, proc, cfg.alpha, pi0=cfg.pi0)
@@ -233,8 +221,8 @@ def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
 
 def run_experiment(
     cfg: ScenarioConfig, procedures: Sequence[str] = DEFAULT_PROCEDURES
-) -> MetricsTable:
-    """Run every procedure over cfg.n_reps replications and aggregate.
+) -> tuple[MetricsRow, ...]:
+    """Run every procedure over cfg.n_reps replications and aggregate, one row per procedure.
 
     The oracle is always run (it anchors the corrected FDR and the power
     ratio); realized FDR is additionally reported with the oracle's
@@ -281,26 +269,26 @@ def run_experiment(
                 n_reps=cfg.n_reps,
             )
         )
-    return MetricsTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def emit_figure_data(table: MetricsTable, path: str | Path) -> None:
-    """Write the table as long-format CSV: scenario, procedure, metric, value, mc_se.
+def emit_figure_data(rows: Sequence[MetricsRow], path: str | Path) -> None:
+    """Write the rows as long-format CSV: scenario, procedure, metric, value, mc_se.
 
-    Five metric rows per table row: fdr, corrected_fdr, rel_power,
+    Five metric rows per MetricsRow: fdr, corrected_fdr, rel_power,
     log_mse_m0 (natural log), mean_lambda.  Values carry 12 significant
     digits.
     """
-    if not table.rows:
-        raise ValueError("metrics table is empty, nothing to emit")
+    if not rows:
+        raise ValueError("no metrics rows, nothing to emit")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["scenario", "procedure", "metric", "value", "mc_se"])
-        for row in table.rows:
+        for row in rows:
             if row.mse_m0 > 0.0:
                 log_mse = math.log(row.mse_m0)
                 log_mse_se = row.mse_m0_se / row.mse_m0

@@ -7,9 +7,6 @@ of the dynamic procedures (with the bound that drives the proof), and
 conservativeness of the selected pi0 estimates.  Monte Carlo checks use
 a 3-standard-error tolerance; the binomial check is an exact summation
 and fails hard on any violation.
-
-Also home to a from-scratch normal CDF used to cross-check the
-production one.
 """
 
 from __future__ import annotations
@@ -23,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import check_open_unit
+from .selection import TWENTY_BIN_GRID
 from .simulate import ScenarioConfig, _mean_se, _replications
 
 __all__ = [
     "CheckResult",
-    "reference_normal_cdf",
     "lemma2_exact_check",
     "supermartingale_check",
     "fdr_control_check",
@@ -36,15 +33,9 @@ __all__ = [
     "format_report",
     "write_report_csv",
     "DEFAULT_RULES",
-    "DEFAULT_P_GRID",
 ]
 
 DEFAULT_RULES = ("fixed:0.5", "rb20", "lsl", "rb20q")
-DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_SERIES_CUTOFF = 3.0
-_CF_DEPTH = 400
 
 
 @dataclass(frozen=True)
@@ -79,41 +70,8 @@ def _three_se_check(
     return CheckResult(check, mean, bound, tol, passed, detail)
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-
-
-def reference_normal_cdf(x: float) -> float:
-    """Standard normal CDF built independently of any library routine.
-
-    Power series 1/2 + phi(x) * sum x^(2k+1)/(1*3*...*(2k+1)) below
-    |x| = 3, tail continued fraction phi(x)/(x + 1/(x + 2/(x + ...)))
-    beyond, both with compensated summation.  Exists so the production
-    CDF and this one can certify each other.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x is NaN")
-    ax = abs(x)
-    if ax < _SERIES_CUTOFF:
-        terms = []
-        term = ax
-        k = 0
-        while term > 1e-22 and k < 500:
-            terms.append(term)
-            k += 1
-            term *= ax * ax / (2 * k + 1)
-        half = _phi(ax) * math.fsum(terms)
-        return 0.5 + half if x >= 0 else 0.5 - half
-    cf = 0.0
-    for k in range(_CF_DEPTH, 0, -1):
-        cf = k / (ax + cf)
-    tail = _phi(ax) / (ax + cf)
-    return 1.0 - tail if x >= 0 else tail
-
-
 def lemma2_exact_check(
-    n_max: int = 60, p_grid: Sequence[float] = DEFAULT_P_GRID
+    n_max: int = 60, p_grid: Sequence[float] = TWENTY_BIN_GRID
 ) -> list[CheckResult]:
     """Exact check that E[1/(n - X + 1)] <= 1/((n+1)(1-p)) for X ~ BIN(n, p).
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_SERIES_CUTOFF = 3.0
+_CF_DEPTH = 400
 
 
 def naive_count(pvals, t):
@@ -12,6 +18,47 @@ def naive_count(pvals, t):
 
 def naive_rejection_set(pvals, threshold):
     return {i for i, p in enumerate(pvals) if p <= threshold}
+
+
+def row(rows, procedure, scenario=None):
+    """The MetricsRow of ``procedure`` (and ``scenario``, when given) in run_experiment's rows."""
+    for r in rows:
+        if r.procedure == procedure and (scenario is None or r.scenario == scenario):
+            return r
+    raise KeyError(f"no row for procedure={procedure!r}, scenario={scenario!r}")
+
+
+def _phi(x):
+    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
+
+
+def reference_normal_cdf(x):
+    """Standard normal CDF built independently of any library routine.
+
+    Power series 1/2 + phi(x) * sum x^(2k+1)/(1*3*...*(2k+1)) below
+    |x| = 3, tail continued fraction phi(x)/(x + 1/(x + 2/(x + ...)))
+    beyond, both with compensated summation.  The oracle the production
+    normal CDF is cross-checked against.
+    """
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("x is NaN")
+    ax = abs(x)
+    if ax < _SERIES_CUTOFF:
+        terms = []
+        term = ax
+        k = 0
+        while term > 1e-22 and k < 500:
+            terms.append(term)
+            k += 1
+            term *= ax * ax / (2 * k + 1)
+        half = _phi(ax) * math.fsum(terms)
+        return 0.5 + half if x >= 0 else 0.5 - half
+    cf = 0.0
+    for k in range(_CF_DEPTH, 0, -1):
+        cf = k / (ax + cf)
+    tail = _phi(ax) / (ax + cf)
+    return 1.0 - tail if x >= 0 else tail
 
 
 def brute_force_threshold(pvals, pi0_star, alpha, kappa):
@@ -49,14 +96,14 @@ def replication_records(cfg, specs):
     (FDP, power, lambda, pi0) per replication for spec ``s``, ``v_kappa``
     the naive count of true nulls at or below kappa per replication.
     """
-    from dynfdr import EmpiricalProcesses, generate_statistics, parse_rule_spec, run_procedure, sort_pvalues
+    from dynfdr import generate_statistics, parse_rule_spec, run_procedure, sort_pvalues
 
     rules = {s: parse_rule_spec(s, cfg.kappa) for s in specs}
     records = {s: np.empty((cfg.n_reps, 4)) for s in specs}
     v_kappa = np.empty(cfg.n_reps)
     for j in range(cfg.n_reps):
         sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
+        proc = sort_pvalues(sample)
         v_kappa[j] = naive_count(sample.values[sample.truth], cfg.kappa)
         for s in specs:
             res = run_procedure(rules[s], proc, cfg.alpha, pi0=cfg.pi0)

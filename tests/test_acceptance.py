@@ -15,8 +15,6 @@ import pytest
 
 from dynfdr import (
     BlockAR,
-    EmpiricalProcesses,
-    FdrEstimatorConfig,
     PValueSample,
     ScenarioConfig,
     cli,
@@ -29,7 +27,7 @@ from dynfdr import (
 )
 from dynfdr.verify import lemma2_exact_check, supermartingale_check
 
-from conftest import brute_force_threshold, naive_rejection_set
+from conftest import brute_force_threshold, naive_rejection_set, row
 
 SEED = 20260808
 ALPHA = 0.05
@@ -81,11 +79,11 @@ def test_criterion_01_dynamic_procedures_control_fdr(independent_runs):
     ok = True
     for mu, table in tables.items():
         for proc in ADAPTIVE:
-            row = table.get(proc)
-            limit = ALPHA + 3.0 * row.fdr_se
-            if row.realized_fdr > limit:
+            r = row(table, proc)
+            limit = ALPHA + 3.0 * r.fdr_se
+            if r.realized_fdr > limit:
                 ok = False
-            worst += f" {proc}@mu={mu:g}:{row.realized_fdr:.4f}<={limit:.4f}"
+            worst += f" {proc}@mu={mu:g}:{r.realized_fdr:.4f}<={limit:.4f}"
     ok = ok and elapsed < 120.0
     report("criterion 1 (finite-sample FDR control)", ok, f"runtime {elapsed:.1f}s;{worst}")
 
@@ -95,8 +93,8 @@ def test_criterion_02_baseline_calibration(independent_runs):
     ok = True
     detail = []
     for mu, table in tables.items():
-        bh = table.get("bh")
-        orc = table.get("orc")
+        bh = row(table, "bh")
+        orc = row(table, "orc")
         bh_ok = abs(bh.realized_fdr - 0.8 * ALPHA) <= 3.0 * bh.fdr_se
         orc_ok = abs(orc.realized_fdr - ALPHA) <= 3.0 * orc.fdr_se
         ok = ok and bh_ok and orc_ok
@@ -110,9 +108,9 @@ def test_criterion_02_baseline_calibration(independent_runs):
 def test_criterion_03_power_ordering(independent_runs):
     tables, _ = independent_runs
     table = tables[1.0]
-    rb20 = table.get("rb20").relative_power
-    rb20q = table.get("rb20q").relative_power
-    lsl = table.get("lsl").relative_power
+    rb20 = row(table, "rb20").relative_power
+    rb20q = row(table, "rb20q").relative_power
+    lsl = row(table, "lsl").relative_power
     ok = rb20 >= lsl + 0.01 and rb20q >= lsl + 0.01
     report(
         "criterion 3 (boundary rules out-power lowest-slope)",
@@ -124,8 +122,8 @@ def test_criterion_03_power_ordering(independent_runs):
 def test_criterion_04_mse_ordering(independent_runs):
     tables, _ = independent_runs
     table = tables[1.0]
-    rb20 = table.get("rb20").mse_m0
-    lsl = table.get("lsl").mse_m0
+    rb20 = row(table, "rb20").mse_m0
+    lsl = row(table, "lsl").mse_m0
     report("criterion 4 (rb20 beats lsl on m0 MSE)", rb20 < lsl, f"rb20={rb20:.0f} < lsl={lsl:.0f}")
 
 
@@ -133,7 +131,7 @@ def test_criterion_05_full_power_saturation(saturation_run):
     ok = True
     detail = []
     for proc in ADAPTIVE:
-        rel = saturation_run.get(proc).relative_power
+        rel = row(saturation_run, proc).relative_power
         ok = ok and rel >= 0.98
         detail.append(f"{proc}={rel:.4f}")
     report("criterion 5 (full power at mu=4)", ok, ", ".join(detail))
@@ -144,11 +142,11 @@ def test_criterion_06_dependent_control(dependent_runs):
     detail = []
     for mu, table in dependent_runs.items():
         for proc in EVERYTHING:
-            row = table.get(proc)
-            limit = ALPHA + 3.0 * row.fdr_se
-            if row.realized_fdr > limit:
+            r = row(table, proc)
+            limit = ALPHA + 3.0 * r.fdr_se
+            if r.realized_fdr > limit:
                 ok = False
-                detail.append(f"{proc}@mu={mu:g}:{row.realized_fdr:.4f}>{limit:.4f}")
+                detail.append(f"{proc}@mu={mu:g}:{r.realized_fdr:.4f}>{limit:.4f}")
     report(
         "criterion 6 (control under block-AR dependence)",
         ok,
@@ -189,8 +187,8 @@ def test_criterion_09_threshold_oracle_equivalence():
         alpha = float(rng.uniform(0.02, 0.3))
         kappa = float(rng.uniform(0.02, 0.4))
         pi0_star = float(rng.uniform(0.05, 2.0))
-        proc = EmpiricalProcesses.from_sample(PValueSample(pvals))
-        t_impl = threshold_functional(proc, pi0_star, FdrEstimatorConfig(alpha=alpha, kappa=kappa))
+        proc = sort_pvalues(PValueSample(pvals))
+        t_impl = threshold_functional(proc, pi0_star, alpha, kappa)
         t_oracle = brute_force_threshold(pvals, pi0_star, alpha, kappa)
         if naive_rejection_set(pvals, t_impl) != naive_rejection_set(pvals, t_oracle):
             mismatches += 1
@@ -208,7 +206,7 @@ def test_criterion_10_conservative_under_null():
     parsed = {rule: parse_rule_spec(rule, cfg.kappa) for rule in rules}
     for j in range(cfg.n_reps):
         sample = generate_statistics(cfg, j)
-        proc = EmpiricalProcesses(sort_pvalues(sample), sample.truth)
+        proc = sort_pvalues(sample)
         for rule in rules:
             estimates[rule][j] = run_procedure(parsed[rule], proc, cfg.alpha, pi0=1.0).pi0.value
     ok = True

@@ -224,10 +224,17 @@ def test_simulate_rejects_empty_mu_list(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("J", 2.7), ("m", 80.0), ("seed", True), ("J", "25"), ("m", None)],
+    [
+        ("J", 2.7), ("m", 80.0), ("seed", True), ("J", "25"), ("m", None),
+        ("block_size", 2.7), ("block_size", True), ("rho", "0.5"),
+        ("pi0", True), ("mu", "1"), ("mu", [1.0, "2"]), ("mu", [False]), ("alpha", "0.05"), ("kappa", True),
+    ],
 )
 def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
-    config = {"m": 80, "pi0": 0.8, "mu": 1.0, "J": 25, "seed": 42, field: value}
+    # m, J, seed and block_size are JSON integers; pi0, mu, alpha, kappa and rho JSON numbers
+    config = {"m": 80, "pi0": 0.8, "mu": 1.0, "J": 25, "seed": 42}
+    config["dependence"] = {"type": "block_ar", "block_size": 10, "rho": 0.5}
+    (config["dependence"] if field in ("block_size", "rho") else config)[field] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
@@ -235,6 +242,29 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
     message = f"config field {field!r} has bad value {value!r}"
     assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_simulate_checks_out_before_the_study(sim_config, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("the study ran before --out was found unwritable")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    out = tmp_path / "missing" / "m.csv"
+    assert run_cli(["simulate", str(sim_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_simulate_leaves_no_out_file_when_the_study_fails(tmp_path, capsys):
+    # m = 1 passes the config checks, then lsl fails inside the study
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 1, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("earlier results\n")
+    for out in (new, old):
+        assert run_cli(["simulate", str(path), "--out", str(out)]) == 2
+        assert "config rejected" in capsys.readouterr().err
+    assert not new.exists()
+    assert old.read_text() == "earlier results\n"
 
 
 def test_simulate_names_missing_field(tmp_path, capsys):

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from dynfdr import (
-    EmpiricalProcesses,
-    FdrEstimatorConfig,
     PValueSample,
     fdr_hat_star,
     pi0_storey,
     pi0_storey_plus,
+    sort_pvalues,
 )
 
 
 def processes(pvals):
-    return EmpiricalProcesses.from_sample(PValueSample(pvals))
+    return sort_pvalues(PValueSample(pvals))
 
 
 def test_pi0_storey_direct_substitution():
@@ -77,51 +76,46 @@ def test_plus_minus_gap_is_exact():
 def test_fdr_hat_star_direct():
     # m = 100, R(0.01) = 5
     proc = processes([0.005] * 5 + [0.5] * 95)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    assert fdr_hat_star(proc, 0.5, 0.01, cfg) == pytest.approx(0.1)
+    assert fdr_hat_star(proc, 0.5, 0.01, 0.05) == pytest.approx(0.1)
 
 
 def test_fdr_hat_star_is_one_beyond_kappa():
     proc = processes([0.005, 0.5])
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    assert fdr_hat_star(proc, 0.5, 0.1, cfg) == 1.0
+    assert fdr_hat_star(proc, 0.5, 0.1, 0.05) == 1.0
 
 
 def test_fdr_hat_star_zero_at_zero():
     proc = processes([0.3, 0.6])
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    assert fdr_hat_star(proc, 1.2, 0.0, cfg) == 0.0
+    assert fdr_hat_star(proc, 1.2, 0.0, 0.05) == 0.0
 
 
 def test_fdr_hat_star_domain():
     proc = processes([0.3])
-    cfg = FdrEstimatorConfig(alpha=0.05)
     with pytest.raises(ValueError):
-        fdr_hat_star(proc, 0.0, 0.01, cfg)
+        fdr_hat_star(proc, 0.0, 0.01, 0.05)
     with pytest.raises(ValueError):
-        fdr_hat_star(proc, 1.0, 1.5, cfg)
+        fdr_hat_star(proc, 1.0, 1.5, 0.05)
 
 
 def test_fdr_hat_star_nondecreasing_between_order_statistics():
     rng = np.random.default_rng(22)
-    cfg = FdrEstimatorConfig(alpha=0.1, kappa=0.3)
+    kappa = 0.3
     for _ in range(10):
         pvals = np.sort(rng.random(30))
         proc = processes(pvals)
-        cuts = [0.0] + [p for p in pvals if p <= cfg.kappa] + [cfg.kappa]
+        cuts = [0.0] + [p for p in pvals if p <= kappa] + [kappa]
         for a, b in zip(cuts, cuts[1:]):
             ts = np.linspace(a, b, 6)[:-1]  # stay left of the next jump
-            vals = [fdr_hat_star(proc, 0.8, float(t), cfg) for t in ts]
+            vals = [fdr_hat_star(proc, 0.8, float(t), kappa) for t in ts]
             assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
 
 def test_config_validation():
-    cfg = FdrEstimatorConfig(alpha=0.05)
-    assert cfg.kappa == 0.05  # kappa defaults to alpha
-    with pytest.raises(ValueError):
-        FdrEstimatorConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        FdrEstimatorConfig(alpha=0.05, kappa=1.0)
+    # the FDR estimate checks the rejection-region bound it is handed
+    proc = processes([0.3])
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match=f"kappa={bad} outside"):
+            fdr_hat_star(proc, 1.0, 0.01, bad)
 
 
 def test_plus_estimator_conservative_under_null():

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from dynfdr import (
-    EmpiricalProcesses,
-    FdrEstimatorConfig,
     FixedRule,
     LowestSlopeRule,
     MissingTruthLabels,
@@ -27,7 +25,7 @@ from conftest import brute_force_threshold, naive_rejection_set, random_mixture_
 
 
 def processes(pvals, truth=None):
-    return EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
+    return sort_pvalues(PValueSample(pvals, truth=truth))
 
 
 def rule(spec, kappa=0.05):
@@ -38,8 +36,8 @@ def rule(spec, kappa=0.05):
 
 
 def test_bh_hand_enumeration():
-    sp = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
-    res = bh_step_up(sp, 0.05)
+    proc = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
+    res = bh_step_up(proc, 0.05)
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
     assert res.fdr_estimate_at_threshold == pytest.approx(0.04)
@@ -47,40 +45,40 @@ def test_bh_hand_enumeration():
 
 
 def test_bh_nothing_passes():
-    sp = sort_pvalues(PValueSample([1.0, 1.0, 1.0]))
-    res = bh_step_up(sp, 0.05)
+    proc = sort_pvalues(PValueSample([1.0, 1.0, 1.0]))
+    res = bh_step_up(proc, 0.05)
     assert res.threshold == 0.0
     assert res.n_rejected == 0
 
 
 def test_bh_inflated_level():
-    sp = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
-    res = bh_step_up(sp, 0.05, pi0_target=0.5)
+    proc = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
+    res = bh_step_up(proc, 0.05, pi0_target=0.5)
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
     assert res.pi0.value == 0.5
 
 
 def test_bh_level_capped_at_one():
-    sp = sort_pvalues(PValueSample([0.2, 0.9, 1.0]))
-    res = bh_step_up(sp, 0.9, pi0_target=0.5)  # 0.9 / 0.5 caps at level 1
+    proc = sort_pvalues(PValueSample([0.2, 0.9, 1.0]))
+    res = bh_step_up(proc, 0.9, pi0_target=0.5)  # 0.9 / 0.5 caps at level 1
     assert res.n_rejected == 3
 
 
 def test_bh_ties_all_rejected():
-    sp = sort_pvalues(PValueSample([0.01, 0.01, 0.01, 0.9]))
-    res = bh_step_up(sp, 0.05)
+    proc = sort_pvalues(PValueSample([0.01, 0.01, 0.01, 0.9]))
+    res = bh_step_up(proc, 0.05)
     assert res.rejected.tolist() == [0, 1, 2]
 
 
 def test_bh_parameter_validation():
-    sp = sort_pvalues(PValueSample([0.1]))
+    proc = sort_pvalues(PValueSample([0.1]))
     with pytest.raises(ValueError):
-        bh_step_up(sp, 0.0)
+        bh_step_up(proc, 0.0)
     with pytest.raises(ValueError):
-        bh_step_up(sp, 0.05, pi0_target=0.0)
+        bh_step_up(proc, 0.05, pi0_target=0.0)
     with pytest.raises(ValueError):
-        bh_step_up(sp, 0.05, pi0_target=1.5)
+        bh_step_up(proc, 0.05, pi0_target=1.5)
 
 
 # ------------------------------------------------------------- functional
@@ -88,31 +86,35 @@ def test_bh_parameter_validation():
 
 def test_threshold_functional_empty_region():
     proc = processes([0.3, 0.5, 0.9])
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    t = threshold_functional(proc, 1.0, cfg)
+    t = threshold_functional(proc, 1.0, 0.05, 0.05)
     assert proc.count_R(t) == 0  # nothing to reject either way
 
 
 def test_threshold_functional_single_small_pvalue():
     proc = processes([0.0004] + [0.5] * 99)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    t = threshold_functional(proc, 1.0, cfg)
+    t = threshold_functional(proc, 1.0, 0.05, 0.05)
     assert t == pytest.approx(0.0004)
     assert proc.count_R(t) == 1
 
 
 def test_threshold_functional_returns_kappa_when_region_admissible():
     proc = processes([0.001] * 30 + [0.5] * 10)
-    cfg = FdrEstimatorConfig(alpha=0.1, kappa=0.05)
     # estimate at kappa: 40 * 0.5 * 0.05 / 30 = 1/30 <= 0.1
-    t = threshold_functional(proc, 0.5, cfg)
-    assert t == cfg.kappa
+    t = threshold_functional(proc, 0.5, 0.1, 0.05)
+    assert t == 0.05
 
 
 def test_threshold_functional_requires_positive_pi0():
     proc = processes([0.1])
     with pytest.raises(ValueError):
-        threshold_functional(proc, 0.0, FdrEstimatorConfig(alpha=0.05))
+        threshold_functional(proc, 0.0, 0.05, 0.05)
+
+
+def test_threshold_functional_checks_alpha_and_kappa():
+    proc = processes([0.1])
+    for alpha, kappa, message in ((0.0, 0.05, "alpha=0.0"), (1.0, 0.05, "alpha=1.0"), (0.05, 1.0, "kappa=1.0")):
+        with pytest.raises(ValueError, match=f"{message} outside"):
+            threshold_functional(proc, 1.0, alpha, kappa)
 
 
 def test_threshold_functional_matches_brute_force():
@@ -123,9 +125,8 @@ def test_threshold_functional_matches_brute_force():
         alpha = float(rng.uniform(0.02, 0.3))
         kappa = float(rng.uniform(0.02, 0.4))
         pi0_star = float(rng.uniform(0.05, 2.0))
-        cfg = FdrEstimatorConfig(alpha=alpha, kappa=kappa)
         proc = processes(pvals)
-        t_impl = threshold_functional(proc, pi0_star, cfg)
+        t_impl = threshold_functional(proc, pi0_star, alpha, kappa)
         t_oracle = brute_force_threshold(pvals, pi0_star, alpha, kappa)
         impl_set = naive_rejection_set(pvals, t_impl)
         oracle_set = naive_rejection_set(pvals, t_oracle)
@@ -137,31 +138,22 @@ def test_threshold_functional_matches_brute_force():
 
 def test_dynamic_adaptive_records_everything():
     sample = PValueSample([0.001, 0.004, 0.2, 0.5, 0.6, 0.8])
-    cfg = FdrEstimatorConfig(alpha=0.1, kappa=0.1)
-    res = dynamic_adaptive(sample, RightBoundaryRule(TWENTY_BIN_GRID, 0.1), cfg)
+    res = dynamic_adaptive(sample, RightBoundaryRule(TWENTY_BIN_GRID, 0.1), 0.1)
     assert res.pi0 is not None
-    assert res.threshold <= cfg.kappa
+    assert res.threshold <= 0.1
     assert set(res.rejected.tolist()) == {i for i, p in enumerate(sample.values) if p <= res.threshold}
-
-
-def test_dynamic_adaptive_kappa_mismatch_is_config_error():
-    sample = PValueSample([0.1, 0.2])
-    with pytest.raises(ValueError, match="kappa"):
-        dynamic_adaptive(sample, FixedRule(0.5, kappa=0.1), FdrEstimatorConfig(alpha=0.05, kappa=0.05))
 
 
 def test_dominated_by_bh_when_estimate_large():
     # pi0* >= 1 and no order statistic under the step-up line: nothing rejected
     sample = PValueSample([0.04, 0.3, 0.5, 0.9])
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
-    res = dynamic_adaptive(sample, LowestSlopeRule(0.05), cfg)
+    res = dynamic_adaptive(sample, LowestSlopeRule(0.05), 0.05)
     assert res.pi0.value >= 1.0
     assert res.n_rejected == 0
 
 
 def test_rejections_never_exceed_kappa():
     rng = np.random.default_rng(42)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
     rules = [
         FixedRule(0.5, 0.05),
         RightBoundaryRule(TWENTY_BIN_GRID, 0.05),
@@ -170,21 +162,20 @@ def test_rejections_never_exceed_kappa():
     for _ in range(100):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 80)))
         for rule in rules:
-            res = dynamic_adaptive(PValueSample(pvals), rule, cfg)
+            res = dynamic_adaptive(PValueSample(pvals), rule, 0.05)
             if res.n_rejected:
-                assert pvals[res.rejected].max() <= cfg.kappa
+                assert pvals[res.rejected].max() <= rule.kappa
 
 
 def test_smaller_pi0_rejects_more():
     rng = np.random.default_rng(43)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
     for _ in range(200):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
         proc = processes(pvals)
         lo = float(rng.uniform(0.05, 0.8))
         hi = lo + float(rng.uniform(0.0, 1.0))
-        t_lo = threshold_functional(proc, lo, cfg)
-        t_hi = threshold_functional(proc, hi, cfg)
+        t_lo = threshold_functional(proc, lo, 0.05, 0.05)
+        t_hi = threshold_functional(proc, hi, 0.05, 0.05)
         set_lo = naive_rejection_set(pvals, t_lo)
         set_hi = naive_rejection_set(pvals, t_hi)
         assert set_hi <= set_lo
@@ -192,15 +183,15 @@ def test_smaller_pi0_rejects_more():
 
 def test_dynamic_with_unit_pi0_agrees_with_bh_inside_region():
     rng = np.random.default_rng(44)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
+    alpha = kappa = 0.05
     agreements = 0
     for _ in range(300):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
         proc = processes(pvals)
-        bh = bh_step_up(proc.sorted, cfg.alpha)
-        if bh.threshold > cfg.kappa:
+        bh = bh_step_up(proc, alpha)
+        if bh.threshold > kappa:
             continue
-        t = threshold_functional(proc, 1.0, cfg)
+        t = threshold_functional(proc, 1.0, alpha, kappa)
         assert naive_rejection_set(pvals, t) == set(bh.rejected.tolist())
         agreements += 1
     assert agreements > 50  # the comparison actually fired
@@ -210,18 +201,18 @@ def test_fixed_rule_reproduces_inflated_step_up():
     # fixed-lambda pipeline == plain step-up at level alpha / pi0*(lambda),
     # whenever the step-up threshold lands inside the rejection region
     rng = np.random.default_rng(45)
-    cfg = FdrEstimatorConfig(alpha=0.05, kappa=0.05)
+    alpha = kappa = 0.05
     checked = 0
     for _ in range(500):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 80)))
         proc = processes(pvals)
-        res = dynamic_adaptive(proc, FixedRule(0.5, 0.05), cfg)
+        res = dynamic_adaptive(proc, FixedRule(0.5, kappa), alpha)
         pi0_star = res.pi0.value
-        level = cfg.alpha / pi0_star
+        level = alpha / pi0_star
         if not 0.0 < level < 1.0:
             continue
-        bh = bh_step_up(proc.sorted, level)
-        if bh.threshold > cfg.kappa:
+        bh = bh_step_up(proc, level)
+        if bh.threshold > kappa:
             continue
         assert set(bh.rejected.tolist()) == set(res.rejected.tolist())
         checked += 1

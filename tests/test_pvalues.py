@@ -5,32 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dynfdr import (
-    EmpiricalProcesses,
-    MissingTruthLabels,
-    PValueSample,
-    sort_pvalues,
-)
+from dynfdr import MissingTruthLabels, PValueSample, sort_pvalues
 
 from conftest import naive_count
 
 
 def test_sort_basic():
-    sp = sort_pvalues(PValueSample([0.3, 0.1, 0.2]))
-    np.testing.assert_array_equal(sp.ordered, [0.1, 0.2, 0.3])
-    assert sp.order.tolist() == [1, 2, 0]
+    proc = sort_pvalues(PValueSample([0.3, 0.1, 0.2]))
+    np.testing.assert_array_equal(proc.ordered, [0.1, 0.2, 0.3])
+    assert proc.order.tolist() == [1, 2, 0]
 
 
 def test_sort_singleton():
-    sp = sort_pvalues(PValueSample([0.5]))
-    np.testing.assert_array_equal(sp.ordered, [0.5])
-    assert sp.order.tolist() == [0]
+    proc = sort_pvalues(PValueSample([0.5]))
+    np.testing.assert_array_equal(proc.ordered, [0.5])
+    assert proc.order.tolist() == [0]
 
 
 def test_sort_ties_keep_original_order():
-    sp = sort_pvalues(PValueSample([0.2, 0.2]))
-    np.testing.assert_array_equal(sp.ordered, [0.2, 0.2])
-    assert sp.order.tolist() == [0, 1]
+    proc = sort_pvalues(PValueSample([0.2, 0.2]))
+    np.testing.assert_array_equal(proc.ordered, [0.2, 0.2])
+    assert proc.order.tolist() == [0, 1]
 
 
 def test_validation_names_offending_index():
@@ -53,20 +48,20 @@ def test_truth_length_mismatch():
 
 
 def test_boundary_pvalues_accepted():
-    proc = EmpiricalProcesses.from_sample(PValueSample([0.0, 0.5, 1.0]))
+    proc = sort_pvalues(PValueSample([0.0, 0.5, 1.0]))
     assert proc.count_R(0.0) == 1
     assert proc.count_R(1.0) == 3
 
 
 def test_count_R_examples():
-    proc = EmpiricalProcesses.from_sample(PValueSample([0.1, 0.2, 0.3]))
+    proc = sort_pvalues(PValueSample([0.1, 0.2, 0.3]))
     assert proc.count_R(0.2) == 2
     assert proc.count_R(1.0) == 3
     assert proc.count_R(0.05) == 0
 
 
 def test_count_R_domain_error():
-    proc = EmpiricalProcesses.from_sample(PValueSample([0.1]))
+    proc = sort_pvalues(PValueSample([0.1]))
     with pytest.raises(ValueError, match="outside"):
         proc.count_R(1.1)
     with pytest.raises(ValueError, match="outside"):
@@ -74,13 +69,13 @@ def test_count_R_domain_error():
 
 
 def test_count_V_S_examples():
-    proc = EmpiricalProcesses.from_sample(
+    proc = sort_pvalues(
         PValueSample([0.1, 0.9], truth=[False, True])
     )
     assert proc.count_V(0.5) == 0
     assert proc.count_R(0.5) - proc.count_V(0.5) == 1  # S(0.5): the one false null
 
-    proc = EmpiricalProcesses.from_sample(
+    proc = sort_pvalues(
         PValueSample([0.2, 0.4, 0.6], truth=[True, True, True])
     )
     assert proc.count_V(0.5) == 2
@@ -88,7 +83,7 @@ def test_count_V_S_examples():
 
 
 def test_counts_need_labels():
-    proc = EmpiricalProcesses.from_sample(PValueSample([0.1, 0.9]))
+    proc = sort_pvalues(PValueSample([0.1, 0.9]))
     with pytest.raises(MissingTruthLabels):
         proc.count_V(0.5)
 
@@ -98,7 +93,7 @@ def test_count_R_matches_naive_scan():
     for _ in range(10):
         m = int(rng.integers(1, 1000))
         pvals = rng.random(m)
-        proc = EmpiricalProcesses.from_sample(PValueSample(pvals))
+        proc = sort_pvalues(PValueSample(pvals))
         for t in rng.random(100):
             assert proc.count_R(float(t)) == naive_count(pvals, t)
 
@@ -107,7 +102,7 @@ def test_counts_monotone_in_t():
     rng = np.random.default_rng(12)
     pvals = rng.random(200)
     truth = rng.random(200) < 0.7
-    proc = EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
+    proc = sort_pvalues(PValueSample(pvals, truth=truth))
     ts = np.sort(rng.random(50))
     for count in (proc.count_R, proc.count_V):
         values = [count(float(t)) for t in ts]
@@ -120,7 +115,7 @@ def test_V_plus_S_equals_R():
         m = int(rng.integers(2, 300))
         pvals = rng.random(m)
         truth = rng.random(m) < 0.6
-        proc = EmpiricalProcesses.from_sample(PValueSample(pvals, truth=truth))
+        proc = sort_pvalues(PValueSample(pvals, truth=truth))
         for t in rng.random(100):
             t = float(t)
             v = proc.count_V(t)
@@ -132,6 +127,7 @@ def test_arrays_are_immutable():
     sample = PValueSample([0.1, 0.2])
     with pytest.raises(ValueError):
         sample.values[0] = 0.5
-    sp = sort_pvalues(sample)
-    with pytest.raises(ValueError):
-        sp.ordered[0] = 0.9
+    proc = sort_pvalues(PValueSample([0.2, 0.1], truth=[True, False]))
+    for arr in (proc.ordered, proc.order, proc.truth):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import replication_records
+from conftest import replication_records, row
 from dynfdr import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 from dynfdr.simulate import _replications
 from dynfdr.verify import conservative_estimation_check, fdr_control_check
@@ -53,16 +53,16 @@ def test_aggregates_equal_oracle_derived_numbers(name):
 
     table = run_experiment(cfg, (*rules, "bh"))
     for s in (*rules, "bh"):
-        row = table.get(s)
-        assert (row.realized_fdr, row.fdr_se) == close(mean_se(fdp[s]))
+        got = row(table, s)
+        assert (got.realized_fdr, got.fdr_se) == close(mean_se(fdp[s]))
         corrected, corrected_se = mean_se(fdp[s] - fdp["orc"])
-        assert (row.corrected_fdr, row.corrected_fdr_se) == close((corrected + cfg.alpha, corrected_se))
-        assert row.relative_power == close(power[s].mean() / power["orc"].mean())
+        assert (got.corrected_fdr, got.corrected_fdr_se) == close((corrected + cfg.alpha, corrected_se))
+        assert got.relative_power == close(power[s].mean() / power["orc"].mean())
         m0_hat = records[s][:, 3] * cfg.m
-        assert (row.mse_m0, row.mse_m0_se) == close(mean_se((m0_hat - cfg.m0) ** 2))
-        assert row.mean_pi0 == close(records[s][:, 3].mean())
+        assert (got.mse_m0, got.mse_m0_se) == close(mean_se((m0_hat - cfg.m0) ** 2))
+        assert got.mean_pi0 == close(records[s][:, 3].mean())
         if s != "bh":
-            assert (row.mean_lambda, row.mean_lambda_se) == close(mean_se(records[s][:, 2]))
+            assert (got.mean_lambda, got.mean_lambda_se) == close(mean_se(records[s][:, 2]))
 
     checks = {r.check: r for r in fdr_control_check(cfg, rules)}
     for s in rules:
@@ -93,11 +93,11 @@ def test_no_false_nulls_gives_zero_power_and_undefined_relative_power(tmp_path):
     for _, rec in _replications(cfg, specs):
         assert (rec[1] == 0.0).all()
     table = run_experiment(cfg, specs)
-    for row in table.rows:
-        if row.procedure == "orc":
-            assert row.relative_power == 1.0
+    for r in table:
+        if r.procedure == "orc":
+            assert r.relative_power == 1.0
         else:
-            assert math.isnan(row.relative_power)
+            assert math.isnan(r.relative_power)
     out = tmp_path / "null.csv"
     emit_figure_data(table, out)
     rel = {r[1]: r[3:] for r in (line.split(",") for line in out.read_text().splitlines()) if r[2] == "rel_power"}
@@ -110,7 +110,7 @@ def test_one_replication_gives_nan_standard_errors_without_warning():
         warnings.simplefilter("error")
         fdr = fdr_control_check(cfg, ("rb20",))
         conservative = conservative_estimation_check(cfg, ("rb20",))
-        row = run_experiment(cfg, ("rb20",)).get("rb20")
+        rb20 = row(run_experiment(cfg, ("rb20",)), "rb20")
     for r in fdr + conservative:
         assert math.isnan(r.tolerance) and not r.passed
-    assert math.isnan(row.fdr_se) and math.isnan(row.relative_power_se)
+    assert math.isnan(rb20.fdr_se) and math.isnan(rb20.relative_power_se)

@@ -15,13 +15,14 @@ from dynfdr.verify import (
     fdr_control_check,
     format_report,
     lemma2_exact_check,
-    reference_normal_cdf,
     supermartingale_check,
     write_report_csv,
 )
 
+from conftest import reference_normal_cdf
 
-# ------------------------------------------------------- reference normal CDF
+
+# ------------------------------------ reference normal CDF (the oracle in conftest)
 
 
 def test_reference_cdf_known_values():
