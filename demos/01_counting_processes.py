@@ -20,7 +20,7 @@ print(f"\nm = {sample.m} hypotheses, {m0} true nulls, {sample.m - m0} false null
 
 proc = sort_pvalues(sample)
 print("order statistics:", np.round(proc.ordered, 3))
-print("original index of each order statistic:", proc.order)
+print("original index of each order statistic:", np.argsort(sample.values, kind="stable"))
 print("\n t      R(t)  V(t)  S(t)")
 for t in (0.005, 0.05, 0.25, 0.5, 1.0):
     r, v = proc.count_R(t), proc.count_V(t)

@@ -32,7 +32,57 @@ class CliError(Exception):
     """Fatal input problem; message goes to stderr, exit code 1."""
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one line of a p-value file: split at commas and whitespace."""
+    return re.split(r"[,\s]+", line.strip())
+
+
+def _read_one_column(path: str) -> np.ndarray | None:
+    """The values of a one-column p-value file in one ``np.loadtxt`` pass; None when the line parser must decide.
+
+    The lines up to the first p-value get the line parser's own checks:
+    an optional header on line 1, then one field that ``float`` takes.
+    ``loadtxt`` then needs one field on every line, parsed whole by the C
+    routine behind ``float`` (which refuses ``_`` and non-ASCII digits),
+    or it raises.  It breaks lines at LF, CRLF and CR only;
+    the other breaks of ``str.splitlines`` are whitespace to it, so a
+    line they split in two has two fields.
+    """
+    skip = 0
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):  # split at LF alone
+                line = raw.decode("utf-8")
+                if len(line.splitlines()) > 1:
+                    return None
+                fields = _fields(line)
+                if fields == [""]:
+                    continue
+                try:
+                    float(fields[0])
+                except ValueError:
+                    if lineno > 1:
+                        return None
+                    skip = 1  # header line
+                    continue
+                if len(fields) > 1:
+                    return None
+                break
+            else:
+                return None  # no p-values
+        values = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8", ndmin=1)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    return values if ((values >= 0.0) & (values <= 1.0)).all() else None
+
+
 def _read_pvalue_file(path: str) -> PValueSample:
+    """The sample in ``path``: one vectorised read where that is exact, else the line parser."""
+    values = _read_one_column(path)
+    return _parse_pvalue_lines(path) if values is None else PValueSample(values)
+
+
+def _parse_pvalue_lines(path: str) -> PValueSample:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -44,7 +94,7 @@ def _read_pvalue_file(path: str) -> PValueSample:
         line = raw.strip()
         if not line:
             continue
-        fields = re.split(r"[,\s]+", line)
+        fields = _fields(line)
         try:
             p = float(fields[0])
         except ValueError:
@@ -147,7 +197,7 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         f"threshold: {res.threshold:.12g}",
         f"fdr_estimate_at_threshold: {res.fdr_estimate_at_threshold:.12g}",
         f"n_rejected: {res.n_rejected}",
-        "rejected_indices: " + (" ".join(str(i) for i in res.rejected) if res.n_rejected else "-"),
+        "rejected_indices: " + (" ".join(map(str, res.rejected.tolist())) if res.n_rejected else "-"),
         f"flags: {flags}",
     ]
     out = "\n".join(lines) + "\n"
@@ -275,6 +325,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.out:
+        _probe_out(args.out)  # before the suites, not after them
     results = []
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     for suite in suites:

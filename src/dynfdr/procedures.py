@@ -55,8 +55,7 @@ def _processes(sample: PValueSample | EmpiricalProcesses) -> EmpiricalProcesses:
 
 
 def _rejection_set(proc: EmpiricalProcesses, threshold: float) -> np.ndarray:
-    n = int(np.searchsorted(proc.ordered, threshold, side="right"))
-    return np.sort(proc.order[:n])
+    return np.flatnonzero(proc.values <= threshold)
 
 
 def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:

@@ -78,23 +78,22 @@ class PValueSample:
 class EmpiricalProcesses:
     """A sorted sample and evaluators for the counting processes R(t) and V(t).
 
-    ``ordered[r]`` is the (r+1)-th order statistic and ``order[r]`` the
-    original index it came from; ties keep their original relative order.
-    ``truth`` holds the sample's labels by original index, or None.
-    R(t) counts all p-values at or below t; V counts the true-null subset
-    and is only defined when truth labels are present.  Counting is a
-    binary search on the sorted values.  Built by ``sort_pvalues``, whose
-    arrays are read-only, so any number of concurrent readers is safe.
+    ``ordered[r]`` is the (r+1)-th order statistic; ``values`` and
+    ``truth`` are the sample's values and labels by original index (truth
+    None when unlabelled).  R(t) counts all p-values at or below t; V
+    counts the true-null subset and is only defined when truth labels are
+    present.  Counting is a binary search on the sorted values.  Built by
+    ``sort_pvalues``, whose arrays are read-only, so any number of
+    concurrent readers is safe.
     """
 
     ordered: np.ndarray
-    order: np.ndarray
+    values: np.ndarray
     truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.truth is not None:
-            # truth is indexed by original position; realign to rank order
-            object.__setattr__(self, "_null_ordered", _read_only(self.ordered[self.truth[self.order]]))
+            object.__setattr__(self, "_null_ordered", _read_only(np.sort(self.values[self.truth])))
 
     @property
     def m(self) -> int:
@@ -114,6 +113,13 @@ class EmpiricalProcesses:
 
 
 def sort_pvalues(sample: PValueSample) -> EmpiricalProcesses:
-    """Sort a sample, stably, so ties keep input order; it keeps the sample's labels."""
-    order = np.argsort(sample.values, kind="stable")
-    return EmpiricalProcesses(_read_only(sample.values[order]), _read_only(order), sample.truth)
+    """Sort a sample's values; the result keeps the sample's values and labels.
+
+    The zeros come first in input order, so a -0.0 sits where a stable
+    sort puts it: it compares equal to 0.0 but prints as ``-0``.
+    """
+    ordered = np.sort(sample.values)
+    if ordered[0] == 0.0:
+        zeros = sample.values[sample.values == 0.0]
+        ordered[: zeros.size] = zeros
+    return EmpiricalProcesses(_read_only(ordered), sample.values, sample.truth)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +41,13 @@ def normal_cdf(x):
     return special.ndtr(x)
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BlockAR:
     """Within-block AR(1) dependence: corr(Z_i, Z_j) = rho^|i-j|."""
@@ -48,9 +56,10 @@ class BlockAR:
     rho: float
 
     def __post_init__(self) -> None:
-        if int(self.block_size) < 1:
-            raise ValueError(f"block_size={self.block_size} must be >= 1")
-        object.__setattr__(self, "block_size", int(self.block_size))
+        block_size = _check_integer("block_size", self.block_size)
+        if block_size < 1:
+            raise ValueError(f"block_size={block_size} must be >= 1")
+        object.__setattr__(self, "block_size", block_size)
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho={self.rho} outside (-1, 1)")
 
@@ -77,18 +86,16 @@ class ScenarioConfig:
     signal_placement: str = "head"
 
     def __post_init__(self) -> None:
-        if int(self.m) < 1:
-            raise ValueError(f"m={self.m} must be >= 1")
-        object.__setattr__(self, "m", int(self.m))
+        for name, low in (("m", 1), ("n_reps", 1), ("seed", 0)):
+            value = _check_integer(name, getattr(self, name))
+            if value < low:
+                raise ValueError(f"{name}={value} must be >= {low}")
+            object.__setattr__(self, name, value)
+        if isinstance(self.pi0, bool):
+            raise ValueError(f"pi0={self.pi0!r} is not a number")
         check_proportion("pi0", self.pi0)
         if self.mu < 0.0:
             raise ValueError(f"mu={self.mu} must be >= 0")
-        if int(self.n_reps) < 1:
-            raise ValueError(f"n_reps={self.n_reps} must be >= 1")
-        object.__setattr__(self, "n_reps", int(self.n_reps))
-        if int(self.seed) < 0:
-            raise ValueError(f"seed={self.seed} must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
         check_open_unit("alpha", self.alpha)
         kappa = self.alpha if self.kappa is None else self.kappa
         object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))

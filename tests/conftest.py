@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,53 @@ def naive_count(pvals, t):
 
 def naive_rejection_set(pvals, threshold):
     return {i for i, p in enumerate(pvals) if p <= threshold}
+
+
+def read_pvalue_lines(path):
+    """The p-value file reader, one line at a time: the oracle of ``cli._read_pvalue_file``.
+
+    Lines are ``str.splitlines`` of the UTF-8 text; a first line whose
+    first field is not a float is a header; each line holds a p-value in
+    [0, 1] and, in every line or in none, a 0/1 truth label (1 = true
+    null); fields split at commas and whitespace.
+    """
+    from dynfdr import PValueSample
+    from dynfdr.cli import CliError
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    values, labels, has_labels = [], [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = re.split(r"[,\s]+", line)
+        try:
+            p = float(fields[0])
+        except ValueError:
+            if lineno == 1 and not values:
+                continue
+            raise CliError(f"line {lineno}: cannot parse p-value from {raw!r}") from None
+        if not 0.0 <= p <= 1.0:
+            raise CliError(f"line {lineno}: p-value {p} outside [0, 1]")
+        if len(fields) > 2:
+            raise CliError(f"line {lineno}: expected at most 2 columns, got {len(fields)}")
+        row_has_label = len(fields) == 2
+        if has_labels is None:
+            has_labels = row_has_label
+        elif has_labels != row_has_label:
+            raise CliError(f"line {lineno}: inconsistent column count (truth labels must be all-or-none)")
+        if row_has_label:
+            if fields[1] not in ("0", "1"):
+                raise CliError(f"line {lineno}: truth label must be 0 or 1, got {fields[1]!r}")
+            labels.append(fields[1] == "1")
+        values.append(p)
+    if not values:
+        raise CliError(f"no p-values found in {path}")
+    truth = np.asarray(labels, dtype=bool) if has_labels else None
+    return PValueSample(values=np.asarray(values, dtype=float), truth=truth)
 
 
 def row(rows, procedure, scenario=None):

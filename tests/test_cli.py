@@ -71,6 +71,16 @@ def test_analyze_empty_file(tmp_path, capsys):
     assert "no p-values" in capsys.readouterr().err
 
 
+def test_analyze_threshold_keeps_the_sign_of_a_zero(tmp_path, capsys):
+    # bh cuts at the tenth zero in input order, a -0; a value sort alone may put a 0 there
+    path = tmp_path / "pvals.txt"
+    path.write_text("0\n-0\n" * 5 + "0.9\n" * 10)
+    assert run_cli(["analyze", str(path), "--procedure", "bh"]) == 0
+    out = capsys.readouterr().out
+    assert "threshold: -0\n" in out
+    assert "rejected_indices: 0 1 2 3 4 5 6 7 8 9\n" in out
+
+
 def test_analyze_bad_spec_is_usage_error(four_pvalues, capsys):
     code = run_cli(["analyze", str(four_pvalues), "--procedure", "bogus"])
     err = capsys.readouterr().err
@@ -165,9 +175,10 @@ def test_unwritable_out_is_one_line_error(four_pvalues, sim_config, tmp_path, ca
     out = tmp_path / "missing" / "out.txt"
     args = [a.format(pvalues=four_pvalues, config=sim_config) for a in command]
     code = run_cli([*args, "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""  # the path is checked before any work is done or reported
 
 
 @pytest.fixture()

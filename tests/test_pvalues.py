@@ -13,19 +13,20 @@ from conftest import naive_count
 def test_sort_basic():
     proc = sort_pvalues(PValueSample([0.3, 0.1, 0.2]))
     np.testing.assert_array_equal(proc.ordered, [0.1, 0.2, 0.3])
-    assert proc.order.tolist() == [1, 2, 0]
+    assert proc.values.tolist() == [0.3, 0.1, 0.2]
 
 
 def test_sort_singleton():
     proc = sort_pvalues(PValueSample([0.5]))
     np.testing.assert_array_equal(proc.ordered, [0.5])
-    assert proc.order.tolist() == [0]
+    assert proc.values.tolist() == [0.5]
 
 
 def test_sort_ties_keep_original_order():
-    proc = sort_pvalues(PValueSample([0.2, 0.2]))
-    np.testing.assert_array_equal(proc.ordered, [0.2, 0.2])
-    assert proc.order.tolist() == [0, 1]
+    # -0.0 == 0.0, so only the signs of the zeros show the order of a tie
+    proc = sort_pvalues(PValueSample([0.2, 0.0, -0.0, 0.2, 0.0]))
+    np.testing.assert_array_equal(proc.ordered, [0.0, 0.0, 0.0, 0.2, 0.2])
+    assert np.signbit(proc.ordered).tolist() == [False, True, False, False, False]
 
 
 def test_validation_names_offending_index():
@@ -128,6 +129,6 @@ def test_arrays_are_immutable():
     with pytest.raises(ValueError):
         sample.values[0] = 0.5
     proc = sort_pvalues(PValueSample([0.2, 0.1], truth=[True, False]))
-    for arr in (proc.ordered, proc.order, proc.truth):
+    for arr in (proc.ordered, proc.values, proc.truth):
         with pytest.raises(ValueError):
             arr[0] = arr[1]

@@ -44,6 +44,36 @@ def test_config_validation():
         BlockAR(block_size=50, rho=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 100.9), ("m", True), ("n_reps", 3.5), ("n_reps", "3"), ("seed", 1.0), ("seed", np.float64(1))],
+)
+def test_config_sizes_must_be_integers(field, value):
+    good = dict(m=100, pi0=0.8, mu=1.0, n_reps=3, seed=1)
+    with pytest.raises(ValueError, match=f"{field}=.* is not an integer"):
+        ScenarioConfig(**{**good, field: value})
+
+
+def test_config_pi0_must_not_be_a_bool():
+    with pytest.raises(ValueError, match="pi0=True is not a number"):
+        ScenarioConfig(m=100, pi0=True, mu=1.0, n_reps=3, seed=1)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+def test_block_size_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="block_size=.* is not an integer"):
+        BlockAR(block_size=value, rho=0.5)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    cfg = ScenarioConfig(
+        m=np.int64(100), pi0=0.8, mu=1.0, n_reps=np.int32(3), seed=np.uint8(1), dependence=BlockAR(np.int16(10), 0.5)
+    )
+    assert (cfg.m, cfg.n_reps, cfg.seed, cfg.dependence.block_size) == (100, 3, 1, 10)
+    assert all(type(v) is int for v in (cfg.m, cfg.n_reps, cfg.seed, cfg.dependence.block_size))
+    assert cfg.label == "m=100;pi0=0.8;mu=1;dep=ar10rho0.5"
+
+
 def test_null_false_split_rounds():
     cfg = ScenarioConfig(m=10, pi0=0.95, mu=1.0, n_reps=1, seed=1)
     assert cfg.m0 == 10 and cfg.m1 == 0
