@@ -12,7 +12,6 @@ from dynfdr import (
     FixedRule,
     KQuantileRule,
     LowestSlopeRule,
-    PValueSample,
     RightBoundaryQuantileRule,
     RightBoundaryRule,
     generate_statistics,
@@ -24,8 +23,7 @@ from dynfdr import (
 KAPPA = 0.05
 
 cfg = ScenarioConfig(m=2000, pi0=0.8, mu=1.5, n_reps=1, seed=424242)
-sample = generate_statistics(cfg, 0)
-proc = sort_pvalues(sample)
+proc = generate_statistics(cfg, 0)
 print(f"one replication: m = {cfg.m}, true pi0 = {cfg.pi0}, effect size mu = {cfg.mu}")
 
 print("\nrule                      lambda   pi0*     candidates examined")
@@ -55,6 +53,6 @@ for lam, value in est.trace:
 print(f"  stopped at lambda = {est.lam:.2f}, pi0* = {est.value:.4f}")
 
 # Degenerate inputs fall back gracefully and say so.
-tiny = sort_pvalues(PValueSample([0.001, 0.002, 0.004]))
+tiny = sort_pvalues([0.001, 0.002, 0.004])
 est = RightBoundaryQuantileRule(TWENTY_BIN_GRID, KAPPA).select(tiny)
 print(f"\nall p-values below kappa: lambda = {est.lam}, flags = {est.flags}")

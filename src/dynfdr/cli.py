@@ -19,7 +19,7 @@ import numpy as np
 from . import verify as verify_mod
 from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import PValueSample
+from .pvalues import EmpiricalProcesses, sort_pvalues
 from .selection import SPEC_HELP, parse_rule_spec
 from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
@@ -76,16 +76,16 @@ def _read_one_column(path: str) -> np.ndarray | None:
     return values if ((values >= 0.0) & (values <= 1.0)).all() else None
 
 
-def _read_pvalue_file(path: str) -> PValueSample:
-    """The sample in ``path``: one vectorised read where that is exact, else the line parser."""
+def _read_pvalue_file(path: str) -> EmpiricalProcesses:
+    """The sorted sample in ``path``: one vectorised read where that is exact, else the line parser."""
     values = _read_one_column(path)
-    return _parse_pvalue_lines(path) if values is None else PValueSample(values)
+    return _parse_pvalue_lines(path) if values is None else sort_pvalues(values)
 
 
-def _parse_pvalue_lines(path: str) -> PValueSample:
+def _parse_pvalue_lines(path: str) -> EmpiricalProcesses:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
     labels: list[bool] = []
@@ -117,8 +117,7 @@ def _parse_pvalue_lines(path: str) -> PValueSample:
         values.append(p)
     if not values:
         raise CliError(f"no p-values found in {path}")
-    truth = np.asarray(labels, dtype=bool) if has_labels else None
-    return PValueSample(values=np.asarray(values, dtype=float), truth=truth)
+    return sort_pvalues(values, labels if has_labels else None)
 
 
 def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> list:
@@ -178,9 +177,9 @@ def _flag_type(name: str, check):
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kappa = args.alpha if args.kappa is None else args.kappa
     (rule,) = _check_specs([args.procedure], kappa, parser)
-    sample = _read_pvalue_file(args.input)
+    proc = _read_pvalue_file(args.input)
     try:
-        res = run_procedure(rule, sample, args.alpha, pi0=args.pi0)
+        res = run_procedure(rule, proc, args.alpha, pi0=args.pi0)
     except ValueError as exc:  # the arguments were checked above, so the data is at fault
         raise CliError(str(exc)) from exc
 
@@ -188,12 +187,12 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     flags = ",".join(res.pi0.flags) if res.pi0.flags else "-"
     lines = [
         f"procedure: {args.procedure}",
-        f"m: {sample.m}",
+        f"m: {proc.m}",
         f"alpha: {args.alpha:g}",
         f"kappa: {kappa:g}",
         f"lambda: {lam:g}",
         f"pi0_star: {pi0_star:.12g}",
-        f"m0_hat: {pi0_star * sample.m:.12g}",
+        f"m0_hat: {pi0_star * proc.m:.12g}",
         f"threshold: {res.threshold:.12g}",
         f"fdr_estimate_at_threshold: {res.fdr_estimate_at_threshold:.12g}",
         f"n_rejected: {res.n_rejected}",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Pi0Estimate, check_open_unit, check_proportion, fdr_hat_star
-from .pvalues import EmpiricalProcesses, MissingTruthLabels, PValueSample, sort_pvalues
+from .pvalues import EmpiricalProcesses, MissingTruthLabels
 from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
 __all__ = [
@@ -48,10 +48,6 @@ class ProcedureResult:
     @property
     def n_rejected(self) -> int:
         return int(self.rejected.size)
-
-
-def _processes(sample: PValueSample | EmpiricalProcesses) -> EmpiricalProcesses:
-    return sample if isinstance(sample, EmpiricalProcesses) else sort_pvalues(sample)
 
 
 def _rejection_set(proc: EmpiricalProcesses, threshold: float) -> np.ndarray:
@@ -102,11 +98,8 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     return float(head[int(passing[-1])])
 
 
-def dynamic_adaptive(
-    sample: PValueSample | EmpiricalProcesses, rule: LambdaRule, alpha: float
-) -> ProcedureResult:
+def dynamic_adaptive(proc: EmpiricalProcesses, rule: LambdaRule, alpha: float) -> ProcedureResult:
     """Select lambda, estimate pi0, threshold the truncated FDR estimate at ``rule.kappa``."""
-    proc = _processes(sample)
     est = rule.select(proc)
     threshold = threshold_functional(proc, est.value, alpha, rule.kappa)
     rejected = _rejection_set(proc, threshold)
@@ -115,10 +108,7 @@ def dynamic_adaptive(
 
 
 def run_procedure(
-    rule: LambdaRule | StepUpRule,
-    sample: PValueSample | EmpiricalProcesses,
-    alpha: float,
-    pi0: float | None = None,
+    rule: LambdaRule | StepUpRule, proc: EmpiricalProcesses, alpha: float, pi0: float | None = None
 ) -> ProcedureResult:
     """Run a procedure given as a rule that parse_rule_spec returned.
 
@@ -126,7 +116,6 @@ def run_procedure(
     given explicitly or derived from truth labels); every lambda rule is
     fed to the dynamic adaptive pipeline at its own kappa.
     """
-    proc = _processes(sample)
     if rule == BH:
         return bh_step_up(proc, alpha)
     if rule == ORACLE:

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "MissingTruthLabels",
-    "PValueSample",
     "EmpiricalProcesses",
     "sort_pvalues",
 ]
@@ -29,17 +28,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_pvalue_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("p-value sample must be a nonempty 1-d sequence")
-    bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"p-value at index {i} is {arr[i]!r}, outside [0, 1]")
-    return _read_only(arr.copy())
-
-
 def _check_threshold(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -48,52 +36,22 @@ def _check_threshold(t: float) -> float:
 
 
 @dataclass(frozen=True)
-class PValueSample:
-    """The m observed p-values, optionally labelled with ground truth.
-
-    ``truth[i]`` is True when hypothesis i is a true null (uniform p-value)
-    and False when it is a false null.  Labels exist only in simulations;
-    real data leaves ``truth`` as None.
-    """
-
-    values: np.ndarray
-    truth: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_pvalue_array(self.values))
-        if self.truth is not None:
-            truth = np.asarray(self.truth, dtype=bool)
-            if truth.shape != self.values.shape:
-                raise ValueError(
-                    f"truth labels have length {truth.size}, expected {self.values.size}"
-                )
-            object.__setattr__(self, "truth", _read_only(truth.copy()))
-
-    @property
-    def m(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class EmpiricalProcesses:
-    """A sorted sample and evaluators for the counting processes R(t) and V(t).
+    """The m observed p-values, sorted, and the counting processes R(t) and V(t).
 
     ``ordered[r]`` is the (r+1)-th order statistic; ``values`` and
-    ``truth`` are the sample's values and labels by original index (truth
-    None when unlabelled).  R(t) counts all p-values at or below t; V
-    counts the true-null subset and is only defined when truth labels are
-    present.  Counting is a binary search on the sorted values.  Built by
-    ``sort_pvalues``, whose arrays are read-only, so any number of
-    concurrent readers is safe.
+    ``truth`` are the p-values and labels by original index.  ``truth[i]``
+    is True when hypothesis i is a true null (uniform p-value) and False
+    when it is a false null; labels exist only in simulations, so real
+    data leaves ``truth`` None.  R(t) counts all p-values at or below t
+    by binary search on the sorted values; V(t) counts the true-null
+    subset and needs truth labels.  Built by ``sort_pvalues``, whose
+    arrays are read-only, so any number of concurrent readers is safe.
     """
 
     ordered: np.ndarray
     values: np.ndarray
     truth: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.truth is not None:
-            object.__setattr__(self, "_null_ordered", _read_only(np.sort(self.values[self.truth])))
 
     @property
     def m(self) -> int:
@@ -109,17 +67,34 @@ class EmpiricalProcesses:
         t = _check_threshold(t)
         if self.truth is None:
             raise MissingTruthLabels("V(t) needs truth labels, sample has none")
-        return int(np.searchsorted(self._null_ordered, t, side="right"))
+        return int(np.count_nonzero(self.values[self.truth] <= t))
 
 
-def sort_pvalues(sample: PValueSample) -> EmpiricalProcesses:
-    """Sort a sample's values; the result keeps the sample's values and labels.
+def sort_pvalues(
+    values: Sequence[float] | np.ndarray, truth: Sequence[bool] | np.ndarray | None = None
+) -> EmpiricalProcesses:
+    """Check, copy and sort p-values and their optional truth labels.
 
-    The zeros come first in input order, so a -0.0 sits where a stable
-    sort puts it: it compares equal to 0.0 but prints as ``-0``.
+    ``values`` must be a nonempty 1-d sequence in [0, 1] and ``truth``,
+    when given, hold one label per value.  The zeros come first in input
+    order, so a -0.0 sits where a stable sort puts it: it compares equal
+    to 0.0 but prints as ``-0``.
     """
-    ordered = np.sort(sample.values)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("p-value sample must be a nonempty 1-d sequence")
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"p-value at index {i} is {values[i]!r}, outside [0, 1]")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=bool)
+        if truth.shape != values.shape:
+            raise ValueError(f"truth labels have length {truth.size}, expected {values.size}")
+        truth = _read_only(truth.copy())
+    values = _read_only(values.copy())
+    ordered = np.sort(values)
     if ordered[0] == 0.0:
-        zeros = sample.values[sample.values == 0.0]
+        zeros = values[values == 0.0]
         ordered[: zeros.size] = zeros
-    return EmpiricalProcesses(_read_only(ordered), sample.values, sample.truth)
+    return EmpiricalProcesses(_read_only(ordered), values, truth)

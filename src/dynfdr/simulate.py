@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import PValueSample, sort_pvalues
+from .pvalues import EmpiricalProcesses, sort_pvalues
 from .selection import parse_rule_spec
 
 __all__ = [
@@ -136,8 +136,8 @@ def _standard_noise(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray
     return z.reshape(-1)[: cfg.m]
 
 
-def generate_statistics(cfg: ScenarioConfig, replication: int) -> PValueSample:
-    """Draw one replication: labelled one-sided p-values p_i = 1 - Phi(X_i).
+def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProcesses:
+    """Draw one replication: labelled one-sided p-values p_i = 1 - Phi(X_i), sorted.
 
     True-null statistics are standard normal, false nulls get a +mu mean
     shift.  The replication substream is a pure function of
@@ -157,7 +157,7 @@ def generate_statistics(cfg: ScenarioConfig, replication: int) -> PValueSample:
         x[positions] += cfg.mu
         truth[positions] = False
     pvals = normal_cdf(-x)
-    return PValueSample(values=pvals, truth=truth)
+    return sort_pvalues(pvals, truth)
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,9 @@ def _ratio_of_means_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
     """The one replication loop behind ``run_experiment`` and the Monte Carlo checks.
 
-    Parses each spec once, then per replication j, in order: draw, sort,
-    run every rule once.  Yields
-    that replication's EmpiricalProcesses and a (4, len(specs)) array whose
+    Parses each spec once, then per replication j, in order: draw the
+    sorted sample, run every rule once.  Yields that replication's
+    EmpiricalProcesses and a (4, len(specs)) array whose
     rows are FDP = V/(R v 1), power = S/m1 (0 when m1 = 0), the chosen
     lambda and the pi0 used.  ``np.stack(..., axis=-1)`` of the arrays
     gives each quantity as one contiguous series per spec.
@@ -214,13 +214,12 @@ def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
     m1 = cfg.m1
     rules = [parse_rule_spec(s, cfg.kappa) for s in specs]
     for j in range(cfg.n_reps):
-        sample = generate_statistics(cfg, j)
-        proc = sort_pvalues(sample)
+        proc = generate_statistics(cfg, j)
         rec = np.empty((4, len(rules)))
         for i, rule in enumerate(rules):
             res = run_procedure(rule, proc, cfg.alpha, pi0=cfg.pi0)
             n_rej = res.n_rejected
-            v = int(np.count_nonzero(sample.truth[res.rejected]))
+            v = int(np.count_nonzero(proc.truth[res.rejected]))
             power = (n_rej - v) / m1 if m1 > 0 else 0.0
             rec[:, i] = (v / max(n_rej, 1), power, res.pi0.lam, res.pi0.value)
         yield proc, rec

@@ -30,12 +30,12 @@ def read_pvalue_lines(path):
     [0, 1] and, in every line or in none, a 0/1 truth label (1 = true
     null); fields split at commas and whitespace.
     """
-    from dynfdr import PValueSample
+    from dynfdr import sort_pvalues
     from dynfdr.cli import CliError
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values, labels, has_labels = [], [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -65,8 +65,7 @@ def read_pvalue_lines(path):
         values.append(p)
     if not values:
         raise CliError(f"no p-values found in {path}")
-    truth = np.asarray(labels, dtype=bool) if has_labels else None
-    return PValueSample(values=np.asarray(values, dtype=float), truth=truth)
+    return sort_pvalues(values, labels if has_labels else None)
 
 
 def row(rows, procedure, scenario=None):
@@ -139,24 +138,23 @@ def random_mixture_pvalues(rng, m, null_fraction=0.7, rate=8.0):
 
 
 def replication_records(cfg, specs):
-    """The per-replication loop written out: generate -> sort -> run_procedure -> FDP/power/pi0.
+    """The per-replication loop written out: generate the sorted sample -> run_procedure -> FDP/power/pi0.
 
     Returns ``(records, v_kappa)``: ``records[s]`` is a (J, 4) array of
     (FDP, power, lambda, pi0) per replication for spec ``s``, ``v_kappa``
     the naive count of true nulls at or below kappa per replication.
     """
-    from dynfdr import generate_statistics, parse_rule_spec, run_procedure, sort_pvalues
+    from dynfdr import generate_statistics, parse_rule_spec, run_procedure
 
     rules = {s: parse_rule_spec(s, cfg.kappa) for s in specs}
     records = {s: np.empty((cfg.n_reps, 4)) for s in specs}
     v_kappa = np.empty(cfg.n_reps)
     for j in range(cfg.n_reps):
-        sample = generate_statistics(cfg, j)
-        proc = sort_pvalues(sample)
-        v_kappa[j] = naive_count(sample.values[sample.truth], cfg.kappa)
+        proc = generate_statistics(cfg, j)
+        v_kappa[j] = naive_count(proc.values[proc.truth], cfg.kappa)
         for s in specs:
             res = run_procedure(rules[s], proc, cfg.alpha, pi0=cfg.pi0)
-            v = sum(1 for i in res.rejected if sample.truth[i])
+            v = sum(1 for i in res.rejected if proc.truth[i])
             r = len(res.rejected)
             power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0
             records[s][j] = (v / max(r, 1), power, res.pi0.lam, res.pi0.value)

@@ -15,7 +15,6 @@ import pytest
 
 from dynfdr import (
     BlockAR,
-    PValueSample,
     ScenarioConfig,
     cli,
     generate_statistics,
@@ -187,7 +186,7 @@ def test_criterion_09_threshold_oracle_equivalence():
         alpha = float(rng.uniform(0.02, 0.3))
         kappa = float(rng.uniform(0.02, 0.4))
         pi0_star = float(rng.uniform(0.05, 2.0))
-        proc = sort_pvalues(PValueSample(pvals))
+        proc = sort_pvalues(pvals)
         t_impl = threshold_functional(proc, pi0_star, alpha, kappa)
         t_oracle = brute_force_threshold(pvals, pi0_star, alpha, kappa)
         if naive_rejection_set(pvals, t_impl) != naive_rejection_set(pvals, t_oracle):
@@ -205,8 +204,7 @@ def test_criterion_10_conservative_under_null():
     estimates = {rule: np.empty(cfg.n_reps) for rule in rules}
     parsed = {rule: parse_rule_spec(rule, cfg.kappa) for rule in rules}
     for j in range(cfg.n_reps):
-        sample = generate_statistics(cfg, j)
-        proc = sort_pvalues(sample)
+        proc = generate_statistics(cfg, j)
         for rule in rules:
             estimates[rule][j] = run_procedure(parsed[rule], proc, cfg.alpha, pi0=1.0).pi0.value
     ok = True

@@ -71,6 +71,15 @@ def test_analyze_empty_file(tmp_path, capsys):
     assert "no p-values" in capsys.readouterr().err
 
 
+def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "pvals.txt"
+    path.write_bytes(b"0.5\n\xff0.3\n")
+    code = run_cli(["analyze", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_analyze_threshold_keeps_the_sign_of_a_zero(tmp_path, capsys):
     # bh cuts at the tenth zero in input order, a -0; a value sort alone may put a 0 there
     path = tmp_path / "pvals.txt"

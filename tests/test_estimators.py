@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dynfdr import (
-    PValueSample,
     fdr_hat_star,
     pi0_storey,
     pi0_storey_plus,
@@ -14,47 +13,43 @@ from dynfdr import (
 )
 
 
-def processes(pvals):
-    return sort_pvalues(PValueSample(pvals))
-
-
 def test_pi0_storey_direct_substitution():
     # m = 10 with R(0.5) = 6
-    proc = processes([0.1] * 6 + [0.6] * 4)
+    proc = sort_pvalues([0.1] * 6 + [0.6] * 4)
     assert pi0_storey(proc, 0.5) == pytest.approx(0.8)
 
 
 def test_pi0_storey_all_below_lambda():
-    proc = processes([0.1, 0.2, 0.3])
+    proc = sort_pvalues([0.1, 0.2, 0.3])
     assert pi0_storey(proc, 0.5) == 0.0
 
 
 def test_pi0_storey_above_one_is_legal():
     # m = 4 with R(0.75) = 1
-    proc = processes([0.1, 0.8, 0.9, 0.95])
+    proc = sort_pvalues([0.1, 0.8, 0.9, 0.95])
     assert pi0_storey(proc, 0.75) == pytest.approx(3.0)
 
 
 def test_pi0_storey_plus_direct_substitution():
-    proc = processes([0.1] * 6 + [0.6] * 4)
+    proc = sort_pvalues([0.1] * 6 + [0.6] * 4)
     assert pi0_storey_plus(proc, 0.5) == pytest.approx(1.0)
 
 
 def test_pi0_storey_plus_floor():
-    proc = processes([0.1] * 10)
+    proc = sort_pvalues([0.1] * 10)
     assert pi0_storey_plus(proc, 0.5) == pytest.approx(0.2)
     assert pi0_storey_plus(proc, 0.5) > 0.0
 
 
 def test_pi0_storey_plus_hand_value():
     # m = 8 with R(0.25) = 3
-    proc = processes([0.1] * 3 + [0.3] * 5)
+    proc = sort_pvalues([0.1] * 3 + [0.3] * 5)
     assert pi0_storey_plus(proc, 0.25) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("fn", [pi0_storey, pi0_storey_plus])
 def test_lambda_domain(fn):
-    proc = processes([0.1, 0.2])
+    proc = sort_pvalues([0.1, 0.2])
     fn(proc, 0.0)  # lambda = 0 is legal
     with pytest.raises(ValueError):
         fn(proc, 1.0)
@@ -66,7 +61,7 @@ def test_plus_minus_gap_is_exact():
     rng = np.random.default_rng(21)
     for _ in range(20):
         m = int(rng.integers(1, 200))
-        proc = processes(rng.random(m))
+        proc = sort_pvalues(rng.random(m))
         for lam in np.arange(0.0, 1.0, 0.05):
             lam = float(lam)
             gap = pi0_storey_plus(proc, lam) - pi0_storey(proc, lam)
@@ -75,22 +70,22 @@ def test_plus_minus_gap_is_exact():
 
 def test_fdr_hat_star_direct():
     # m = 100, R(0.01) = 5
-    proc = processes([0.005] * 5 + [0.5] * 95)
+    proc = sort_pvalues([0.005] * 5 + [0.5] * 95)
     assert fdr_hat_star(proc, 0.5, 0.01, 0.05) == pytest.approx(0.1)
 
 
 def test_fdr_hat_star_is_one_beyond_kappa():
-    proc = processes([0.005, 0.5])
+    proc = sort_pvalues([0.005, 0.5])
     assert fdr_hat_star(proc, 0.5, 0.1, 0.05) == 1.0
 
 
 def test_fdr_hat_star_zero_at_zero():
-    proc = processes([0.3, 0.6])
+    proc = sort_pvalues([0.3, 0.6])
     assert fdr_hat_star(proc, 1.2, 0.0, 0.05) == 0.0
 
 
 def test_fdr_hat_star_domain():
-    proc = processes([0.3])
+    proc = sort_pvalues([0.3])
     with pytest.raises(ValueError):
         fdr_hat_star(proc, 0.0, 0.01, 0.05)
     with pytest.raises(ValueError):
@@ -102,7 +97,7 @@ def test_fdr_hat_star_nondecreasing_between_order_statistics():
     kappa = 0.3
     for _ in range(10):
         pvals = np.sort(rng.random(30))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         cuts = [0.0] + [p for p in pvals if p <= kappa] + [kappa]
         for a, b in zip(cuts, cuts[1:]):
             ts = np.linspace(a, b, 6)[:-1]  # stay left of the next jump
@@ -112,7 +107,7 @@ def test_fdr_hat_star_nondecreasing_between_order_statistics():
 
 def test_config_validation():
     # the FDR estimate checks the rejection-region bound it is handed
-    proc = processes([0.3])
+    proc = sort_pvalues([0.3])
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError, match=f"kappa={bad} outside"):
             fdr_hat_star(proc, 1.0, 0.01, bad)
@@ -126,7 +121,7 @@ def test_plus_estimator_conservative_under_null():
     counts = (rng.random((reps, m))[:, :, None] <= lambdas).sum(axis=1)
     estimates = (m - counts + 1) / ((1.0 - lambdas) * m)
     # spot-check the vectorized formula against the library function
-    proc = processes(rng.random(m))
+    proc = sort_pvalues(rng.random(m))
     for lam in (0.05, 0.5, 0.95):
         r = proc.count_R(float(lam))
         assert pi0_storey_plus(proc, float(lam)) == pytest.approx((m - r + 1) / ((1 - lam) * m))

@@ -9,7 +9,6 @@ from dynfdr import (
     FixedRule,
     LowestSlopeRule,
     MissingTruthLabels,
-    PValueSample,
     RightBoundaryRule,
     TWENTY_BIN_GRID,
     bh_step_up,
@@ -24,10 +23,6 @@ from dynfdr import (
 from conftest import brute_force_threshold, naive_rejection_set, random_mixture_pvalues
 
 
-def processes(pvals, truth=None):
-    return sort_pvalues(PValueSample(pvals, truth=truth))
-
-
 def rule(spec, kappa=0.05):
     return parse_rule_spec(spec, kappa)
 
@@ -36,7 +31,7 @@ def rule(spec, kappa=0.05):
 
 
 def test_bh_hand_enumeration():
-    proc = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
+    proc = sort_pvalues([0.01, 0.02, 0.5, 0.9])
     res = bh_step_up(proc, 0.05)
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
@@ -45,14 +40,14 @@ def test_bh_hand_enumeration():
 
 
 def test_bh_nothing_passes():
-    proc = sort_pvalues(PValueSample([1.0, 1.0, 1.0]))
+    proc = sort_pvalues([1.0, 1.0, 1.0])
     res = bh_step_up(proc, 0.05)
     assert res.threshold == 0.0
     assert res.n_rejected == 0
 
 
 def test_bh_inflated_level():
-    proc = sort_pvalues(PValueSample([0.01, 0.02, 0.5, 0.9]))
+    proc = sort_pvalues([0.01, 0.02, 0.5, 0.9])
     res = bh_step_up(proc, 0.05, pi0_target=0.5)
     assert res.threshold == 0.02
     assert res.rejected.tolist() == [0, 1]
@@ -60,19 +55,19 @@ def test_bh_inflated_level():
 
 
 def test_bh_level_capped_at_one():
-    proc = sort_pvalues(PValueSample([0.2, 0.9, 1.0]))
+    proc = sort_pvalues([0.2, 0.9, 1.0])
     res = bh_step_up(proc, 0.9, pi0_target=0.5)  # 0.9 / 0.5 caps at level 1
     assert res.n_rejected == 3
 
 
 def test_bh_ties_all_rejected():
-    proc = sort_pvalues(PValueSample([0.01, 0.01, 0.01, 0.9]))
+    proc = sort_pvalues([0.01, 0.01, 0.01, 0.9])
     res = bh_step_up(proc, 0.05)
     assert res.rejected.tolist() == [0, 1, 2]
 
 
 def test_bh_parameter_validation():
-    proc = sort_pvalues(PValueSample([0.1]))
+    proc = sort_pvalues([0.1])
     with pytest.raises(ValueError):
         bh_step_up(proc, 0.0)
     with pytest.raises(ValueError):
@@ -85,33 +80,33 @@ def test_bh_parameter_validation():
 
 
 def test_threshold_functional_empty_region():
-    proc = processes([0.3, 0.5, 0.9])
+    proc = sort_pvalues([0.3, 0.5, 0.9])
     t = threshold_functional(proc, 1.0, 0.05, 0.05)
     assert proc.count_R(t) == 0  # nothing to reject either way
 
 
 def test_threshold_functional_single_small_pvalue():
-    proc = processes([0.0004] + [0.5] * 99)
+    proc = sort_pvalues([0.0004] + [0.5] * 99)
     t = threshold_functional(proc, 1.0, 0.05, 0.05)
     assert t == pytest.approx(0.0004)
     assert proc.count_R(t) == 1
 
 
 def test_threshold_functional_returns_kappa_when_region_admissible():
-    proc = processes([0.001] * 30 + [0.5] * 10)
+    proc = sort_pvalues([0.001] * 30 + [0.5] * 10)
     # estimate at kappa: 40 * 0.5 * 0.05 / 30 = 1/30 <= 0.1
     t = threshold_functional(proc, 0.5, 0.1, 0.05)
     assert t == 0.05
 
 
 def test_threshold_functional_requires_positive_pi0():
-    proc = processes([0.1])
+    proc = sort_pvalues([0.1])
     with pytest.raises(ValueError):
         threshold_functional(proc, 0.0, 0.05, 0.05)
 
 
 def test_threshold_functional_checks_alpha_and_kappa():
-    proc = processes([0.1])
+    proc = sort_pvalues([0.1])
     for alpha, kappa, message in ((0.0, 0.05, "alpha=0.0"), (1.0, 0.05, "alpha=1.0"), (0.05, 1.0, "kappa=1.0")):
         with pytest.raises(ValueError, match=f"{message} outside"):
             threshold_functional(proc, 1.0, alpha, kappa)
@@ -125,7 +120,7 @@ def test_threshold_functional_matches_brute_force():
         alpha = float(rng.uniform(0.02, 0.3))
         kappa = float(rng.uniform(0.02, 0.4))
         pi0_star = float(rng.uniform(0.05, 2.0))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         t_impl = threshold_functional(proc, pi0_star, alpha, kappa)
         t_oracle = brute_force_threshold(pvals, pi0_star, alpha, kappa)
         impl_set = naive_rejection_set(pvals, t_impl)
@@ -137,17 +132,17 @@ def test_threshold_functional_matches_brute_force():
 
 
 def test_dynamic_adaptive_records_everything():
-    sample = PValueSample([0.001, 0.004, 0.2, 0.5, 0.6, 0.8])
-    res = dynamic_adaptive(sample, RightBoundaryRule(TWENTY_BIN_GRID, 0.1), 0.1)
+    proc = sort_pvalues([0.001, 0.004, 0.2, 0.5, 0.6, 0.8])
+    res = dynamic_adaptive(proc, RightBoundaryRule(TWENTY_BIN_GRID, 0.1), 0.1)
     assert res.pi0 is not None
     assert res.threshold <= 0.1
-    assert set(res.rejected.tolist()) == {i for i, p in enumerate(sample.values) if p <= res.threshold}
+    assert set(res.rejected.tolist()) == {i for i, p in enumerate(proc.values) if p <= res.threshold}
 
 
 def test_dominated_by_bh_when_estimate_large():
     # pi0* >= 1 and no order statistic under the step-up line: nothing rejected
-    sample = PValueSample([0.04, 0.3, 0.5, 0.9])
-    res = dynamic_adaptive(sample, LowestSlopeRule(0.05), 0.05)
+    proc = sort_pvalues([0.04, 0.3, 0.5, 0.9])
+    res = dynamic_adaptive(proc, LowestSlopeRule(0.05), 0.05)
     assert res.pi0.value >= 1.0
     assert res.n_rejected == 0
 
@@ -162,7 +157,7 @@ def test_rejections_never_exceed_kappa():
     for _ in range(100):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 80)))
         for rule in rules:
-            res = dynamic_adaptive(PValueSample(pvals), rule, 0.05)
+            res = dynamic_adaptive(sort_pvalues(pvals), rule, 0.05)
             if res.n_rejected:
                 assert pvals[res.rejected].max() <= rule.kappa
 
@@ -171,7 +166,7 @@ def test_smaller_pi0_rejects_more():
     rng = np.random.default_rng(43)
     for _ in range(200):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         lo = float(rng.uniform(0.05, 0.8))
         hi = lo + float(rng.uniform(0.0, 1.0))
         t_lo = threshold_functional(proc, lo, 0.05, 0.05)
@@ -187,7 +182,7 @@ def test_dynamic_with_unit_pi0_agrees_with_bh_inside_region():
     agreements = 0
     for _ in range(300):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         bh = bh_step_up(proc, alpha)
         if bh.threshold > kappa:
             continue
@@ -205,7 +200,7 @@ def test_fixed_rule_reproduces_inflated_step_up():
     checked = 0
     for _ in range(500):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 80)))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         res = dynamic_adaptive(proc, FixedRule(0.5, kappa), alpha)
         pi0_star = res.pi0.value
         level = alpha / pi0_star
@@ -224,42 +219,42 @@ def test_fixed_rule_reproduces_inflated_step_up():
 
 def test_run_procedure_dispatch():
     pvals = [0.01, 0.02, 0.5, 0.9]
-    sample = PValueSample(pvals)
-    bh = run_procedure(rule("bh"), sample, 0.05)
+    proc = sort_pvalues(pvals)
+    bh = run_procedure(rule("bh"), proc, 0.05)
     assert bh.n_rejected == 2 and np.isnan(bh.pi0.lam)
-    assert run_procedure(rule("rb20"), sample, 0.05).pi0.lam in TWENTY_BIN_GRID
-    assert run_procedure(rule("lsl"), sample, 0.05).pi0 is not None
+    assert run_procedure(rule("rb20"), proc, 0.05).pi0.lam in TWENTY_BIN_GRID
+    assert run_procedure(rule("lsl"), proc, 0.05).pi0 is not None
 
 
 def test_run_procedure_runs_a_lambda_rule_at_its_own_kappa():
     # pi0* = 0.5, so the FDR estimate at kappa is 0.5 * kappa <= alpha and all of [0, kappa] qualifies
-    sample = PValueSample([0.01, 0.02, 0.03, 0.04])
+    proc = sort_pvalues([0.01, 0.02, 0.03, 0.04])
     for kappa in (0.05, 0.1):
-        assert run_procedure(rule("fixed:0.5", kappa), sample, 0.05).threshold == kappa
+        assert run_procedure(rule("fixed:0.5", kappa), proc, 0.05).threshold == kappa
 
 
 def test_run_procedure_orc_needs_pi0():
-    sample = PValueSample([0.01, 0.5])
+    proc = sort_pvalues([0.01, 0.5])
     with pytest.raises(MissingTruthLabels):
-        run_procedure(rule("orc"), sample, 0.05)
-    res = run_procedure(rule("orc"), sample, 0.05, pi0=0.5)
+        run_procedure(rule("orc"), proc, 0.05)
+    res = run_procedure(rule("orc"), proc, 0.05, pi0=0.5)
     assert res.pi0.value == 0.5
 
 
 def test_run_procedure_orc_from_labels():
-    sample = PValueSample([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
-    res = run_procedure(rule("orc"), sample, 0.05)  # pi0 = 3/4 from the labels
-    expected = bh_step_up(sort_pvalues(sample), 0.05, pi0_target=0.75)
+    proc = sort_pvalues([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
+    res = run_procedure(rule("orc"), proc, 0.05)  # pi0 = 3/4 from the labels
+    expected = bh_step_up(proc, 0.05, pi0_target=0.75)
     assert res.threshold == expected.threshold
 
 
 def test_run_procedure_records_the_pi0_used():
-    sample = PValueSample([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
+    proc = sort_pvalues([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
     cases = [("bh", None, 1.0), ("orc", None, 0.75), ("orc", 0.5, 0.5)]
     for spec, pi0, expected in cases:
-        res = run_procedure(rule(spec), sample, 0.05, pi0=pi0)
+        res = run_procedure(rule(spec), proc, 0.05, pi0=pi0)
         assert np.isnan(res.pi0.lam) and res.pi0.value == expected
-    res = run_procedure(rule("fixed:0.5"), sample, 0.05)
+    res = run_procedure(rule("fixed:0.5"), proc, 0.05)
     assert res.pi0.lam == 0.5
 
 

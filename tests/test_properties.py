@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynfdr import PValueSample, cli, parse_rule_spec, run_procedure, sort_pvalues, threshold_functional
+from dynfdr import cli, parse_rule_spec, run_procedure, sort_pvalues, threshold_functional
 from dynfdr.procedures import DEFAULT_PROCEDURES
 
 from conftest import brute_force_threshold, read_pvalue_lines
@@ -54,7 +54,7 @@ def _dyadic(x):
 @given(threshold_inputs())
 def test_threshold_functional_equals_the_brute_force_sup(case):
     pvals, pi0_star, alpha, kappa = case
-    proc = sort_pvalues(PValueSample(pvals))
+    proc = sort_pvalues(pvals)
     assert threshold_functional(proc, pi0_star, alpha, kappa) == brute_force_threshold(pvals, pi0_star, alpha, kappa)
 
 
@@ -73,10 +73,11 @@ def test_rejection_set_does_not_depend_on_input_order(case):
     pvals, truth, perm = case
     if not truth.any():
         truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
+    proc, permuted_proc = sort_pvalues(pvals, truth), sort_pvalues(pvals[perm], truth[perm])
     for spec in SPECS:
         rule = parse_rule_spec(spec, 0.05)
-        res = run_procedure(rule, PValueSample(pvals, truth=truth), 0.05)
-        permuted = run_procedure(rule, PValueSample(pvals[perm], truth=truth[perm]), 0.05)
+        res = run_procedure(rule, proc, 0.05)
+        permuted = run_procedure(rule, permuted_proc, 0.05)
         # index i of the permuted input is index perm[i] of the original
         assert sorted(perm[permuted.rejected].tolist()) == res.rejected.tolist(), spec
         assert permuted.threshold == res.threshold, spec
@@ -94,23 +95,51 @@ def samples_with_signed_zeros(draw):
     pvals = np.array(draw(st.lists(value, min_size=m, max_size=m)))
     truth = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
-    return PValueSample(pvals, truth=truth), kappa
+    return pvals, truth, kappa
 
 
 @SETTINGS
 @given(samples_with_signed_zeros())
 def test_value_sort_equals_the_stable_index_sort(case):
-    sample, kappa = case
-    stable_order = np.argsort(sample.values, kind="stable")
-    stable_ordered = sample.values[stable_order]
-    proc = sort_pvalues(sample)
+    pvals, truth, kappa = case
+    stable_order = np.argsort(pvals, kind="stable")
+    stable_ordered = pvals[stable_order]
+    proc = sort_pvalues(pvals, truth)
     assert proc.ordered.tobytes() == stable_ordered.tobytes()  # -0.0 and 0.0 in input order
     for spec in DEFAULT_PROCEDURES:
-        if spec == "lsl" and sample.m < 2:
+        if spec == "lsl" and proc.m < 2:
             continue
         res = run_procedure(parse_rule_spec(spec, kappa), proc, 0.05)
         n = int(np.searchsorted(stable_ordered, res.threshold, side="right"))
         np.testing.assert_array_equal(res.rejected, np.sort(stable_order[:n]), err_msg=spec)
+
+
+LAMBDA_RULES = ("fixed:0.5", "rb20", "lsl", "kq:median", "rb20q")
+
+
+def _grid_values(low=-1.0):
+    """Grid values above ``low``, 0 and 1 among them, and any float in (low, 1]."""
+    grid = [k / GRID for k in range(GRID + 1) if k / GRID > low]
+    return st.one_of(st.sampled_from(grid), st.floats(max(low, 0.0), 1.0, exclude_min=low >= 0.0))
+
+
+@pytest.mark.parametrize("spec", LAMBDA_RULES)
+@SETTINGS
+@given(st.lists(_grid_values(), min_size=2, max_size=40), st.sampled_from((0.05, 0.25)), st.data())
+def test_lambda_is_a_stopping_time(spec, pvals, kappa, data):
+    # lambda and the scan that chose it see only p-values at or below lambda
+    pvals = np.array(pvals)
+    rule = parse_rule_spec(spec, kappa)
+    est = rule.select(sort_pvalues(pvals))
+    if est.flags:
+        return  # a flagged fallback or clamp may look past lambda
+    tail = pvals > est.lam
+    moved = pvals.copy()
+    moved[tail] = data.draw(st.lists(_grid_values(est.lam), min_size=int(tail.sum()), max_size=int(tail.sum())))
+    redone = rule.select(sort_pvalues(moved))
+    assert redone.lam == est.lam
+    assert redone.trace == est.trace  # every scan ends at lambda
+    assert redone.value == est.value
 
 
 # fields and separators the reader must take or refuse exactly as the line parser does
@@ -159,10 +188,10 @@ def pvalue_path(tmp_path_factory):
 
 def _read(reader, path):
     try:
-        sample = reader(str(path))
+        proc = reader(str(path))
     except cli.CliError as exc:
         return "error", str(exc)
-    return sample.values.tobytes(), None if sample.truth is None else sample.truth.tobytes()
+    return proc.values.tobytes(), None if proc.truth is None else proc.truth.tobytes()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -171,6 +200,7 @@ def _read(reader, path):
 @example(b"p\n")
 @example(b"")
 @example(b"0.5 1\n")
+@example(b"0.5\n\xff0.3\n")  # not UTF-8
 def test_reader_equals_the_line_parser(pvalue_path, data):
     pvalue_path.write_bytes(data)
     assert _read(cli._read_pvalue_file, pvalue_path) == _read(read_pvalue_lines, pvalue_path)
@@ -183,6 +213,6 @@ def test_one_column_file_skips_the_line_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_parse_pvalue_lines", fail)
     path = tmp_path / "pvalues.txt"
     path.write_bytes(b"p_value\r\n\r\n  0.25\r\n-0\t\r\n1\r\n\r\n1e-3")
-    sample = cli._read_pvalue_file(str(path))
-    assert sample.values.tobytes() == np.array([0.25, -0.0, 1.0, 1e-3]).tobytes()
-    assert sample.truth is None
+    proc = cli._read_pvalue_file(str(path))
+    assert proc.values.tobytes() == np.array([0.25, -0.0, 1.0, 1e-3]).tobytes()
+    assert proc.truth is None

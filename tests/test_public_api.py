@@ -13,7 +13,7 @@ PUBLIC = [
     "ProcedureResult", "bh_step_up", "threshold_functional", "dynamic_adaptive", "run_procedure",
     "DEFAULT_PROCEDURES",
     # pvalues
-    "MissingTruthLabels", "PValueSample", "EmpiricalProcesses", "sort_pvalues",
+    "MissingTruthLabels", "EmpiricalProcesses", "sort_pvalues",
     # selection
     "TWENTY_BIN_GRID", "FixedRule", "RightBoundaryRule", "LowestSlopeRule", "KQuantileRule",
     "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "select_fixed",
@@ -26,11 +26,12 @@ PUBLIC = [
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 36
     assert sorted(dynfdr.__all__) == sorted(PUBLIC)
     assert len(dynfdr.__all__) == len(set(dynfdr.__all__))  # no name exported twice
     for name in PUBLIC:
         assert hasattr(dynfdr, name), name
+    assert not hasattr(dynfdr, "PValueSample")  # EmpiricalProcesses is the one sample type
 
 
 def test_verify_does_not_export_the_test_oracle():

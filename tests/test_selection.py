@@ -9,7 +9,6 @@ from dynfdr import (
     FixedRule,
     KQuantileRule,
     LowestSlopeRule,
-    PValueSample,
     RightBoundaryQuantileRule,
     RightBoundaryRule,
     StepUpRule,
@@ -28,10 +27,6 @@ from dynfdr import (
 from conftest import random_mixture_pvalues
 
 
-def processes(pvals, truth=None):
-    return sort_pvalues(PValueSample(pvals, truth=truth))
-
-
 EIGHT_POINT = [0.01, 0.02, 0.03, 0.3, 0.4, 0.6, 0.8, 0.9]
 
 
@@ -39,7 +34,7 @@ EIGHT_POINT = [0.01, 0.02, 0.03, 0.3, 0.4, 0.6, 0.8, 0.9]
 
 
 def test_fixed_is_identity():
-    proc = processes(EIGHT_POINT)
+    proc = sort_pvalues(EIGHT_POINT)
     assert select_fixed(proc, FixedRule(0.5, 0.05)).lam == 0.5
     assert select_fixed(proc, FixedRule(0.95, 0.05)).lam == 0.95
 
@@ -56,7 +51,7 @@ def test_fixed_rejects_lambda_outside_range():
 
 def test_right_boundary_hand_example_storey_comparison():
     # the plain-variant comparison: 1 at 0, 5/6 at 0.25, 0.75 at 0.5, 1.0 at 0.75 stops
-    proc = processes(EIGHT_POINT)
+    proc = sort_pvalues(EIGHT_POINT)
     est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.75
     assert est.value == pytest.approx(1.5)  # reported value is the plus variant
@@ -64,7 +59,7 @@ def test_right_boundary_hand_example_storey_comparison():
 
 def test_right_boundary_stops_at_first_candidate():
     # all mass above the grid: the first comparison already levels off
-    proc = processes([0.99] * 4)
+    proc = sort_pvalues([0.99] * 4)
     est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5), 0.05))
     assert est.lam == 0.25
     assert est.trace[0] == (0.0, 1.0)
@@ -74,7 +69,7 @@ def test_right_boundary_stops_at_first_candidate():
 def test_right_boundary_no_stop_falls_back_to_last_point():
     # the plain estimates strictly decrease over the scan: 1, 0.9375, 5/6, 0.625, 0
     pvals = [0.74, 0.27, 0.75, 0.3, 0.42, 0.08, 0.14, 0.5]
-    proc = processes(pvals)
+    proc = sort_pvalues(pvals)
     est = select_right_boundary(proc, RightBoundaryRule((0.2, 0.4, 0.6, 0.8), 0.05))
     scanned = [v for _, v in est.trace]
     assert all(b < a for a, b in zip(scanned, scanned[1:]))
@@ -88,7 +83,7 @@ def test_right_boundary_empty_grid_is_config_error():
 
 def test_right_boundary_skips_candidates_below_kappa():
     # 0.1 is below kappa=0.2 so it may only serve as a comparison baseline
-    proc = processes([0.99] * 4)
+    proc = sort_pvalues([0.99] * 4)
     est = select_right_boundary(proc, RightBoundaryRule((0.1, 0.3, 0.6), 0.2))
     assert est.lam == 0.3
 
@@ -97,7 +92,7 @@ def test_right_boundary_singleton_grid_equals_fixed():
     rng = np.random.default_rng(31)
     for _ in range(50):
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         point = float(rng.uniform(0.1, 0.9))
         a = select_right_boundary(proc, RightBoundaryRule((point,), 0.05))
         b = select_fixed(proc, FixedRule(point, 0.05))
@@ -109,7 +104,7 @@ def test_right_boundary_value_is_always_plus_variant():
     rng = np.random.default_rng(32)
     for _ in range(2):
         pvals = random_mixture_pvalues(rng, 40)
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         est = select_right_boundary(proc, RightBoundaryRule(TWENTY_BIN_GRID, 0.05))
         assert est.value == pytest.approx(pi0_storey_plus(proc, est.lam))
 
@@ -118,7 +113,7 @@ def test_right_boundary_value_is_always_plus_variant():
 
 
 def test_lowest_slope_hand_example():
-    proc = processes([0.1, 0.2, 0.7, 0.8])
+    proc = sort_pvalues([0.1, 0.2, 0.7, 0.8])
     est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.7
     assert est.flags == ()
@@ -127,14 +122,14 @@ def test_lowest_slope_hand_example():
 
 
 def test_lowest_slope_fallback_largest_order_statistic():
-    proc = processes([0.3, 0.6])
+    proc = sort_pvalues([0.3, 0.6])
     est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.6
     assert est.flags == ("fallback-largest-order-statistic",)
 
 
 def test_lowest_slope_fallback_kappa():
-    proc = processes([0.01, 0.02, 0.03])
+    proc = sort_pvalues([0.01, 0.02, 0.03])
     est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam == 0.05
     assert est.flags == ("fallback-kappa",)
@@ -142,12 +137,12 @@ def test_lowest_slope_fallback_kappa():
 
 def test_lowest_slope_needs_two_pvalues():
     with pytest.raises(ValueError):
-        select_lowest_slope(processes([0.4]), LowestSlopeRule(0.05))
+        select_lowest_slope(sort_pvalues([0.4]), LowestSlopeRule(0.05))
 
 
 def test_lowest_slope_ignores_ones():
     # values pinned at 1 cannot be selected nor stop the scan
-    proc = processes([0.2, 0.5, 1.0, 1.0])
+    proc = sort_pvalues([0.2, 0.5, 1.0, 1.0])
     est = select_lowest_slope(proc, LowestSlopeRule(0.05))
     assert est.lam < 1.0
 
@@ -156,26 +151,26 @@ def test_lowest_slope_ignores_ones():
 
 
 def test_k_quantile_median_recommendation():
-    proc = processes([0.9, 0.4, 0.05, 0.6, 0.1, 0.7, 0.8])  # p_(3) = 0.4, k = floor(7/2)
+    proc = sort_pvalues([0.9, 0.4, 0.05, 0.6, 0.1, 0.7, 0.8])  # p_(3) = 0.4, k = floor(7/2)
     est = select_k_quantile(proc, KQuantileRule(None, 0.05))
     assert est.lam == 0.4
 
 
 def test_k_quantile_clamps_to_kappa():
-    proc = processes([0.01, 0.01, 0.01, 0.9])
+    proc = sort_pvalues([0.01, 0.01, 0.01, 0.9])
     est = select_k_quantile(proc, KQuantileRule(2, 0.05))
     assert est.lam == 0.05
 
 
 def test_k_quantile_upper_clamp():
-    proc = processes([0.2, 1.0, 1.0, 1.0])
+    proc = sort_pvalues([0.2, 1.0, 1.0, 1.0])
     est = select_k_quantile(proc, KQuantileRule(4, 0.05))
     assert est.lam == pytest.approx(1.0 - 1.0 / 4.0)
     assert est.flags == ("clamped-below-one",)
 
 
 def test_k_quantile_range_errors():
-    proc = processes([0.1, 0.2, 0.3])
+    proc = sort_pvalues([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         KQuantileRule(k=0, kappa=0.05)
     with pytest.raises(ValueError):
@@ -188,7 +183,7 @@ def test_k_quantile_range_errors():
 def test_rbq_rank_arithmetic():
     # m = 20, levels (0.25, 0.5, 0.75) -> order statistics 5, 10, 15
     pvals = [round(0.04 * i + 0.02, 4) for i in range(1, 21)]
-    proc = processes(pvals)
+    proc = sort_pvalues(pvals)
     est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     sp = np.sort(pvals)
     expected_grid = [sp[4], sp[9], sp[14]]
@@ -198,14 +193,14 @@ def test_rbq_rank_arithmetic():
 
 
 def test_rbq_stops_at_first_surviving_quantile():
-    proc = processes([0.2, 0.3, 0.35, 0.45, 0.55, 0.65, 0.8, 0.9])
+    proc = sort_pvalues([0.2, 0.3, 0.35, 0.45, 0.55, 0.65, 0.8, 0.9])
     est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.3  # q_{0.25} = p_(2)
     assert est.trace == ((0.0, 1.0), (0.3, pytest.approx(15.0 / 14.0)))
 
 
 def test_rbq_all_below_kappa_falls_back():
-    proc = processes([0.001, 0.002, 0.003, 0.004])
+    proc = sort_pvalues([0.001, 0.002, 0.003, 0.004])
     est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.05
     assert est.flags == ("empty-grid-fallback",)
@@ -215,7 +210,7 @@ def test_rbq_grid_deduplicated_and_ascending():
     rng = np.random.default_rng(33)
     for _ in range(50):
         pvals = np.round(random_mixture_pvalues(rng, 30), 2)  # coarse => duplicate quantiles
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05))
         examined = [lam for lam, _ in est.trace[1:]]
         assert all(a < b for a, b in zip(examined, examined[1:]))
@@ -236,7 +231,7 @@ def test_every_rule_returns_admissible_lambda():
     ]
     for _ in range(40):
         pvals = random_mixture_pvalues(rng, int(rng.integers(4, 80)))
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         for rule in rules:
             est = rule.select(proc)
             assert kappa <= est.lam < 1.0, (rule, est.lam)
@@ -250,7 +245,7 @@ def _rerun_with_tail_resampled(rng, pvals, chosen, rule_fn):
     if mask.any():
         u = rng.uniform(0.05, 1.0, size=int(mask.sum()))
         redrawn[mask] = chosen + (1.0 - chosen) * u
-    return rule_fn(processes(redrawn))
+    return rule_fn(sort_pvalues(redrawn))
 
 
 def _with_ties(rng, pvals):
@@ -279,7 +274,7 @@ def test_stopping_rules_ignore_the_tail():
         tied = trial % 2
         if tied:
             pvals = _with_ties(rng, pvals)
-        proc = processes(pvals)
+        proc = sort_pvalues(pvals)
         for spec, rule in rules.items():
             est = rule.select(proc)
             if est.flags:
@@ -296,9 +291,9 @@ def test_rbq_flags_a_quantile_at_one():
     # q_0.75 = 1 drops out of the grid and the scan falls back to 0.4; with
     # 0.95 in its place lambda is 0.95, so the choice looked past lambda
     rule = RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05)
-    at_one = rule.select(processes([0.2, 0.4, 1.0, 1.0]))
+    at_one = rule.select(sort_pvalues([0.2, 0.4, 1.0, 1.0]))
     assert (at_one.lam, at_one.flags) == (0.4, ("quantile-at-one",))
-    below_one = rule.select(processes([0.2, 0.4, 0.95, 0.95]))
+    below_one = rule.select(sort_pvalues([0.2, 0.4, 0.95, 0.95]))
     assert (below_one.lam, below_one.flags) == (0.95, ())
 
 
