@@ -94,8 +94,8 @@ class ScenarioConfig:
         if isinstance(self.pi0, bool):
             raise ValueError(f"pi0={self.pi0!r} is not a number")
         check_proportion("pi0", self.pi0)
-        if self.mu < 0.0:
-            raise ValueError(f"mu={self.mu} must be >= 0")
+        if isinstance(self.mu, bool) or not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu={self.mu!r} is not a finite number >= 0")
         check_open_unit("alpha", self.alpha)
         kappa = self.alpha if self.kappa is None else self.kappa
         object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))
@@ -126,14 +126,14 @@ def _standard_noise(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray
         return rng.standard_normal(cfg.m)
     b = dep.block_size
     n_blocks = -(-cfg.m // b)
-    e = rng.standard_normal((n_blocks, b))
-    z = np.empty_like(e)
-    z[:, 0] = e[:, 0]
-    scale = math.sqrt(1.0 - dep.rho * dep.rho)
-    for i in range(1, b):
-        # stationary AR(1) recursion: unit marginal variance at every lag
-        z[:, i] = dep.rho * z[:, i - 1] + scale * e[:, i]
-    return z.reshape(-1)[: cfg.m]
+    # one contiguous row per lag, each holding that lag of every block
+    z = rng.standard_normal((n_blocks, b)).T.copy()
+    z[1:] *= math.sqrt(1.0 - dep.rho * dep.rho)
+    rows = list(z)
+    for prev, cur in zip(rows, rows[1:]):
+        # stationary AR(1) recursion in place: unit marginal variance at every lag
+        cur += dep.rho * prev
+    return z.T.reshape(-1)[: cfg.m]
 
 
 def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProcesses:

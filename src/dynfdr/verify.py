@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import check_open_unit
 from .selection import TWENTY_BIN_GRID
-from .simulate import ScenarioConfig, _mean_se, _replications
+from .simulate import ScenarioConfig, _check_integer, _mean_se, _replications
 
 __all__ = [
     "CheckResult",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_RULES = ("fixed:0.5", "rb20", "lsl", "rb20q")
+
+# rows of uniforms drawn at a time by supermartingale_check
+_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,15 @@ def supermartingale_check(
     three stratum standard errors.  Strata with fewer than 30 draws are
     skipped but reported.  The terminal value M(1) = 0 is asserted
     exactly.
+
+    The uniforms are drawn in blocks of a fixed number of rows and each
+    block is reduced to its counts V(s), V(t) at once, so memory is
+    O(block * m0 + draws) rather than O(draws * m0).  The blocks are the
+    rows of one (draws, m0) draw, so the results do not depend on the
+    block size.
     """
+    m0 = _check_integer("m0", m0)
+    draws = _check_integer("draws", draws)
     if m0 < 1:
         raise ValueError(f"m0={m0} must be >= 1")
     if not 0.0 <= s <= t <= 1.0:
@@ -120,9 +131,14 @@ def supermartingale_check(
     if draws < 1:
         raise ValueError(f"draws={draws} must be >= 1")
     rng = np.random.default_rng([seed, m0])
-    u = rng.random((draws, m0))
-    v_s = (u <= s).sum(axis=1)
-    v_t = (u <= t).sum(axis=1)
+    v_s = np.empty(draws, dtype=np.int64)
+    v_t = np.empty(draws, dtype=np.int64)
+    for start in range(0, draws, _DRAW_BLOCK):
+        # the generator fills rows in order, so the blocks are the rows of one (draws, m0) draw
+        u = rng.random((min(_DRAW_BLOCK, draws - start), m0))
+        stop = start + u.shape[0]
+        v_s[start:stop] = (u <= s).sum(axis=1)
+        v_t[start:stop] = (u <= t).sum(axis=1)
     m_t = (1.0 - t) / (m0 - v_t + 1.0)
 
     label = f"supermartingale(m0={m0},s={s:g},t={t:g})"

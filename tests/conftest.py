@@ -159,3 +159,49 @@ def replication_records(cfg, specs):
             power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0
             records[s][j] = (v / max(r, 1), power, res.pi0.lam, res.pi0.value)
     return records, v_kappa
+
+
+def one_shot_supermartingale_check(m0, s, t, draws, seed):
+    """``verify.supermartingale_check`` with V(s), V(t) counted from one (draws, m0) draw.
+
+    The oracle of the blocked draw: the whole uniform matrix is held at
+    once, reduced to the two counts per row, and the strata are checked
+    exactly as the library checks them.
+    """
+    from dynfdr.verify import CheckResult, _three_se_check
+
+    u = np.random.default_rng([seed, m0]).random((draws, m0))
+    v_s = (u <= s).sum(axis=1)
+    v_t = (u <= t).sum(axis=1)
+    m_t = (1.0 - t) / (m0 - v_t + 1.0)
+    label = f"supermartingale(m0={m0},s={s:g},t={t:g})"
+    results = [CheckResult(f"{label}[terminal]", 0.0, 0.0, 0.0, True, "M(1) = 0 exactly")]
+    for v in np.unique(v_s):
+        sel = v_s == v
+        n = int(sel.sum())
+        m_s = (1.0 - s) / (m0 - int(v) + 1.0)
+        name = f"{label}[V(s)={int(v)}]"
+        if n < 30:
+            nan = float("nan")
+            results.append(CheckResult(name, nan, m_s, nan, True, f"skipped: only {n} draws"))
+        else:
+            results.append(_three_se_check(name, m_t[sel], m_s, f"{n} draws", slack=1e-12))
+    return results
+
+
+def column_loop_noise(cfg, rng):
+    """Block-AR(1) noise built one lag column at a time: the oracle of ``simulate._standard_noise``.
+
+    Draws an (n_blocks, b) standard normal matrix e and sets
+    z[:, 0] = e[:, 0], z[:, i] = rho z[:, i-1] + sqrt(1 - rho^2) e[:, i],
+    then returns the first m values of z in row order.
+    """
+    dep = cfg.dependence
+    b = dep.block_size
+    e = rng.standard_normal((-(-cfg.m // b), b))
+    z = np.empty_like(e)
+    z[:, 0] = e[:, 0]
+    scale = math.sqrt(1.0 - dep.rho * dep.rho)
+    for i in range(1, b):
+        z[:, i] = dep.rho * z[:, i - 1] + scale * e[:, i]
+    return z.reshape(-1)[: cfg.m]

@@ -235,6 +235,17 @@ def test_simulate_m_one_is_rejected_config(tmp_path, capsys):
     assert "config rejected: lowest-slope selection needs at least 2 p-values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu, shown", [("NaN", "nan"), ("[1.0, Infinity]", "inf")])
+def test_simulate_rejects_a_non_finite_mu(tmp_path, capsys, mu, shown):
+    # Python's json reads the NaN and Infinity literals as floats
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"m": 10, "pi0": 0.5, "mu": {mu}, "J": 2, "seed": 1}}')
+    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert f"config rejected: mu={shown} is not a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_simulate_rejects_empty_mu_list(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"m": 10, "pi0": 0.8, "mu": [], "J": 5, "seed": 1}))

@@ -20,7 +20,7 @@ from dynfdr import (
     run_experiment,
 )
 
-from conftest import reference_normal_cdf, row
+from conftest import column_loop_noise, reference_normal_cdf, row
 
 
 def test_config_validation():
@@ -52,6 +52,12 @@ def test_config_sizes_must_be_integers(field, value):
     good = dict(m=100, pi0=0.8, mu=1.0, n_reps=3, seed=1)
     with pytest.raises(ValueError, match=f"{field}=.* is not an integer"):
         ScenarioConfig(**{**good, field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False, np.float64("nan")])
+def test_config_mu_must_be_a_finite_number(value):
+    with pytest.raises(ValueError, match="mu=.* is not a finite number >= 0"):
+        ScenarioConfig(m=10, pi0=0.5, mu=value, n_reps=2, seed=1)
 
 
 def test_config_pi0_must_not_be_a_bool():
@@ -142,6 +148,16 @@ def test_block_ar_marginals_and_adjacent_correlation():
     corr = np.corrcoef(first, second)[0, 1]
     assert corr == pytest.approx(-0.9, abs=0.02)
     assert np.mean(variances) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
+@pytest.mark.parametrize("m, block_size", [(123, 1), (123, 2), (123, 7), (123, 50), (100, 50), (123, 200)])
+def test_block_ar_noise_equals_the_column_loop(m, block_size, rho):
+    cfg = ScenarioConfig(m=m, pi0=1.0, mu=0.0, n_reps=1, seed=1, dependence=BlockAR(block_size, rho))
+    for seed in range(5):
+        noise = simulate._standard_noise(cfg, np.random.default_rng([seed, 3]))
+        assert noise.shape == (m,)
+        assert np.array_equal(noise, column_loop_noise(cfg, np.random.default_rng([seed, 3])))
 
 
 def test_block_ar_short_final_block():

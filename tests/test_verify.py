@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dynfdr import BlockAR, ScenarioConfig
 from dynfdr.verify import (
+    _DRAW_BLOCK,
     CheckResult,
     all_passed,
     conservative_estimation_check,
@@ -19,7 +22,7 @@ from dynfdr.verify import (
     write_report_csv,
 )
 
-from conftest import reference_normal_cdf
+from conftest import one_shot_supermartingale_check, reference_normal_cdf
 
 
 # ------------------------------------ reference normal CDF (the oracle in conftest)
@@ -120,6 +123,40 @@ def test_supermartingale_input_validation():
         supermartingale_check(m0=0, s=0.2, t=0.6)
     with pytest.raises(ValueError):
         supermartingale_check(m0=5, s=0.7, t=0.6)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m0", 10.5), ("m0", True), ("m0", "10"), ("draws", 2.5), ("draws", False), ("draws", np.float64(100))]
+)
+def test_supermartingale_sizes_must_be_integers(field, value):
+    args = {"m0": 10, "s": 0.2, "t": 0.6, "draws": 100, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field}=.* is not an integer"):
+        supermartingale_check(**args)
+
+
+def test_supermartingale_accepts_numpy_integer_sizes():
+    plain = supermartingale_check(m0=10, s=0.2, t=0.6, draws=500, seed=1)
+    numpy = supermartingale_check(m0=np.int32(10), s=0.2, t=0.6, draws=np.int64(500), seed=1)
+    assert repr(numpy) == repr(plain)
+
+
+@pytest.mark.parametrize("m0", [1, 10, 50])
+@pytest.mark.parametrize("draws", [1, 29, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7])
+def test_blocked_draw_equals_one_shot_draw(m0, draws):
+    # repr compares every float bit for bit and treats the skipped strata's nan as equal
+    blocked = supermartingale_check(m0, 0.2, 0.5, draws=draws, seed=11)
+    assert repr(blocked) == repr(one_shot_supermartingale_check(m0, 0.2, 0.5, draws, seed=11))
+
+
+def test_supermartingale_memory_does_not_grow_with_draws_times_m0():
+    # the one-shot (100_000, 50) float matrix alone is 40 MB
+    tracemalloc.start()
+    try:
+        supermartingale_check(50, 0.2, 0.5, draws=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ------------------------------------------------- FDR control + estimation
