@@ -9,7 +9,10 @@ caller decision, not an estimator one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .pvalues import EmpiricalProcesses
 
@@ -19,6 +22,13 @@ __all__ = [
     "pi0_storey_plus",
     "fdr_hat_star",
 ]
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return int(value)
 
 
 def check_open_unit(name: str, value: float) -> float:
@@ -37,21 +47,36 @@ def check_proportion(name: str, value: float) -> float:
     return value
 
 
+def scan_trace(rows) -> np.ndarray:
+    """``rows`` of (candidate, estimate) pairs as a read-only (n, 2) float array."""
+    trace = np.asarray(rows, dtype=float).reshape(-1, 2)
+    trace.flags.writeable = False
+    return trace
+
+
+_NO_TRACE = scan_trace(())
+
+
 @dataclass(frozen=True)
 class Pi0Estimate:
     """The pi0 a procedure used, and how it was chosen.
 
-    ``lam`` is the chosen tuning parameter, ``value`` the plus-one pi0
-    estimate at ``lam`` (whatever variant the rule compared with),
-    ``trace`` every (candidate, estimate) pair the rule examined in scan
-    order, and ``flags`` any fallbacks or clamps that fired.  The step-up
-    baselines select no lambda: they record ``lam = nan`` and their fixed
-    pi0 as ``value``.
+    ``lam`` is the chosen tuning parameter and ``value`` the plus-one pi0
+    estimate at ``lam`` (whatever variant the rule compared with), both
+    floats.  ``trace`` is a read-only (n, 2) float array with one row per
+    candidate the rule examined, in scan order: the candidate, then the
+    estimate the rule compared there; ``len(trace)`` counts the
+    candidates.  ``flags`` names any fallbacks or clamps that fired.  The
+    step-up baselines select no lambda: they record ``lam = nan``, their
+    fixed pi0 as ``value`` and an empty (0, 2) trace.  Equality and hash
+    are the dataclass's field-wise ones, as for ``ProcedureResult``: the
+    array field makes ``hash`` raise, so compare traces with
+    ``np.array_equal``.
     """
 
     lam: float
     value: float
-    trace: tuple[tuple[float, float], ...] = ()
+    trace: np.ndarray = field(default_factory=lambda: _NO_TRACE)
     flags: tuple[str, ...] = ()
 
 

@@ -50,8 +50,14 @@ class ProcedureResult:
         return int(self.rejected.size)
 
 
+def _last_true(mask: np.ndarray) -> int:
+    """Index of the last True in a nonempty boolean array, -1 when there is none."""
+    last = mask.size - 1 - int(mask[::-1].argmax())
+    return last if mask[last] else -1
+
+
 def _rejection_set(proc: EmpiricalProcesses, threshold: float) -> np.ndarray:
-    return np.flatnonzero(proc.values <= threshold)
+    return (proc.values <= threshold).nonzero()[0]
 
 
 def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
@@ -65,10 +71,11 @@ def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) 
     pi0 = Pi0Estimate(lam=float("nan"), value=check_proportion("pi0_target", pi0_target))
     level = min(alpha / pi0_target, 1.0)
     m = proc.m
-    passing = np.flatnonzero(proc.ordered <= np.arange(1, m + 1) * (level / m))
-    if passing.size == 0:
+    passing = proc.ordered <= np.arange(1, m + 1) * (level / m)
+    last = _last_true(passing)
+    if last < 0:
         return ProcedureResult(0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
-    threshold = float(proc.ordered[int(passing[-1])])
+    threshold = float(proc.ordered[last])
     rejected = _rejection_set(proc, threshold)
     estimate = m * pi0_target * threshold / max(rejected.size, 1)
     return ProcedureResult(threshold, rejected, float(estimate), pi0)
@@ -92,10 +99,8 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     if n_region == 0:
         return 0.0
     head = proc.ordered[:n_region]
-    passing = np.flatnonzero(m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
-    if passing.size == 0:
-        return 0.0
-    return float(head[int(passing[-1])])
+    last = _last_true(m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
+    return float(head[last]) if last >= 0 else 0.0
 
 
 def dynamic_adaptive(proc: EmpiricalProcesses, rule: LambdaRule, alpha: float) -> ProcedureResult:

@@ -60,7 +60,7 @@ class EmpiricalProcesses:
     def count_R(self, t: float) -> int:
         """#{p_i <= t}."""
         t = _check_threshold(t)
-        return int(np.searchsorted(self.ordered, t, side="right"))
+        return int(self.ordered.searchsorted(t, side="right"))
 
     def count_V(self, t: float) -> int:
         """#{true-null p_i <= t}; requires truth labels."""

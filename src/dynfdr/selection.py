@@ -17,11 +17,12 @@ select no lambda but parse through the same function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_open_unit, pi0_storey, pi0_storey_plus
+from .estimators import Pi0Estimate, check_integer, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
 from .pvalues import EmpiricalProcesses
 
 __all__ = [
@@ -127,7 +128,7 @@ class KQuantileRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
         if self.k is not None:
-            k = int(self.k)
+            k = check_integer("k", self.k)
             if k < 1:
                 raise ValueError(f"quantile index k={k} must be >= 1")
             object.__setattr__(self, "k", k)
@@ -172,7 +173,7 @@ BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
 def select_fixed(proc: EmpiricalProcesses, rule: FixedRule) -> Pi0Estimate:
     """Identity rule: keep the rule's lambda, estimate pi0 there."""
     value = pi0_storey_plus(proc, rule.lam)
-    return Pi0Estimate(lam=rule.lam, value=value, trace=((rule.lam, value),))
+    return Pi0Estimate(lam=rule.lam, value=value, trace=scan_trace((rule.lam, value)))
 
 
 def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> Pi0Estimate:
@@ -194,11 +195,11 @@ def _right_boundary_scan(
 ) -> Pi0Estimate:
     """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
     prev = pi0_storey(proc, 0.0)
-    trace = [(0.0, prev)]
+    trace = [0.0, prev]
     chosen: float | None = None
     for lam in grid:
         cur = pi0_storey(proc, lam)
-        trace.append((lam, cur))
+        trace += (lam, cur)
         if lam >= kappa and cur >= prev:
             chosen = lam
             break
@@ -211,7 +212,11 @@ def _right_boundary_scan(
         chosen = kappa
         flags += ("grid-below-kappa",)
     value = pi0_storey_plus(proc, chosen)
-    return Pi0Estimate(lam=chosen, value=value, trace=tuple(trace), flags=flags)
+    return Pi0Estimate(lam=chosen, value=value, trace=scan_trace(trace), flags=flags)
+
+
+# order statistics the lowest-slope scan scores first; each further pass scores 4x as many
+_LSL_FIRST_PREFIX = 256
 
 
 def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0Estimate:
@@ -227,34 +232,45 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     if m < 2:
         raise ValueError("lowest-slope selection needs at least 2 p-values")
     p = proc.ordered
-    below_one = p < 1.0
-    ranks_right = np.searchsorted(p, p, side="right")  # R(p_(i)) including ties
-    est = np.full(m, np.nan)
-    est[below_one] = (m - ranks_right[below_one] + 1) / ((1.0 - p[below_one]) * m)
-
-    can_stop = below_one & (p >= kappa)
-    can_stop[0] = False
-    stop = can_stop.copy()
-    with np.errstate(invalid="ignore"):
-        stop[1:] &= est[1:] > est[:-1]
+    # whether the scan stops at p_(i) depends only on p_(i-1), p_(i) and their
+    # counts, so score a growing prefix and stop at its first hit
+    n = min(_LSL_FIRST_PREFIX, m)
+    while True:
+        head = p[:n]
+        counts = p.searchsorted(head, side="right")  # R(p_(i)) including ties
+        if head[-1] < 1.0:
+            est = (m - counts + 1) / ((1.0 - head) * m)
+            stop = head >= kappa
+            stop[1:] &= est[1:] > est[:-1]
+        else:
+            below_one = head < 1.0
+            est = np.full(n, np.nan)
+            est[below_one] = (m - counts[below_one] + 1) / ((1.0 - head[below_one]) * m)
+            stop = below_one & (head >= kappa)
+            with np.errstate(invalid="ignore"):
+                stop[1:] &= est[1:] > est[:-1]
+        stop[0] = False
+        first = int(stop.argmax())
+        if stop[first] or n == m:
+            break
+        n = min(4 * n, m)
 
     flags: tuple[str, ...] = ()
-    hits = np.flatnonzero(stop)
-    if hits.size:
-        last_examined = int(hits[0])
-        chosen = float(p[last_examined])
+    if stop[first]:
+        n = first + 1
+        chosen = float(p[first])
     else:
-        last_examined = m - 1
-        admissible = np.flatnonzero(below_one & (p >= kappa))
-        if admissible.size:
-            chosen = float(p[int(admissible[-1])])
+        # the scan never stopped: the largest order statistic below 1, if it is >= kappa
+        last = int(p.searchsorted(1.0)) - 1
+        if last >= 0 and p[last] >= kappa:
+            chosen = float(p[last])
             flags = ("fallback-largest-order-statistic",)
         else:
             chosen = kappa
             flags = ("fallback-kappa",)
 
-    trace = tuple(zip(p[: last_examined + 1].tolist(), est[: last_examined + 1].tolist()))
     value = pi0_storey_plus(proc, chosen)
+    trace = scan_trace(np.column_stack((p[:n], est[:n])))
     return Pi0Estimate(lam=chosen, value=value, trace=trace, flags=flags)
 
 
@@ -275,7 +291,7 @@ def select_k_quantile(proc: EmpiricalProcesses, rule: KQuantileRule) -> Pi0Estim
         lam = max(rule.kappa, 1.0 - 1.0 / m)
         flags = ("clamped-below-one",)
     value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam=lam, value=value, trace=((lam, value),), flags=flags)
+    return Pi0Estimate(lam=lam, value=value, trace=scan_trace((lam, value)), flags=flags)
 
 
 def select_right_boundary_quantile(
@@ -290,19 +306,27 @@ def select_right_boundary_quantile(
     p-values above lambda.
     """
     kappa = rule.kappa
-    m = proc.m
-    # small backoff so exact integer boundaries like 0.25 * 20 stay rank 5
-    ranks = np.ceil(np.asarray(rule.levels) * m - 1e-9).astype(np.int64)
-    ranks = np.clip(ranks, 1, m)
-    quantiles = proc.ordered[ranks - 1]
+    quantiles = proc.ordered[_quantile_indices(rule.levels, proc.m)]
     flags = ("quantile-at-one",) if quantiles[-1] >= 1.0 else ()
-    grid = np.unique(quantiles)
-    grid = grid[(grid >= kappa) & (grid < 1.0)]
-    if grid.size == 0:
+    # the quantiles ascend, so a repeat equals its left neighbour
+    keep = (quantiles >= kappa) & (quantiles < 1.0)
+    keep[1:] &= quantiles[1:] != quantiles[:-1]
+    grid = quantiles[keep].tolist()
+    if not grid:
         value = pi0_storey_plus(proc, kappa)
         flags = ("empty-grid-fallback",) + flags
-        return Pi0Estimate(lam=kappa, value=value, trace=((kappa, value),), flags=flags)
-    return _right_boundary_scan(proc, tuple(grid.tolist()), kappa, flags)
+        return Pi0Estimate(lam=kappa, value=value, trace=scan_trace((kappa, value)), flags=flags)
+    return _right_boundary_scan(proc, grid, kappa, flags)
+
+
+@lru_cache(maxsize=64)
+def _quantile_indices(levels: tuple[float, ...], m: int) -> np.ndarray:
+    """0-based indices of the order statistics p_(ceil(gamma m)), gamma in ``levels``."""
+    # small backoff so exact integer boundaries like 0.25 * 20 stay rank 5
+    ranks = np.ceil(np.asarray(levels) * m - 1e-9).astype(np.int64)
+    indices = np.clip(ranks, 1, m) - 1
+    indices.flags.writeable = False
+    return indices
 
 
 SPEC_HELP = (

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_open_unit, check_proportion
+from .estimators import check_integer, check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, sort_pvalues
 from .selection import parse_rule_spec
@@ -41,13 +40,6 @@ def normal_cdf(x):
     return special.ndtr(x)
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is a Python or numpy integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value!r} is not an integer")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class BlockAR:
     """Within-block AR(1) dependence: corr(Z_i, Z_j) = rho^|i-j|."""
@@ -56,7 +48,7 @@ class BlockAR:
     rho: float
 
     def __post_init__(self) -> None:
-        block_size = _check_integer("block_size", self.block_size)
+        block_size = check_integer("block_size", self.block_size)
         if block_size < 1:
             raise ValueError(f"block_size={block_size} must be >= 1")
         object.__setattr__(self, "block_size", block_size)
@@ -87,7 +79,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("m", 1), ("n_reps", 1), ("seed", 0)):
-            value = _check_integer(name, getattr(self, name))
+            value = check_integer(name, getattr(self, name))
             if value < low:
                 raise ValueError(f"{name}={value} must be >= {low}")
             object.__setattr__(self, name, value)
@@ -151,7 +143,7 @@ def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProce
     truth = np.ones(cfg.m, dtype=bool)
     if cfg.m1 > 0:
         if cfg.signal_placement == "head":
-            positions = np.arange(cfg.m1)
+            positions = slice(cfg.m1)
         else:
             positions = rng.permutation(cfg.m)[: cfg.m1]
         x[positions] += cfg.mu
@@ -215,14 +207,14 @@ def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
     rules = [parse_rule_spec(s, cfg.kappa) for s in specs]
     for j in range(cfg.n_reps):
         proc = generate_statistics(cfg, j)
-        rec = np.empty((4, len(rules)))
-        for i, rule in enumerate(rules):
+        rec = []
+        for rule in rules:
             res = run_procedure(rule, proc, cfg.alpha, pi0=cfg.pi0)
             n_rej = res.n_rejected
             v = int(np.count_nonzero(proc.truth[res.rejected]))
             power = (n_rej - v) / m1 if m1 > 0 else 0.0
-            rec[:, i] = (v / max(n_rej, 1), power, res.pi0.lam, res.pi0.value)
-        yield proc, rec
+            rec.append((v / max(n_rej, 1), power, res.pi0.lam, res.pi0.value))
+        yield proc, np.array(rec).T
 
 
 def run_experiment(

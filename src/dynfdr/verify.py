@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_open_unit
+from .estimators import check_integer, check_open_unit
 from .selection import TWENTY_BIN_GRID
-from .simulate import ScenarioConfig, _check_integer, _mean_se, _replications
+from .simulate import ScenarioConfig, _mean_se, _replications
 
 __all__ = [
     "CheckResult",
@@ -81,6 +81,7 @@ def lemma2_exact_check(
     The expectation is an exact finite sum over the binomial pmf, so the
     tolerance only absorbs float rounding (1e-12).
     """
+    n_max = check_integer("n_max", n_max)
     if not 1 <= n_max <= 60:
         raise ValueError(f"n_max={n_max} outside 1..60 (exact summation cap)")
     results = []
@@ -122,14 +123,17 @@ def supermartingale_check(
     rows of one (draws, m0) draw, so the results do not depend on the
     block size.
     """
-    m0 = _check_integer("m0", m0)
-    draws = _check_integer("draws", draws)
+    m0 = check_integer("m0", m0)
+    draws = check_integer("draws", draws)
+    seed = check_integer("seed", seed)
     if m0 < 1:
         raise ValueError(f"m0={m0} must be >= 1")
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
     if draws < 1:
         raise ValueError(f"draws={draws} must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     rng = np.random.default_rng([seed, m0])
     v_s = np.empty(draws, dtype=np.int64)
     v_t = np.empty(draws, dtype=np.int64)

@@ -205,3 +205,74 @@ def column_loop_noise(cfg, rng):
     for i in range(1, b):
         z[:, i] = dep.rho * z[:, i - 1] + scale * e[:, i]
     return z.reshape(-1)[: cfg.m]
+
+
+def full_lowest_slope(proc, kappa):
+    """The lowest-slope scan scored over all m order statistics at once: the oracle of the prefix scan.
+
+    Returns (lam, value, trace, flags) with the trace as a tuple of
+    (candidate, estimate) float pairs.
+    """
+    from dynfdr.estimators import pi0_storey_plus
+
+    m = proc.m
+    p = proc.ordered
+    below_one = p < 1.0
+    ranks_right = np.searchsorted(p, p, side="right")
+    est = np.full(m, np.nan)
+    est[below_one] = (m - ranks_right[below_one] + 1) / ((1.0 - p[below_one]) * m)
+    can_stop = below_one & (p >= kappa)
+    can_stop[0] = False
+    stop = can_stop.copy()
+    with np.errstate(invalid="ignore"):
+        stop[1:] &= est[1:] > est[:-1]
+    flags = ()
+    hits = np.flatnonzero(stop)
+    if hits.size:
+        last_examined = int(hits[0])
+        chosen = float(p[last_examined])
+    else:
+        last_examined = m - 1
+        admissible = np.flatnonzero(below_one & (p >= kappa))
+        if admissible.size:
+            chosen = float(p[int(admissible[-1])])
+            flags = ("fallback-largest-order-statistic",)
+        else:
+            chosen = kappa
+            flags = ("fallback-kappa",)
+    trace = tuple(zip(p[: last_examined + 1].tolist(), est[: last_examined + 1].tolist()))
+    return chosen, pi0_storey_plus(proc, chosen), trace, flags
+
+
+def unique_grid_right_boundary_quantile(proc, levels, kappa):
+    """The quantile rule with its grid built by ``np.clip`` and ``np.unique``: the oracle of the neighbour scan.
+
+    Runs the right-boundary scan written out with a list trace; returns
+    (lam, value, trace, flags) with the trace as a tuple of float pairs.
+    """
+    from dynfdr.estimators import pi0_storey, pi0_storey_plus
+
+    m = proc.m
+    ranks = np.ceil(np.asarray(levels) * m - 1e-9).astype(np.int64)
+    ranks = np.clip(ranks, 1, m)
+    quantiles = proc.ordered[ranks - 1]
+    flags = ("quantile-at-one",) if quantiles[-1] >= 1.0 else ()
+    grid = np.unique(quantiles)
+    grid = grid[(grid >= kappa) & (grid < 1.0)]
+    if grid.size == 0:
+        value = pi0_storey_plus(proc, kappa)
+        return kappa, value, ((kappa, value),), ("empty-grid-fallback",) + flags
+    grid = grid.tolist()
+    prev = pi0_storey(proc, 0.0)
+    trace = [(0.0, prev)]
+    chosen = None
+    for lam in grid:
+        cur = pi0_storey(proc, lam)
+        trace.append((lam, cur))
+        if lam >= kappa and cur >= prev:
+            chosen = lam
+            break
+        prev = cur
+    if chosen is None:
+        chosen = grid[-1]
+    return chosen, pi0_storey_plus(proc, chosen), tuple(trace), flags

@@ -1,8 +1,9 @@
 """The outside-in tracer in bench/layers.py binds library functions by name.
 
 A rename or move in the library would otherwise surface only as a failed
-benchmark run; these checks make it fail here.  The tracer module is
-loaded read-only (no bytecode is written next to it).
+benchmark run; these checks make it fail here.  The tracer and
+bench/workloads.py, whose lowest-slope trace length the traced analyze
+run must hit, are loaded read-only (no bytecode is written next to them).
 """
 
 from __future__ import annotations
@@ -12,23 +13,37 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dynfdr import DEFAULT_PROCEDURES, LowestSlopeRule, parse_rule_spec, run_procedure, sort_pvalues
 from dynfdr.pvalues import EmpiricalProcesses
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+from conftest import random_mixture_pvalues
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # the dataclasses in workloads.py look their module up
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def layers():
+    return _load("layers")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_span_resolves_to_a_callable_in_its_home_module(layers):
@@ -43,3 +58,24 @@ def test_every_span_resolves_to_a_callable_in_its_home_module(layers):
 def test_counted_methods_are_defined_on_empirical_processes(layers):
     for method in layers.COUNTED_METHODS:
         assert callable(EmpiricalProcesses.__dict__.get(method)), method
+
+
+def test_lowest_slope_trace_length_is_the_benchmarks_recount(workloads):
+    rng = np.random.default_rng(2024)
+    rule = LowestSlopeRule(workloads.KAPPA)
+    for m in (2, 3, 50, 256, 257, 1000, 5000):
+        for _ in range(20):
+            pvals = random_mixture_pvalues(rng, m, null_fraction=rng.uniform(0.0, 1.0), rate=rng.uniform(1.0, 40.0))
+            proc = sort_pvalues(np.round(pvals, int(rng.integers(2, 6))))
+            assert len(rule.select(proc).trace) == workloads._lowest_slope_trace_len(proc.ordered), m
+
+
+@pytest.mark.parametrize("spec", DEFAULT_PROCEDURES + ("kq:median", "rbq:0.5:0.1:0.9"))
+def test_every_trace_is_a_read_only_float_array_of_pairs(spec):
+    rng = np.random.default_rng(7)
+    for pvals in (random_mixture_pvalues(rng, 300), [0.001, 0.002, 0.003], [0.5, 1.0, 1.0]):
+        trace = run_procedure(parse_rule_spec(spec, 0.05), sort_pvalues(pvals), 0.05, pi0=0.8).pi0.trace
+        assert isinstance(trace, np.ndarray) and trace.dtype == np.float64
+        assert trace.ndim == 2 and trace.shape[1] == 2
+        assert (trace.shape[0] == 0) == (spec in ("bh", "orc")), spec
+        assert not trace.flags.writeable

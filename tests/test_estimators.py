@@ -7,8 +7,10 @@ import pytest
 
 from dynfdr import (
     fdr_hat_star,
+    parse_rule_spec,
     pi0_storey,
     pi0_storey_plus,
+    run_procedure,
     sort_pvalues,
 )
 
@@ -129,3 +131,13 @@ def test_plus_estimator_conservative_under_null():
         col = estimates[:, idx]
         mean, se = col.mean(), col.std(ddof=1) / np.sqrt(reps)
         assert mean >= 1.0 - 3.0 * se, f"lambda={lam:.2f}: mean {mean:.4f} undershoots"
+
+
+@pytest.mark.parametrize("spec", ["bh", "rb20"])
+def test_estimates_compare_field_wise_like_procedure_results(spec):
+    # both dataclasses hold an array, so neither hashes; equal objects compare equal
+    res = run_procedure(parse_rule_spec(spec, 0.05), sort_pvalues([0.01, 0.2, 0.6, 0.9]), 0.05)
+    for obj in (res, res.pi0):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+        assert obj == obj

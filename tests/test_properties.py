@@ -10,6 +10,7 @@ checked against the line-parser oracle on generated file bytes.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynfdr import cli, parse_rule_spec, run_procedure, sort_pvalues, threshold_functional
+from dynfdr import (
+    TWENTY_BIN_GRID,
+    LowestSlopeRule,
+    RightBoundaryQuantileRule,
+    cli,
+    parse_rule_spec,
+    run_procedure,
+    sort_pvalues,
+    threshold_functional,
+)
+from dynfdr.selection import _LSL_FIRST_PREFIX
 from dynfdr.procedures import DEFAULT_PROCEDURES
 
-from conftest import brute_force_threshold, read_pvalue_lines
+from conftest import (
+    brute_force_threshold,
+    full_lowest_slope,
+    read_pvalue_lines,
+    unique_grid_right_boundary_quantile,
+)
 
 GRID = 64
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -138,8 +154,64 @@ def test_lambda_is_a_stopping_time(spec, pvals, kappa, data):
     moved[tail] = data.draw(st.lists(_grid_values(est.lam), min_size=int(tail.sum()), max_size=int(tail.sum())))
     redone = rule.select(sort_pvalues(moved))
     assert redone.lam == est.lam
-    assert redone.trace == est.trace  # every scan ends at lambda
+    assert redone.trace.tolist() == est.trace.tolist()  # every scan ends at lambda
     assert redone.value == est.value
+
+
+@st.composite
+def scan_samples(draw):
+    """Samples of 2 to 2000 p-values with a chosen share below kappa, exact 0s, 1s and kappas, and ties."""
+    m = draw(st.one_of(st.integers(2, 40), st.integers(2, 2000)))
+    kappa = draw(st.sampled_from((0.05, 0.25, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # all but one or all below kappa reach the fallbacks; a long run below kappa stops past the first prefix
+    n_low = draw(st.one_of(st.integers(0, m), st.sampled_from((m - 1, m))))
+    pvals = np.concatenate([rng.random(n_low) * kappa, rng.random(m - n_low)])
+    for value in (0.0, 1.0, kappa):
+        if draw(st.booleans()):
+            pvals[rng.choice(m, draw(st.integers(1, max(1, m // 4))), replace=False)] = value
+    if draw(st.booleans()):
+        pvals = np.round(pvals, draw(st.integers(1, 3)))  # ties
+    return pvals, kappa
+
+
+LEVELS = st.one_of(
+    st.just(TWENTY_BIN_GRID),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=25, unique=True).map(
+        lambda levels: tuple(sorted(levels))
+    ),
+    st.sampled_from(((1e-300, 0.5), (0.25, 0.5, 0.75), (0.5, 1.0 - 2.0**-53))),
+)
+
+
+def _same(est, oracle):
+    lam, value, trace, flags = oracle
+    assert repr(est.lam) == repr(lam) and repr(est.value) == repr(value)
+    assert est.flags == flags
+    assert [tuple(map(repr, row)) for row in est.trace.tolist()] == [tuple(map(repr, row)) for row in trace]
+
+
+def test_trimmed_scans_equal_the_full_scans():
+    # the prefix lowest-slope scan and the neighbour-deduplicated quantile grid, bit for bit
+    seen = Counter()
+
+    @SETTINGS
+    @given(scan_samples(), LEVELS)
+    def check(case, levels):
+        pvals, kappa = case
+        proc = sort_pvalues(pvals)
+        est = LowestSlopeRule(kappa).select(proc)
+        _same(est, full_lowest_slope(proc, kappa))
+        if est.flags:
+            seen[est.flags[0]] += 1
+        elif len(est.trace) > _LSL_FIRST_PREFIX:
+            seen["stop-past-prefix"] += 1
+        rule = RightBoundaryQuantileRule(levels, kappa)
+        _same(rule.select(proc), unique_grid_right_boundary_quantile(proc, rule.levels, kappa))
+
+    check()
+    for outcome in ("stop-past-prefix", "fallback-largest-order-statistic", "fallback-kappa"):
+        assert seen[outcome] >= 5, seen
 
 
 # fields and separators the reader must take or refuse exactly as the line parser does

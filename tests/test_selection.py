@@ -62,7 +62,7 @@ def test_right_boundary_stops_at_first_candidate():
     proc = sort_pvalues([0.99] * 4)
     est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5), 0.05))
     assert est.lam == 0.25
-    assert est.trace[0] == (0.0, 1.0)
+    assert est.trace[0].tolist() == [0.0, 1.0]
     assert est.trace[1][1] == pytest.approx(4.0 / 3.0)
 
 
@@ -169,6 +169,17 @@ def test_k_quantile_upper_clamp():
     assert est.flags == ("clamped-below-one",)
 
 
+@pytest.mark.parametrize("k", [2.7, 2.0, True, "2"])
+def test_k_quantile_index_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="k=.* is not an integer"):
+        KQuantileRule(k=k, kappa=0.05)
+
+
+def test_k_quantile_index_accepts_a_numpy_integer():
+    rule = KQuantileRule(k=np.int64(2), kappa=0.05)
+    assert rule.k == 2 and type(rule.k) is int
+
+
 def test_k_quantile_range_errors():
     proc = sort_pvalues([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
@@ -196,7 +207,7 @@ def test_rbq_stops_at_first_surviving_quantile():
     proc = sort_pvalues([0.2, 0.3, 0.35, 0.45, 0.55, 0.65, 0.8, 0.9])
     est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
     assert est.lam == 0.3  # q_{0.25} = p_(2)
-    assert est.trace == ((0.0, 1.0), (0.3, pytest.approx(15.0 / 14.0)))
+    assert est.trace.tolist() == [[0.0, 1.0], [0.3, pytest.approx(15.0 / 14.0)]]
 
 
 def test_rbq_all_below_kappa_falls_back():

@@ -86,6 +86,16 @@ def test_lemma2_input_validation():
         lemma2_exact_check(n_max=5, p_grid=(0.0,))
 
 
+@pytest.mark.parametrize("n_max", [True, 2.0, 2.5, "3"])
+def test_lemma2_n_max_must_be_an_integer(n_max):
+    with pytest.raises(ValueError, match="n_max=.* is not an integer"):
+        lemma2_exact_check(n_max=n_max)
+
+
+def test_lemma2_accepts_a_numpy_integer_n_max():
+    assert repr(lemma2_exact_check(n_max=np.int64(3))) == repr(lemma2_exact_check(n_max=3))
+
+
 # --------------------------------------------------------- supermartingale
 
 
@@ -134,9 +144,20 @@ def test_supermartingale_sizes_must_be_integers(field, value):
         supermartingale_check(**args)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1), "1"])
+def test_supermartingale_seed_must_be_an_integer(seed):
+    with pytest.raises(ValueError, match="seed=.* is not an integer"):
+        supermartingale_check(m0=10, s=0.2, t=0.6, draws=100, seed=seed)
+
+
+def test_supermartingale_seed_must_not_be_negative():
+    with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+        supermartingale_check(m0=10, s=0.2, t=0.6, draws=100, seed=-1)
+
+
 def test_supermartingale_accepts_numpy_integer_sizes():
     plain = supermartingale_check(m0=10, s=0.2, t=0.6, draws=500, seed=1)
-    numpy = supermartingale_check(m0=np.int32(10), s=0.2, t=0.6, draws=np.int64(500), seed=1)
+    numpy = supermartingale_check(m0=np.int32(10), s=0.2, t=0.6, draws=np.int64(500), seed=np.uint8(1))
     assert repr(numpy) == repr(plain)
 
 
