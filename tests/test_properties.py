@@ -5,7 +5,9 @@ the same inputs.  Values sit on the grid k/64: it puts ties, exact 0s
 and 1s and p-values equal to kappa in the inputs, and it keeps every
 product and comparison in the thresholding arithmetic exact, so alpha
 can be put exactly on the step-up line.  The p-value file reader is
-checked against the line-parser oracle on generated file bytes.
+checked against the line-parser oracle on generated file bytes, and the
+trimmed lowest-slope and quantile scans against the full-array scans on
+generated samples of up to 2000 p-values.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dynfdr import (
     sort_pvalues,
     threshold_functional,
 )
-from dynfdr.selection import _LSL_FIRST_PREFIX
 from dynfdr.procedures import DEFAULT_PROCEDURES
+from dynfdr.selection import _LSL_FIRST_PREFIX
 
 from conftest import (
     brute_force_threshold,
@@ -197,6 +199,7 @@ def test_trimmed_scans_equal_the_full_scans():
 
     @SETTINGS
     @given(scan_samples(), LEVELS)
+    @example((np.round(np.linspace(0.0, 1.0, 1000), 1), 0.05), TWENTY_BIN_GRID)  # a tie run across the first prefix
     def check(case, levels):
         pvals, kappa = case
         proc = sort_pvalues(pvals)
