@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .estimators import check_open_unit, check_proportion
+from .estimators import check_integer, check_number, check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, sort_pvalues
 from .selection import SPEC_HELP, parse_rule_spec
@@ -147,27 +147,16 @@ def _probe_out(path: str) -> None:
         Path(path).unlink(missing_ok=True)
 
 
-def _int_at_least(low: int):
-    """A ``check(name, text)`` for integers >= ``low``."""
-
-    def check(name: str, text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"{name}={text!r} is not an integer") from None
-        if value < low:
-            raise ValueError(f"{name}={value} must be >= {low}")
-        return value
-
-    return check
-
-
-def _flag_type(name: str, check):
-    """argparse type for --<name>: a value that ``check(name, text)`` accepts."""
+def _flag_type(name: str, convert, check, *args):
+    """argparse type for --<name>: the text as ``convert`` reads it, if ``check(name, value, *args)`` accepts that."""
 
     def parse(text: str) -> float | int:
         try:
-            return check(name, text)
+            value = convert(text)
+        except ValueError:
+            value = text  # the checker rejects the text itself, in its own words
+        try:
+            return check(name, value, *args)
         except ValueError as exc:  # argparse turns this into a usage error naming the flag
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -207,29 +196,16 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; 2.7, "3" and true are not."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _json_number(value) -> float:
-    """``value`` as a float if it is a JSON number; "0.5" and true are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _cfg_field(cfg: dict, name: str, kind, parser, required=True, default=None):
+def _cfg_field(cfg: dict, name: str, check, parser, required=True, default=None):
+    """``cfg[name]`` as ``check(name, value)`` returns it: check_integer or check_number."""
     if name not in cfg:
         if required:
             parser.error(f"config is missing field {name!r}")
         return default
     value = cfg[name]
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        return check(name, value)
+    except ValueError:
         parser.error(f"config field {name!r} has bad value {value!r}")
 
 
@@ -243,8 +219,8 @@ def _parse_dependence(cfg: dict, parser: argparse.ArgumentParser) -> BlockAR | N
     if kind in ("independent", "indep", "none"):
         return None
     if kind in ("block_ar", "blockar", "ar"):
-        block_size = _cfg_field(dep, "block_size", _json_int, parser)
-        rho = _cfg_field(dep, "rho", _json_number, parser)
+        block_size = _cfg_field(dep, "block_size", check_integer, parser)
+        rho = _cfg_field(dep, "rho", check_number, parser)
         try:
             return BlockAR(block_size=block_size, rho=rho)
         except ValueError as exc:
@@ -262,18 +238,18 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not isinstance(cfg, dict):
         parser.error("config must be a JSON object")
 
-    m = _cfg_field(cfg, "m", _json_int, parser)
-    pi0 = _cfg_field(cfg, "pi0", _json_number, parser)
-    alpha = _cfg_field(cfg, "alpha", _json_number, parser, required=False, default=0.05)
-    kappa = _cfg_field(cfg, "kappa", _json_number, parser, required=False, default=None)
-    n_reps = _cfg_field(cfg, "J", _json_int, parser)
-    seed = _cfg_field(cfg, "seed", _json_int, parser)
+    m = _cfg_field(cfg, "m", check_integer, parser)
+    pi0 = _cfg_field(cfg, "pi0", check_number, parser)
+    alpha = _cfg_field(cfg, "alpha", check_number, parser, required=False, default=0.05)
+    kappa = _cfg_field(cfg, "kappa", check_number, parser, required=False, default=None)
+    n_reps = _cfg_field(cfg, "J", check_integer, parser)
+    seed = _cfg_field(cfg, "seed", check_integer, parser)
     mu_raw = cfg.get("mu")
     if mu_raw is None:
         parser.error("config is missing field 'mu'")
     mus = mu_raw if isinstance(mu_raw, list) else [mu_raw]
     try:
-        mus = [_json_number(v) for v in mus]
+        mus = [check_number("mu", v) for v in mus]
     except ValueError:
         parser.error(f"config field 'mu' has bad value {mu_raw!r}")
     if not mus:
@@ -360,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run one procedure on a p-value file")
     p_an.add_argument("input", help="text file: one p-value per line, optional 0/1 truth column (1 = true null)")
     p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {SPEC_HELP}")
-    p_an.add_argument("--alpha", type=_flag_type("alpha", check_open_unit), default=0.05, help="target FDR level (default 0.05)")
-    p_an.add_argument("--kappa", type=_flag_type("kappa", check_open_unit), default=None, help="rejection-region bound (default: alpha)")
-    p_an.add_argument("--pi0", type=_flag_type("pi0", check_proportion), default=None, help="true null proportion for orc")
+    p_an.add_argument("--alpha", type=_flag_type("alpha", float, check_open_unit), default=0.05, help="target FDR level (default 0.05)")
+    p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_open_unit), default=None, help="rejection-region bound (default: alpha)")
+    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_proportion), default=None, help="true null proportion for orc")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -374,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the theory-check suites")
     p_ver.add_argument("suite", choices=VERIFY_SUITES, help="which suite to run")
-    p_ver.add_argument("--seed", type=_flag_type("seed", _int_at_least(0)), default=20260808, help="Monte Carlo seed (>= 0)")
+    p_ver.add_argument("--seed", type=_flag_type("seed", int, check_integer, 0), default=20260808, help="Monte Carlo seed (>= 0)")
     # a 3-SE check needs a standard error, so at least two replications
-    p_ver.add_argument("--reps", type=_flag_type("reps", _int_at_least(2)), default=1000, help="replications for the simulation-backed suites (>= 2)")
+    p_ver.add_argument("--reps", type=_flag_type("reps", int, check_integer, 2), default=1000, help="replications for the simulation-backed suites (>= 2)")
     p_ver.add_argument("--out", default=None, help="also write the report as CSV")
     p_ver.set_defaults(func=_cmd_verify)
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_open_unit, check_proportion, fdr_hat_star
+from .estimators import Pi0Estimate, check_open_unit, check_pi0_star, check_proportion, fdr_hat_star
 from .pvalues import EmpiricalProcesses, MissingTruthLabels
 from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
@@ -67,8 +67,8 @@ def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) 
     1 gives the plain procedure, the true null proportion gives the
     oracle.  The reported FDR estimate at the threshold uses pi0_target.
     """
-    check_open_unit("alpha", alpha)
-    pi0 = Pi0Estimate(lam=float("nan"), value=check_proportion("pi0_target", pi0_target))
+    alpha, pi0_target = check_open_unit("alpha", alpha), check_proportion("pi0_target", pi0_target)
+    pi0 = Pi0Estimate(lam=float("nan"), value=pi0_target)
     level = min(alpha / pi0_target, 1.0)
     m = proc.m
     passing = proc.ordered <= np.arange(1, m + 1) * (level / m)
@@ -89,8 +89,7 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     qualifies and kappa is returned (same rejection set either way).
     Returns 0 when nothing qualifies.
     """
-    if pi0_star <= 0.0:
-        raise ValueError(f"pi0_star={pi0_star} must be positive")
+    pi0_star = check_pi0_star(pi0_star)
     alpha, kappa = check_open_unit("alpha", alpha), check_open_unit("kappa", kappa)
     m = proc.m
     n_region = proc.count_R(kappa)

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_integer, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
+from .estimators import Pi0Estimate, check_integer, check_number, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
 from .pvalues import EmpiricalProcesses
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "LambdaRule",
     "StepUpRule",
     "evenly_spaced_grid",
-    "select_fixed",
-    "select_right_boundary",
-    "select_lowest_slope",
-    "select_k_quantile",
-    "select_right_boundary_quantile",
     "parse_rule_spec",
 ]
 
@@ -68,9 +63,10 @@ def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
     return vals
 
 
-# A rule validates its fields once, at construction; its select_* function
-# runs on those fields and checks only what depends on the data.
-# ``select(proc)`` runs the rule.
+# A rule validates its fields once, at construction; ``select(proc)``, the one way to
+# run it, checks only what depends on the data.  Four rules forward to module-level
+# select_* functions only because bench/layers.py wraps those by name (and counts lsl
+# calls through them); they go when the benchmark's contract stops naming them.
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class FixedRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", check_number("lam", self.lam))
         if not self.kappa <= self.lam < 1.0:
             raise ValueError(f"fixed lambda={self.lam} outside [kappa={self.kappa}, 1)")
 
@@ -128,13 +124,22 @@ class KQuantileRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
         if self.k is not None:
-            k = check_integer("k", self.k)
-            if k < 1:
-                raise ValueError(f"quantile index k={k} must be >= 1")
-            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "k", check_integer("k", self.k, 1))
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
-        return select_k_quantile(proc, self)
+        """lambda = max(p_(k), kappa), clamped below 1: a p_(k) equal to 1 (ties
+        at the top are a discrete-input artifact) becomes max(kappa, 1 - 1/m), flagged."""
+        m = proc.m
+        k = max(1, m // 2) if self.k is None else self.k
+        if k > m:
+            raise ValueError(f"quantile index k={k} outside 1..{m}")
+        lam = max(float(proc.ordered[k - 1]), self.kappa)
+        flags: tuple[str, ...] = ()
+        if lam >= 1.0:
+            lam = max(self.kappa, 1.0 - 1.0 / m)
+            flags = ("clamped-below-one",)
+        value = pi0_storey_plus(proc, lam)
+        return Pi0Estimate(lam=lam, value=value, trace=scan_trace((lam, value)), flags=flags)
 
 
 @dataclass(frozen=True)
@@ -272,26 +277,6 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     value = pi0_storey_plus(proc, chosen)
     trace = scan_trace(np.column_stack((p[:n], est[:n])))
     return Pi0Estimate(lam=chosen, value=value, trace=trace, flags=flags)
-
-
-def select_k_quantile(proc: EmpiricalProcesses, rule: KQuantileRule) -> Pi0Estimate:
-    """lambda = max(p_(k), kappa), clamped below 1.
-
-    ``k=None`` means the median rank.  An order statistic equal to 1 (ties
-    at the top are a discrete-input artifact) is replaced by
-    max(kappa, 1 - 1/m) and flagged.
-    """
-    m = proc.m
-    k = max(1, m // 2) if rule.k is None else rule.k
-    if k > m:
-        raise ValueError(f"quantile index k={k} outside 1..{m}")
-    lam = max(float(proc.ordered[k - 1]), rule.kappa)
-    flags: tuple[str, ...] = ()
-    if lam >= 1.0:
-        lam = max(rule.kappa, 1.0 - 1.0 / m)
-        flags = ("clamped-below-one",)
-    value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam=lam, value=value, trace=scan_trace((lam, value)), flags=flags)
 
 
 def select_right_boundary_quantile(

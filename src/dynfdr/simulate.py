@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_integer, check_open_unit, check_proportion
+from .estimators import check_integer, check_number, check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, sort_pvalues
 from .selection import parse_rule_spec
@@ -26,14 +26,13 @@ __all__ = [
     "BlockAR",
     "ScenarioConfig",
     "MetricsRow",
-    "normal_cdf",
     "generate_statistics",
     "run_experiment",
     "emit_figure_data",
 ]
 
 
-def normal_cdf(x):
+def _normal_cdf(x):
     """Standard normal distribution function (vectorized)."""
     from scipy import special  # imported on first use: only simulated p-values need scipy
 
@@ -48,12 +47,11 @@ class BlockAR:
     rho: float
 
     def __post_init__(self) -> None:
-        block_size = check_integer("block_size", self.block_size)
-        if block_size < 1:
-            raise ValueError(f"block_size={block_size} must be >= 1")
-        object.__setattr__(self, "block_size", block_size)
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho={self.rho} outside (-1, 1)")
+        object.__setattr__(self, "block_size", check_integer("block_size", self.block_size, 1))
+        rho = check_number("rho", self.rho)
+        if not -1.0 < rho < 1.0:
+            raise ValueError(f"rho={rho} outside (-1, 1)")
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -79,18 +77,19 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("m", 1), ("n_reps", 1), ("seed", 0)):
-            value = check_integer(name, getattr(self, name))
-            if value < low:
-                raise ValueError(f"{name}={value} must be >= {low}")
-            object.__setattr__(self, name, value)
-        if isinstance(self.pi0, bool):
-            raise ValueError(f"pi0={self.pi0!r} is not a number")
-        check_proportion("pi0", self.pi0)
-        if isinstance(self.mu, bool) or not 0.0 <= self.mu < math.inf:
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        object.__setattr__(self, "pi0", check_proportion("pi0", self.pi0))
+        try:
+            mu = check_number("mu", self.mu)
+        except ValueError:
+            mu = math.nan  # rejected just below, in mu's own words
+        if not 0.0 <= mu < math.inf:
             raise ValueError(f"mu={self.mu!r} is not a finite number >= 0")
-        check_open_unit("alpha", self.alpha)
-        kappa = self.alpha if self.kappa is None else self.kappa
-        object.__setattr__(self, "kappa", check_open_unit("kappa", kappa))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "alpha", check_open_unit("alpha", self.alpha))
+        object.__setattr__(self, "kappa", check_open_unit("kappa", self.alpha if self.kappa is None else self.kappa))
+        if self.dependence is not None and not isinstance(self.dependence, BlockAR):
+            raise ValueError(f"dependence={self.dependence!r} is not None or a BlockAR")
         if self.signal_placement not in ("head", "random"):
             raise ValueError(f"signal_placement={self.signal_placement!r} not 'head' or 'random'")
 
@@ -135,9 +134,7 @@ def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProce
     shift.  The replication substream is a pure function of
     (cfg.seed, replication).
     """
-    replication = int(replication)
-    if replication < 0:
-        raise ValueError(f"replication={replication} must be >= 0")
+    replication = check_integer("replication", replication, 0)
     rng = np.random.default_rng([cfg.seed, replication])
     x = _standard_noise(cfg, rng)
     truth = np.ones(cfg.m, dtype=bool)
@@ -148,7 +145,7 @@ def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProce
             positions = rng.permutation(cfg.m)[: cfg.m1]
         x[positions] += cfg.mu
         truth[positions] = False
-    pvals = normal_cdf(-x)
+    pvals = _normal_cdf(-x)
     return sort_pvalues(pvals, truth)
 
 
@@ -168,7 +165,6 @@ class MetricsRow:
     mse_m0_se: float
     mean_lambda: float
     mean_lambda_se: float
-    mean_pi0: float
     n_reps: int
 
 
@@ -263,7 +259,6 @@ def run_experiment(
                 mse_m0_se=mse_se,
                 mean_lambda=mean_lam,
                 mean_lambda_se=lam_se,
-                mean_pi0=float(pi0v[i].mean()),
                 n_reps=cfg.n_reps,
             )
         )

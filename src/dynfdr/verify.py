@@ -123,17 +123,11 @@ def supermartingale_check(
     rows of one (draws, m0) draw, so the results do not depend on the
     block size.
     """
-    m0 = check_integer("m0", m0)
-    draws = check_integer("draws", draws)
-    seed = check_integer("seed", seed)
-    if m0 < 1:
-        raise ValueError(f"m0={m0} must be >= 1")
+    m0 = check_integer("m0", m0, 1)
+    draws = check_integer("draws", draws, 1)
+    seed = check_integer("seed", seed, 0)
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
-    if draws < 1:
-        raise ValueError(f"draws={draws} must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed={seed} must be >= 0")
     rng = np.random.default_rng([seed, m0])
     v_s = np.empty(draws, dtype=np.int64)
     v_t = np.empty(draws, dtype=np.int64)

@@ -132,6 +132,7 @@ def test_analyze_reports_the_pi0_each_baseline_used(tmp_path, capsys):
         (["--alpha", "1.5"], "--alpha"),
         (["--kappa", "1.5"], "--kappa"),
         (["--procedure", "orc", "--pi0", "0"], "--pi0"),
+        (["--alpha", "x"], "--alpha"),
     ],
 )
 def test_analyze_bad_level_is_usage_error_naming_the_flag(four_pvalues, capsys, flags, named):
@@ -348,6 +349,8 @@ def test_verify_lemma2_suite(tmp_path, capsys):
         (["fdr-control", "--reps", "1"], "argument --reps: reps=1 must be >= 2"),
         (["conservative", "--seed", "-5"], "argument --seed: seed=-5 must be >= 0"),
         (["supermartingale", "--seed", "-1"], "argument --seed: seed=-1 must be >= 0"),
+        (["conservative", "--seed", "x"], "argument --seed: seed='x' is not an integer"),
+        (["fdr-control", "--reps", "2.5"], "argument --reps: reps='2.5' is not an integer"),
     ],
 )
 def test_verify_bad_reps_or_seed_is_usage_error_naming_the_flag(capsys, args, message):

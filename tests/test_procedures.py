@@ -13,6 +13,7 @@ from dynfdr import (
     TWENTY_BIN_GRID,
     bh_step_up,
     dynamic_adaptive,
+    fdr_hat_star,
     parse_rule_spec,
     pi0_storey_plus,
     run_procedure,
@@ -103,6 +104,16 @@ def test_threshold_functional_requires_positive_pi0():
     proc = sort_pvalues([0.1])
     with pytest.raises(ValueError):
         threshold_functional(proc, 0.0, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("pi0_star", [float("nan"), float("inf"), -0.5, True, "1"])
+def test_pi0_star_must_be_a_finite_positive_number(pi0_star):
+    # nan would otherwise give threshold 0.0 and an FDR estimate of nan
+    proc = sort_pvalues([0.01, 0.3])
+    with pytest.raises(ValueError, match="^pi0_star="):
+        threshold_functional(proc, pi0_star, 0.05, 0.05)
+    with pytest.raises(ValueError, match="^pi0_star="):
+        fdr_hat_star(proc, pi0_star, 0.01, 0.05)
 
 
 def test_threshold_functional_checks_alpha_and_kappa():
@@ -239,6 +250,15 @@ def test_run_procedure_orc_needs_pi0():
         run_procedure(rule("orc"), proc, 0.05)
     res = run_procedure(rule("orc"), proc, 0.05, pi0=0.5)
     assert res.pi0.value == 0.5
+
+
+def test_a_bool_pi0_is_not_a_number():
+    # True would otherwise run the oracle at pi0 = 1
+    proc = sort_pvalues([0.01, 0.5])
+    with pytest.raises(ValueError, match="pi0_target=True is not a number"):
+        bh_step_up(proc, 0.05, pi0_target=True)
+    with pytest.raises(ValueError, match="pi0_target=True is not a number"):
+        run_procedure(rule("orc"), proc, 0.05, pi0=True)
 
 
 def test_run_procedure_orc_from_labels():

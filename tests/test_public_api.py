@@ -16,22 +16,20 @@ PUBLIC = [
     "MissingTruthLabels", "EmpiricalProcesses", "sort_pvalues",
     # selection
     "TWENTY_BIN_GRID", "FixedRule", "RightBoundaryRule", "LowestSlopeRule", "KQuantileRule",
-    "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "select_fixed",
-    "select_right_boundary", "select_lowest_slope", "select_k_quantile",
-    "select_right_boundary_quantile", "parse_rule_spec",
+    "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "parse_rule_spec",
     # simulate
-    "BlockAR", "ScenarioConfig", "MetricsRow", "normal_cdf", "generate_statistics", "run_experiment",
-    "emit_figure_data",
+    "BlockAR", "ScenarioConfig", "MetricsRow", "generate_statistics", "run_experiment", "emit_figure_data",
 ]
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 30
     assert sorted(dynfdr.__all__) == sorted(PUBLIC)
     assert len(dynfdr.__all__) == len(set(dynfdr.__all__))  # no name exported twice
     for name in PUBLIC:
         assert hasattr(dynfdr, name), name
     assert not hasattr(dynfdr, "PValueSample")  # EmpiricalProcesses is the one sample type
+    assert not hasattr(dynfdr.selection, "select_k_quantile")  # rule.select(proc) runs a rule
 
 
 def test_verify_does_not_export_the_test_oracle():

@@ -16,11 +16,6 @@ from dynfdr import (
     evenly_spaced_grid,
     parse_rule_spec,
     pi0_storey_plus,
-    select_fixed,
-    select_k_quantile,
-    select_lowest_slope,
-    select_right_boundary,
-    select_right_boundary_quantile,
     sort_pvalues,
 )
 
@@ -35,8 +30,8 @@ EIGHT_POINT = [0.01, 0.02, 0.03, 0.3, 0.4, 0.6, 0.8, 0.9]
 
 def test_fixed_is_identity():
     proc = sort_pvalues(EIGHT_POINT)
-    assert select_fixed(proc, FixedRule(0.5, 0.05)).lam == 0.5
-    assert select_fixed(proc, FixedRule(0.95, 0.05)).lam == 0.95
+    assert FixedRule(0.5, 0.05).select(proc).lam == 0.5
+    assert FixedRule(0.95, 0.05).select(proc).lam == 0.95
 
 
 def test_fixed_rejects_lambda_outside_range():
@@ -44,6 +39,8 @@ def test_fixed_rejects_lambda_outside_range():
         FixedRule(lam=0.02, kappa=0.05)
     with pytest.raises(ValueError):
         FixedRule(lam=1.0, kappa=0.05)
+    with pytest.raises(ValueError, match="lam='0.5' is not a number"):
+        FixedRule(lam="0.5", kappa=0.05)
 
 
 # ---------------------------------------------------------- right boundary
@@ -52,7 +49,7 @@ def test_fixed_rejects_lambda_outside_range():
 def test_right_boundary_hand_example_storey_comparison():
     # the plain-variant comparison: 1 at 0, 5/6 at 0.25, 0.75 at 0.5, 1.0 at 0.75 stops
     proc = sort_pvalues(EIGHT_POINT)
-    est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5, 0.75), 0.05))
+    est = RightBoundaryRule((0.25, 0.5, 0.75), 0.05).select(proc)
     assert est.lam == 0.75
     assert est.value == pytest.approx(1.5)  # reported value is the plus variant
 
@@ -60,7 +57,7 @@ def test_right_boundary_hand_example_storey_comparison():
 def test_right_boundary_stops_at_first_candidate():
     # all mass above the grid: the first comparison already levels off
     proc = sort_pvalues([0.99] * 4)
-    est = select_right_boundary(proc, RightBoundaryRule((0.25, 0.5), 0.05))
+    est = RightBoundaryRule((0.25, 0.5), 0.05).select(proc)
     assert est.lam == 0.25
     assert est.trace[0].tolist() == [0.0, 1.0]
     assert est.trace[1][1] == pytest.approx(4.0 / 3.0)
@@ -70,7 +67,7 @@ def test_right_boundary_no_stop_falls_back_to_last_point():
     # the plain estimates strictly decrease over the scan: 1, 0.9375, 5/6, 0.625, 0
     pvals = [0.74, 0.27, 0.75, 0.3, 0.42, 0.08, 0.14, 0.5]
     proc = sort_pvalues(pvals)
-    est = select_right_boundary(proc, RightBoundaryRule((0.2, 0.4, 0.6, 0.8), 0.05))
+    est = RightBoundaryRule((0.2, 0.4, 0.6, 0.8), 0.05).select(proc)
     scanned = [v for _, v in est.trace]
     assert all(b < a for a, b in zip(scanned, scanned[1:]))
     assert est.lam == 0.8
@@ -84,7 +81,7 @@ def test_right_boundary_empty_grid_is_config_error():
 def test_right_boundary_skips_candidates_below_kappa():
     # 0.1 is below kappa=0.2 so it may only serve as a comparison baseline
     proc = sort_pvalues([0.99] * 4)
-    est = select_right_boundary(proc, RightBoundaryRule((0.1, 0.3, 0.6), 0.2))
+    est = RightBoundaryRule((0.1, 0.3, 0.6), 0.2).select(proc)
     assert est.lam == 0.3
 
 
@@ -94,8 +91,8 @@ def test_right_boundary_singleton_grid_equals_fixed():
         pvals = random_mixture_pvalues(rng, int(rng.integers(5, 60)))
         proc = sort_pvalues(pvals)
         point = float(rng.uniform(0.1, 0.9))
-        a = select_right_boundary(proc, RightBoundaryRule((point,), 0.05))
-        b = select_fixed(proc, FixedRule(point, 0.05))
+        a = RightBoundaryRule((point,), 0.05).select(proc)
+        b = FixedRule(point, 0.05).select(proc)
         assert a.lam == b.lam
         assert a.value == b.value
 
@@ -105,7 +102,7 @@ def test_right_boundary_value_is_always_plus_variant():
     for _ in range(2):
         pvals = random_mixture_pvalues(rng, 40)
         proc = sort_pvalues(pvals)
-        est = select_right_boundary(proc, RightBoundaryRule(TWENTY_BIN_GRID, 0.05))
+        est = RightBoundaryRule(TWENTY_BIN_GRID, 0.05).select(proc)
         assert est.value == pytest.approx(pi0_storey_plus(proc, est.lam))
 
 
@@ -114,7 +111,7 @@ def test_right_boundary_value_is_always_plus_variant():
 
 def test_lowest_slope_hand_example():
     proc = sort_pvalues([0.1, 0.2, 0.7, 0.8])
-    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
+    est = LowestSlopeRule(0.05).select(proc)
     assert est.lam == 0.7
     assert est.flags == ()
     traced = [(round(lam, 3), round(v, 4)) for lam, v in est.trace]
@@ -123,27 +120,27 @@ def test_lowest_slope_hand_example():
 
 def test_lowest_slope_fallback_largest_order_statistic():
     proc = sort_pvalues([0.3, 0.6])
-    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
+    est = LowestSlopeRule(0.05).select(proc)
     assert est.lam == 0.6
     assert est.flags == ("fallback-largest-order-statistic",)
 
 
 def test_lowest_slope_fallback_kappa():
     proc = sort_pvalues([0.01, 0.02, 0.03])
-    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
+    est = LowestSlopeRule(0.05).select(proc)
     assert est.lam == 0.05
     assert est.flags == ("fallback-kappa",)
 
 
 def test_lowest_slope_needs_two_pvalues():
     with pytest.raises(ValueError):
-        select_lowest_slope(sort_pvalues([0.4]), LowestSlopeRule(0.05))
+        LowestSlopeRule(0.05).select(sort_pvalues([0.4]))
 
 
 def test_lowest_slope_ignores_ones():
     # values pinned at 1 cannot be selected nor stop the scan
     proc = sort_pvalues([0.2, 0.5, 1.0, 1.0])
-    est = select_lowest_slope(proc, LowestSlopeRule(0.05))
+    est = LowestSlopeRule(0.05).select(proc)
     assert est.lam < 1.0
 
 
@@ -152,19 +149,19 @@ def test_lowest_slope_ignores_ones():
 
 def test_k_quantile_median_recommendation():
     proc = sort_pvalues([0.9, 0.4, 0.05, 0.6, 0.1, 0.7, 0.8])  # p_(3) = 0.4, k = floor(7/2)
-    est = select_k_quantile(proc, KQuantileRule(None, 0.05))
+    est = KQuantileRule(None, 0.05).select(proc)
     assert est.lam == 0.4
 
 
 def test_k_quantile_clamps_to_kappa():
     proc = sort_pvalues([0.01, 0.01, 0.01, 0.9])
-    est = select_k_quantile(proc, KQuantileRule(2, 0.05))
+    est = KQuantileRule(2, 0.05).select(proc)
     assert est.lam == 0.05
 
 
 def test_k_quantile_upper_clamp():
     proc = sort_pvalues([0.2, 1.0, 1.0, 1.0])
-    est = select_k_quantile(proc, KQuantileRule(4, 0.05))
+    est = KQuantileRule(4, 0.05).select(proc)
     assert est.lam == pytest.approx(1.0 - 1.0 / 4.0)
     assert est.flags == ("clamped-below-one",)
 
@@ -185,7 +182,7 @@ def test_k_quantile_range_errors():
     with pytest.raises(ValueError):
         KQuantileRule(k=0, kappa=0.05)
     with pytest.raises(ValueError):
-        select_k_quantile(proc, KQuantileRule(4, 0.05))
+        KQuantileRule(4, 0.05).select(proc)
 
 
 # ------------------------------------------------- right-boundary quantile
@@ -195,7 +192,7 @@ def test_rbq_rank_arithmetic():
     # m = 20, levels (0.25, 0.5, 0.75) -> order statistics 5, 10, 15
     pvals = [round(0.04 * i + 0.02, 4) for i in range(1, 21)]
     proc = sort_pvalues(pvals)
-    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
+    est = RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05).select(proc)
     sp = np.sort(pvals)
     expected_grid = [sp[4], sp[9], sp[14]]
     examined = [lam for lam, _ in est.trace[1:]]
@@ -205,14 +202,14 @@ def test_rbq_rank_arithmetic():
 
 def test_rbq_stops_at_first_surviving_quantile():
     proc = sort_pvalues([0.2, 0.3, 0.35, 0.45, 0.55, 0.65, 0.8, 0.9])
-    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
+    est = RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05).select(proc)
     assert est.lam == 0.3  # q_{0.25} = p_(2)
     assert est.trace.tolist() == [[0.0, 1.0], [0.3, pytest.approx(15.0 / 14.0)]]
 
 
 def test_rbq_all_below_kappa_falls_back():
     proc = sort_pvalues([0.001, 0.002, 0.003, 0.004])
-    est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05))
+    est = RightBoundaryQuantileRule((0.25, 0.5, 0.75), 0.05).select(proc)
     assert est.lam == 0.05
     assert est.flags == ("empty-grid-fallback",)
 
@@ -222,7 +219,7 @@ def test_rbq_grid_deduplicated_and_ascending():
     for _ in range(50):
         pvals = np.round(random_mixture_pvalues(rng, 30), 2)  # coarse => duplicate quantiles
         proc = sort_pvalues(pvals)
-        est = select_right_boundary_quantile(proc, RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05))
+        est = RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05).select(proc)
         examined = [lam for lam, _ in est.trace[1:]]
         assert all(a < b for a, b in zip(examined, examined[1:]))
 

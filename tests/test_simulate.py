@@ -16,9 +16,9 @@ from dynfdr import (
     ScenarioConfig,
     emit_figure_data,
     generate_statistics,
-    normal_cdf,
     run_experiment,
 )
+from dynfdr.simulate import _normal_cdf
 
 from conftest import column_loop_noise, reference_normal_cdf, row
 
@@ -54,7 +54,7 @@ def test_config_sizes_must_be_integers(field, value):
         ScenarioConfig(**{**good, field: value})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False, np.float64("nan")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False, np.float64("nan"), "1"])
 def test_config_mu_must_be_a_finite_number(value):
     with pytest.raises(ValueError, match="mu=.* is not a finite number >= 0"):
         ScenarioConfig(m=10, pi0=0.5, mu=value, n_reps=2, seed=1)
@@ -65,10 +65,32 @@ def test_config_pi0_must_not_be_a_bool():
         ScenarioConfig(m=100, pi0=True, mu=1.0, n_reps=3, seed=1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("pi0", "0.8"), ("pi0", None), ("alpha", "0.05"), ("alpha", False), ("kappa", True), ("dependence", (5, 0.5))],
+)
+def test_config_fields_must_be_numbers(field, value):
+    # "0.8" would otherwise be stored as a str and fail later with a TypeError
+    with pytest.raises(ValueError, match=rf"^{field}=.* is not (a number|None or a BlockAR)$"):
+        ScenarioConfig(**{**dict(m=100, pi0=0.8, mu=1.0, n_reps=3, seed=1), field: value})
+
+
 @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
 def test_block_size_must_be_an_integer(value):
     with pytest.raises(ValueError, match="block_size=.* is not an integer"):
         BlockAR(block_size=value, rho=0.5)
+
+
+@pytest.mark.parametrize("value", ["0.5", False, None])
+def test_rho_must_be_a_number(value):
+    with pytest.raises(ValueError, match="rho=.* is not a number"):
+        BlockAR(block_size=10, rho=value)
+
+
+def test_config_stores_the_floats_it_checked():
+    cfg = ScenarioConfig(m=10, pi0=1, mu=np.float64(2), n_reps=2, seed=1, alpha=np.float32(0.25), dependence=BlockAR(5, 0))
+    assert all(type(v) is float for v in (cfg.pi0, cfg.mu, cfg.alpha, cfg.kappa, cfg.dependence.rho))
+    assert cfg.label == "m=10;pi0=1;mu=2;dep=ar5rho0"
 
 
 def test_numpy_integer_sizes_are_accepted():
@@ -80,6 +102,14 @@ def test_numpy_integer_sizes_are_accepted():
     assert cfg.label == "m=100;pi0=0.8;mu=1;dep=ar10rho0.5"
 
 
+@pytest.mark.parametrize("replication", [2.7, True, -1])
+def test_replication_must_be_an_integer_at_least_zero(replication):
+    # 2.7 and True would otherwise draw replications 2 and 1
+    cfg = ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=3, seed=1)
+    with pytest.raises(ValueError, match="^replication="):
+        generate_statistics(cfg, replication)
+
+
 def test_null_false_split_rounds():
     cfg = ScenarioConfig(m=10, pi0=0.95, mu=1.0, n_reps=1, seed=1)
     assert cfg.m0 == 10 and cfg.m1 == 0
@@ -88,12 +118,12 @@ def test_null_false_split_rounds():
 
 
 def test_zero_statistic_maps_to_half():
-    assert float(normal_cdf(-0.0)) == 0.5
+    assert float(_normal_cdf(-0.0)) == 0.5
 
 
 def test_cdf_matches_independent_reference():
     xs = np.arange(-8.0, 8.0001, 0.004)
-    worst = max(abs(float(normal_cdf(x)) - reference_normal_cdf(float(x))) for x in xs)
+    worst = max(abs(float(_normal_cdf(x)) - reference_normal_cdf(float(x))) for x in xs)
     assert worst < 1e-12, f"max discrepancy {worst}"
 
 
@@ -192,7 +222,6 @@ def test_oracle_rows_are_anchored():
     assert orc.mse_m0 == 0.0
     bh = row(table, "bh")
     assert math.isnan(bh.mean_lambda)
-    assert bh.mean_pi0 == 1.0
 
 
 def test_oracle_always_included():
