@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .estimators import check_integer, check_number, check_open_unit, check_proportion
+from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import EmpiricalProcesses, sort_pvalues
+from .pvalues import EmpiricalProcesses, check_integer, check_number, sort_pvalues
 from .selection import SPEC_HELP, parse_rule_spec
 from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 

@@ -10,12 +10,11 @@ caller decision, not an estimator one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pvalues import EmpiricalProcesses
+from .pvalues import EmpiricalProcesses, check_number
 
 __all__ = [
     "Pi0Estimate",
@@ -23,23 +22,6 @@ __all__ = [
     "pi0_storey_plus",
     "fdr_hat_star",
 ]
-
-
-def check_integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is a Python or numpy integer (a bool is not) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value!r} is not an integer")
-    if low is not None and value < low:
-        raise ValueError(f"{name}={value} must be >= {low}")
-    return int(value)
-
-
-def check_number(name: str, value) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless it is a real number (a bool or a str is not)."""
-    # an exact float passes first: the ABC isinstance costs ~1 us, on the per-replication path
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name}={value!r} is not a number")
-    return float(value)
 
 
 def check_open_unit(name: str, value: float) -> float:
@@ -100,7 +82,7 @@ class Pi0Estimate:
 
 
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
+    lam = check_number("lambda", lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1)")
     return lam
@@ -128,7 +110,7 @@ def fdr_hat_star(proc: EmpiricalProcesses, pi0_star: float, t: float, kappa: flo
     """
     pi0_star = check_pi0_star(pi0_star)
     kappa = check_open_unit("kappa", kappa)
-    t = float(t)
+    t = check_number("t", t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
     if t > kappa:

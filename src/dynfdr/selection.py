@@ -22,8 +22,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_integer, check_number, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
-from .pvalues import EmpiricalProcesses
+from .estimators import Pi0Estimate, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
+from .pvalues import EmpiricalProcesses, check_integer, check_number
 
 __all__ = [
     "TWENTY_BIN_GRID",
@@ -52,7 +52,7 @@ TWENTY_BIN_GRID = evenly_spaced_grid(0.05, 0.05, 0.95)
 
 
 def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
-    vals = tuple(float(g) for g in grid)
+    vals = tuple(check_number(f"{what} entry", g) for g in grid)
     if not vals:
         raise ValueError(f"{what} is empty")
     for a, b in zip(vals, vals[1:]):

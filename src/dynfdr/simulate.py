@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_integer, check_number, check_open_unit, check_proportion
+from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
-from .pvalues import EmpiricalProcesses, sort_pvalues
+from .pvalues import EmpiricalProcesses, check_integer, check_number, sort_pvalues
 from .selection import parse_rule_spec
 
 __all__ = [
@@ -32,11 +32,59 @@ __all__ = [
 ]
 
 
-def _normal_cdf(x):
-    """Standard normal distribution function (vectorized)."""
-    from scipy import special  # imported on first use: only simulated p-values need scipy
+# Cephes ndtr/erf/erfc coefficients, highest power first; a leading 1.0 turns
+# Cephes's p1evl (monic) into polevl, since 1.0 * x + c == x + c exactly.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
 
-    return special.ndtr(x)
+
+def _polevl(x, coef):
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _normal_cdf(a):
+    """Standard normal distribution function (vectorized), bit for bit scipy.special.ndtr.
+
+    A numpy port of Cephes ndtr, erf and erfc in their operation order; exp is libm's
+    (``math.exp``), as in the compiled original, since ``np.exp`` can differ in the last bit.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    w = np.minimum(z, 1.0)  # erf's T/U branch serves |x| <= 1 only
+    ww = w * w
+    erf_w = w * _polevl(ww, _T) / _polevl(ww, _U)
+    # 0.5 + 0.5 erf(x) below 1/sqrt(2), else 0.5 erfc(|x|) with erfc = 1 - erf below 1
+    y = np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf_w, x), 0.5 * (1.0 - erf_w))
+    tail = np.flatnonzero(z >= 1.0)
+    zt = np.minimum(z[tail], 27.0)  # keeps z^2 finite; erfc underflows to 0 past z^2 = MAXLOG either way
+    zz = zt * zt
+    e = np.fromiter(map(math.exp, (-zz).tolist()), float, tail.size)
+    e[zz > _MAXLOG] = 0.0
+    erfc = e * _polevl(zt, _P) / _polevl(zt, _Q)
+    far = zt >= 8.0
+    if far.any():
+        erfc[far] = e[far] * _polevl(zt[far], _R) / _polevl(zt[far], _S)
+    y[tail] = 0.5 * erfc
+    return np.where(x >= _SQRT1_2, 1.0 - y, y).reshape(a.shape)[()]
 
 
 @dataclass(frozen=True)

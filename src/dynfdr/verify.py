@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_integer, check_open_unit
+from .estimators import check_open_unit
+from .pvalues import check_integer, check_number
 from .selection import TWENTY_BIN_GRID
 from .simulate import ScenarioConfig, _mean_se, _replications
 
@@ -126,6 +127,7 @@ def supermartingale_check(
     m0 = check_integer("m0", m0, 1)
     draws = check_integer("draws", draws, 1)
     seed = check_integer("seed", seed, 0)
+    s, t = check_number("s", s), check_number("t", t)
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
     rng = np.random.default_rng([seed, m0])

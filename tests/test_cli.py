@@ -369,9 +369,17 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_import_cli_does_not_load_scipy():
-    # scipy is only needed to generate simulated p-values
+    # dynfdr needs only numpy at run time, the simulated p-values included
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, dynfdr.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    code = (
+        "import sys, dynfdr.cli\n"
+        "assert 'scipy' not in sys.modules, 'import dynfdr.cli loaded scipy'\n"
+        "from dynfdr import BlockAR, ScenarioConfig, generate_statistics, run_experiment\n"
+        "cfg = ScenarioConfig(m=200, pi0=0.8, mu=2.0, n_reps=3, seed=1, dependence=BlockAR(50, -0.9))\n"
+        "generate_statistics(cfg, 0)\n"
+        "run_experiment(cfg)\n"
+        "assert 'scipy' not in sys.modules, 'the Monte Carlo path loaded scipy'\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
     )

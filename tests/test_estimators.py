@@ -59,6 +59,14 @@ def test_lambda_domain(fn):
         fn(proc, -0.2)
 
 
+@pytest.mark.parametrize("lam", ["0.5", False])
+@pytest.mark.parametrize("fn", [pi0_storey, pi0_storey_plus])
+def test_lambda_must_be_a_number(fn, lam):
+    proc = sort_pvalues([0.1, 0.2])
+    with pytest.raises(ValueError, match=f"lambda={lam!r} is not a number"):
+        fn(proc, lam)
+
+
 def test_plus_minus_gap_is_exact():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -92,6 +100,13 @@ def test_fdr_hat_star_domain():
         fdr_hat_star(proc, 0.0, 0.01, 0.05)
     with pytest.raises(ValueError):
         fdr_hat_star(proc, 1.0, 1.5, 0.05)
+
+
+@pytest.mark.parametrize("t", ["0.01", True])
+def test_fdr_hat_star_cutoff_must_be_a_number(t):
+    proc = sort_pvalues([0.3])
+    with pytest.raises(ValueError, match=f"t={t!r} is not a number"):
+        fdr_hat_star(proc, 1.0, t, 0.05)
 
 
 def test_fdr_hat_star_nondecreasing_between_order_statistics():

@@ -71,6 +71,15 @@ def test_count_R_domain_error():
         proc.count_R(-0.1)
 
 
+@pytest.mark.parametrize("t", ["0.5", True])
+def test_count_threshold_must_be_a_number(t):
+    proc = sort_pvalues([0.1, 0.9], truth=[False, True])
+    with pytest.raises(ValueError, match=f"threshold t={t!r} is not a number"):
+        proc.count_R(t)
+    with pytest.raises(ValueError, match=f"threshold t={t!r} is not a number"):
+        proc.count_V(t)
+
+
 def test_count_V_S_examples():
     proc = sort_pvalues([0.1, 0.9], truth=[False, True])
     assert proc.count_V(0.5) == 0

@@ -78,6 +78,14 @@ def test_right_boundary_empty_grid_is_config_error():
         RightBoundaryRule(grid=(), kappa=0.05)
 
 
+@pytest.mark.parametrize("bad", ["0.5", True])
+def test_grid_entries_must_be_numbers(bad):
+    with pytest.raises(ValueError, match=f"candidate grid entry={bad!r} is not a number"):
+        RightBoundaryRule(grid=(bad,), kappa=0.05)
+    with pytest.raises(ValueError, match=f"quantile levels entry={bad!r} is not a number"):
+        RightBoundaryQuantileRule(levels=(0.25, bad), kappa=0.05)
+
+
 def test_right_boundary_skips_candidates_below_kappa():
     # 0.1 is below kappa=0.2 so it may only serve as a comparison baseline
     proc = sort_pvalues([0.99] * 4)

@@ -8,7 +8,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from dynfdr import simulate
 from dynfdr import (
@@ -119,6 +121,69 @@ def test_null_false_split_rounds():
 
 def test_zero_statistic_maps_to_half():
     assert float(_normal_cdf(-0.0)) == 0.5
+
+
+# Cephes's MAXLOG = log(2**1024): exp(-z^2) underflows beyond z^2 = MAXLOG, i.e. a = sqrt(2 MAXLOG)
+_CEPHES_BRANCH_POINTS = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2))
+
+
+def assert_is_scipy_ndtr(a):
+    """``_normal_cdf(a)`` equals ``scipy.special.ndtr(a)`` bit for bit: values, nan positions and sign bits."""
+    got, want = _normal_cdf(a), special.ndtr(a)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _neighbours(v, n=3):
+    up, down = [v], [v]
+    for _ in range(n):
+        up.append(np.nextafter(up[-1], math.inf))
+        down.append(np.nextafter(down[-1], -math.inf))
+    return down[:0:-1] + up
+
+
+def test_cdf_is_scipy_ndtr_on_special_values_and_branch_points():
+    tiny = np.finfo(float).tiny
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny]
+    values += [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 1e-300, -1e-300]
+    for point in _CEPHES_BRANCH_POINTS:
+        values += _neighbours(point) + _neighbours(-point)
+    assert_is_scipy_ndtr(np.array(values))
+    for v in values:  # one by one too: a Python float in, a numpy scalar out
+        assert_is_scipy_ndtr(v)
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0, -2.0])
+@pytest.mark.parametrize("scale", [0.3, 3.0, 30.0])
+def test_cdf_is_scipy_ndtr_on_a_million_normal_values(scale, shift):
+    rng = np.random.default_rng([int(scale * 10), int(shift) + 2])
+    assert_is_scipy_ndtr(scale * rng.standard_normal(1_000_000) + shift)
+
+
+@pytest.mark.parametrize("dependence", [None, BlockAR(50, -0.9)])
+def test_cdf_is_scipy_ndtr_on_the_simulated_statistics(monkeypatch, dependence):
+    # the acceptance configs: m = 1000, pi0 = 0.8, mu in {1, 2}, independent or block-AR(50, -0.9)
+    seen = []
+    monkeypatch.setattr(simulate, "_normal_cdf", lambda v: seen.append(v) or _normal_cdf(v))
+    for mu in (1.0, 2.0):
+        cfg = ScenarioConfig(m=1000, pi0=0.8, mu=mu, n_reps=250, seed=20260808, dependence=dependence)
+        for j in range(cfg.n_reps):
+            generate_statistics(cfg, j)
+    assert len(seen) == 500
+    assert_is_scipy_ndtr(np.concatenate(seen))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_cdf_is_scipy_ndtr_on_any_floats(values):
+    assert_is_scipy_ndtr(np.array(values))
+
+
+def test_cdf_keeps_the_input_shape():
+    for a in (0.3, np.float64(-1.5), np.array(2.0), np.array([[0.1, -40.0], [1.0, 9.0]]), np.array([]), [1, 2]):
+        assert_is_scipy_ndtr(a)
+    assert isinstance(_normal_cdf(0.3), np.float64)
 
 
 def test_cdf_matches_independent_reference():

@@ -135,6 +135,13 @@ def test_supermartingale_input_validation():
         supermartingale_check(m0=5, s=0.7, t=0.6)
 
 
+@pytest.mark.parametrize("field, value", [("s", "0.2"), ("s", True), ("t", "0.6"), ("t", True)])
+def test_supermartingale_times_must_be_numbers(field, value):
+    args = {"m0": 10, "s": 0.2, "t": 0.6, "draws": 100, field: value}
+    with pytest.raises(ValueError, match=f"{field}={value!r} is not a number"):
+        supermartingale_check(**args)
+
+
 @pytest.mark.parametrize(
     "field, value", [("m0", 10.5), ("m0", True), ("m0", "10"), ("draws", 2.5), ("draws", False), ("draws", np.float64(100))]
 )
