@@ -257,10 +257,12 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     dependence = _parse_dependence(cfg, parser)
     placement = cfg.get("signal_placement", "head")
 
-    if args.procedures:
-        procedures = [s.strip() for s in args.procedures.split(",") if s.strip()]
+    if args.procedures is not None:
+        where, procedures = "argument --procedures", [s.strip() for s in args.procedures.split(",") if s.strip()]
     else:
-        procedures = cfg.get("procedures", list(DEFAULT_PROCEDURES))
+        where, procedures = "config field 'procedures'", cfg.get("procedures", list(DEFAULT_PROCEDURES))
+    if not (isinstance(procedures, list) and procedures and all(isinstance(s, str) for s in procedures)):
+        parser.error(f"{where} must be a nonempty list of procedure specs, got {procedures!r}")
 
     rows = []
     try:

@@ -1,8 +1,9 @@
 """Estimators of the true-null proportion and of the FDR at a cut-off.
 
 The plus-one variant of the tail estimator is bounded away from zero and
-is what the thresholding step always consumes; the plain variant exists
-because the right-boundary rules run their stopping comparison on it.
+is what the thresholding step always consumes; the plain variant is the
+estimate the right-boundary rules compare, which selection computes at
+all their candidates at once, in the operations ``pi0_storey`` uses at one.
 Estimates above 1 are legal and are never clipped here: capping is a
 caller decision, not an estimator one.
 """

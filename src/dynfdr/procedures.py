@@ -129,5 +129,7 @@ def run_procedure(
                     "orc needs the true null proportion: pass pi0 or supply truth labels"
                 )
             pi0 = float(np.count_nonzero(proc.truth)) / proc.m
+            if pi0 == 0.0:
+                raise ValueError("orc needs at least one true null, and the truth labels have none")
         return bh_step_up(proc, alpha, pi0)
     return dynamic_adaptive(proc, rule, alpha)

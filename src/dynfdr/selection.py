@@ -1,8 +1,9 @@
 """Data-driven selection rules for the tuning parameter lambda.
 
-Each rule scans candidates from the left and stops the first time the
-pi0 estimate stops improving (decreasing), so the decision at a candidate
-depends only on p-value counts at or below it.  That forward-scan
+Each scanning rule runs candidates from the left and stops the first time
+the pi0 estimate stops improving (decreasing), so the decision at a
+candidate depends only on p-value counts at or below it.  ``_first_stop``
+is that stopping rule, and the only place it is written.  That forward-scan
 structure is what licenses plugging the selected lambda into the
 truncated FDR estimator without losing finite-sample control.  The claim
 holds unless the estimate carries a flag: a flagged fallback or clamp
@@ -22,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_open_unit, pi0_storey, pi0_storey_plus, scan_trace
+from .estimators import Pi0Estimate, check_open_unit, pi0_storey_plus, scan_trace
 from .pvalues import EmpiricalProcesses, check_integer, check_number
 
 __all__ = [
@@ -184,40 +185,43 @@ def select_fixed(proc: EmpiricalProcesses, rule: FixedRule) -> Pi0Estimate:
 def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> Pi0Estimate:
     """Pick the right edge of the first bin where the pi0 estimate levels off.
 
-    Scans the boundaries left to right, comparing the plain estimate at
-    each boundary with the one at the previous boundary (the leftmost
-    compares against 0).  A boundary qualifies when it is >= kappa and its
-    estimate is >= its predecessor's; if none qualifies the last boundary
-    wins.  Boundaries below kappa are skipped as candidates but still
-    serve as comparison baselines.  The reported value is the plus-one
-    estimate at the chosen boundary.
+    ``_first_stop``, non-strict, on the plain estimate at 0 and at each
+    boundary; boundaries below kappa serve only as comparison baselines.
+    If the scan never stops the last boundary wins.  The reported value
+    is the plus-one estimate at the chosen boundary.
     """
     return _right_boundary_scan(proc, rule.grid, rule.kappa)
 
 
-def _right_boundary_scan(
-    proc: EmpiricalProcesses, grid: Sequence[float], kappa: float, flags: tuple[str, ...] = ()
-) -> Pi0Estimate:
-    """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
-    prev = pi0_storey(proc, 0.0)
-    trace = [0.0, prev]
-    chosen: float | None = None
-    for lam in grid:
-        cur = pi0_storey(proc, lam)
-        trace += (lam, cur)
-        if lam >= kappa and cur >= prev:
-            chosen = lam
-            break
-        prev = cur
+def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, strict: bool) -> int:
+    """The stopping rule: the index where a forward scan stops, -1 when it never does.
 
-    if chosen is None:
-        chosen = grid[-1]
+    That is the first i >= 1 with candidates[i] >= kappa whose estimate
+    does not improve on the one at candidates[i - 1]: rises above it
+    (``strict``) or does not fall below it.  A comparison with a nan
+    estimate never stops the scan; the decision at i reads only i - 1 and i.
+    """
+    cur, prev = estimates[1:], estimates[:-1]
+    stop = (candidates[1:] >= kappa) & ((cur > prev) if strict else (cur >= prev))
+    i = int(stop.argmax())
+    return i + 1 if stop[i] else -1
+
+
+def _right_boundary_scan(proc: EmpiricalProcesses, grid, kappa: float, flags: tuple[str, ...] = ()) -> Pi0Estimate:
+    """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
+    candidates = np.concatenate(([0.0], grid))
+    m = proc.m
+    # the plain estimate (m - R(lam)) / ((1 - lam) m) at every candidate, as pi0_storey computes it
+    est = (m - proc.ordered.searchsorted(candidates, side="right")) / ((1.0 - candidates) * m)
+    last = _first_stop(candidates, est, kappa, strict=False)
+    n = last + 1 if last > 0 else candidates.size  # no stop: the last grid point
+    chosen = float(candidates[n - 1])
     if chosen < kappa:
         # whole grid sits below the rejection region; keep lambda admissible
         chosen = kappa
         flags += ("grid-below-kappa",)
-    value = pi0_storey_plus(proc, chosen)
-    return Pi0Estimate(lam=chosen, value=value, trace=scan_trace(trace), flags=flags)
+    trace = scan_trace(np.column_stack((candidates, est))[:n])
+    return Pi0Estimate(lam=chosen, value=pi0_storey_plus(proc, chosen), trace=trace, flags=flags)
 
 
 # order statistics the lowest-slope scan scores first; each further pass scores 4x as many
@@ -225,12 +229,10 @@ _LSL_FIRST_PREFIX = 256
 
 
 def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0Estimate:
-    """Stopping scan over every order statistic, with a strict comparison.
+    """``_first_stop``, strict, on the plus-one estimate at every order statistic.
 
-    Picks the first p_(i), i >= 2, with p_(i) >= kappa whose plus-one
-    estimate strictly exceeds the one at p_(i-1).  If the scan never
-    stops, falls back to the largest order statistic in [kappa, 1); if
-    even that fails, to kappa itself.  Both fallbacks are flagged.
+    If the scan never stops, falls back to the largest order statistic in
+    [kappa, 1); if even that fails, to kappa itself.  Both are flagged.
     """
     kappa = rule.kappa
     m = proc.m
@@ -243,25 +245,16 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     while True:
         head = p[:n]
         counts = p.searchsorted(head, side="right")  # R(p_(i)) including ties
-        if head[-1] < 1.0:
-            est = (m - counts + 1) / ((1.0 - head) * m)
-            stop = head >= kappa
-            stop[1:] &= est[1:] > est[:-1]
-        else:
-            below_one = head < 1.0
-            est = np.full(n, np.nan)
-            est[below_one] = (m - counts[below_one] + 1) / ((1.0 - head[below_one]) * m)
-            stop = below_one & (head >= kappa)
-            with np.errstate(invalid="ignore"):
-                stop[1:] &= est[1:] > est[:-1]
-        stop[0] = False
-        first = int(stop.argmax())
-        if stop[first] or n == m:
+        den = (1.0 - head) * m
+        den[head.searchsorted(1.0):] = np.nan  # the plus-one estimate is nan at p = 1
+        est = (m - counts + 1) / den
+        first = _first_stop(head, est, kappa, strict=True)
+        if first > 0 or n == m:
             break
         n = min(4 * n, m)
 
     flags: tuple[str, ...] = ()
-    if stop[first]:
+    if first > 0:
         n = first + 1
         chosen = float(p[first])
     else:
@@ -296,8 +289,8 @@ def select_right_boundary_quantile(
     # the quantiles ascend, so a repeat equals its left neighbour
     keep = (quantiles >= kappa) & (quantiles < 1.0)
     keep[1:] &= quantiles[1:] != quantiles[:-1]
-    grid = quantiles[keep].tolist()
-    if not grid:
+    grid = quantiles[keep]
+    if not grid.size:
         value = pi0_storey_plus(proc, kappa)
         flags = ("empty-grid-fallback",) + flags
         return Pi0Estimate(lam=kappa, value=value, trace=scan_trace((kappa, value)), flags=flags)

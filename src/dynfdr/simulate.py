@@ -253,7 +253,7 @@ def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
         proc = generate_statistics(cfg, j)
         rec = []
         for rule in rules:
-            res = run_procedure(rule, proc, cfg.alpha, pi0=cfg.pi0)
+            res = run_procedure(rule, proc, cfg.alpha)  # orc at the realised m0 / m
             n_rej = res.n_rejected
             v = int(np.count_nonzero(proc.truth[res.rejected]))
             power = (n_rej - v) / m1 if m1 > 0 else 0.0

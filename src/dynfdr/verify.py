@@ -184,7 +184,7 @@ def fdr_control_check(
     mean FDP stays below the bound (alpha/kappa) E[V(kappa)/(m pi0*)],
     estimated on the same replications (paired SE).  Under independent
     noise the baselines are calibrated two-sided: the plain step-up
-    procedure at pi0 * alpha and the oracle at alpha.
+    procedure at (m0 / m) * alpha and the oracle at alpha.
     """
     alpha, kappa = cfg.alpha, cfg.kappa
     specs = list(dict.fromkeys([*rules, "bh", "orc"]))
@@ -201,7 +201,7 @@ def fdr_control_check(
         results.append(_three_se_check(f"fdr-control[{s}]", fdp[s], alpha, f"J={cfg.n_reps}"))
         detail = "mean FDP minus (alpha/kappa) E[V(kappa)/(m pi0*)]"
         results.append(_three_se_check(f"fdr-bound[{s}]", fdp[s] - bound_rhs[s], 0.0, detail))
-    for s, target, target_desc in (("bh", cfg.pi0 * alpha, "pi0 * alpha"), ("orc", alpha, "alpha")):
+    for s, target, target_desc in (("bh", cfg.m0 / cfg.m * alpha, "pi0 * alpha"), ("orc", alpha, "alpha")):
         if cfg.dependence is None:
             detail = f"two-sided at {target_desc}"
             results.append(_three_se_check(f"fdr-calibration[{s}]", fdp[s], target, detail, side="both"))
@@ -216,13 +216,13 @@ def conservative_estimation_check(
 ) -> list[CheckResult]:
     """Mean selected pi0 estimate must not undershoot the truth.
 
-    For each rule asserts mean pi0*(lambda) >= cfg.pi0 - 3 SE over
+    For each rule asserts mean pi0*(lambda) >= m0 / m - 3 SE over
     cfg.n_reps replications.
     """
     specs = list(dict.fromkeys(rules))
     pi0s = dict(zip(specs, np.stack([rec[3] for _, rec in _replications(cfg, specs)], axis=-1)))
     return [
-        _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.pi0, f"J={cfg.n_reps}", side="lower")
+        _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
         for s in rules
     ]
 

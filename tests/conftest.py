@@ -153,7 +153,7 @@ def replication_records(cfg, specs):
         proc = generate_statistics(cfg, j)
         v_kappa[j] = naive_count(proc.values[proc.truth], cfg.kappa)
         for s in specs:
-            res = run_procedure(rules[s], proc, cfg.alpha, pi0=cfg.pi0)
+            res = run_procedure(rules[s], proc, cfg.alpha)  # orc from the truth labels: m0 / m
             v = sum(1 for i in res.rejected if proc.truth[i])
             r = len(res.rejected)
             power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0
@@ -244,13 +244,42 @@ def full_lowest_slope(proc, kappa):
     return chosen, pi0_storey_plus(proc, chosen), trace, flags
 
 
+def scalar_right_boundary(proc, grid, kappa):
+    """The right-boundary scan written out, one ``pi0_storey`` call per candidate: the oracle of the array scan.
+
+    Compares the plain estimate at each grid point with the one at the
+    previous point (the first with the one at 0) and stops at the first
+    point >= kappa that does not improve on it; no stop picks the last
+    point, and a pick below kappa is clamped to kappa with a flag.
+    Returns (lam, value, trace, flags) with the trace as a tuple of float pairs.
+    """
+    from dynfdr.estimators import pi0_storey, pi0_storey_plus
+
+    prev = pi0_storey(proc, 0.0)
+    trace = [(0.0, prev)]
+    chosen = None
+    for lam in grid:
+        cur = pi0_storey(proc, lam)
+        trace.append((lam, cur))
+        if lam >= kappa and cur >= prev:
+            chosen = lam
+            break
+        prev = cur
+    flags = ()
+    if chosen is None:
+        chosen = grid[-1]
+    if chosen < kappa:
+        chosen, flags = kappa, ("grid-below-kappa",)
+    return chosen, pi0_storey_plus(proc, chosen), tuple(trace), flags
+
+
 def unique_grid_right_boundary_quantile(proc, levels, kappa):
     """The quantile rule with its grid built by ``np.clip`` and ``np.unique``: the oracle of the neighbour scan.
 
-    Runs the right-boundary scan written out with a list trace; returns
+    Runs ``scalar_right_boundary`` on the surviving grid; returns
     (lam, value, trace, flags) with the trace as a tuple of float pairs.
     """
-    from dynfdr.estimators import pi0_storey, pi0_storey_plus
+    from dynfdr.estimators import pi0_storey_plus
 
     m = proc.m
     ranks = np.ceil(np.asarray(levels) * m - 1e-9).astype(np.int64)
@@ -262,17 +291,5 @@ def unique_grid_right_boundary_quantile(proc, levels, kappa):
     if grid.size == 0:
         value = pi0_storey_plus(proc, kappa)
         return kappa, value, ((kappa, value),), ("empty-grid-fallback",) + flags
-    grid = grid.tolist()
-    prev = pi0_storey(proc, 0.0)
-    trace = [(0.0, prev)]
-    chosen = None
-    for lam in grid:
-        cur = pi0_storey(proc, lam)
-        trace.append((lam, cur))
-        if lam >= kappa and cur >= prev:
-            chosen = lam
-            break
-        prev = cur
-    if chosen is None:
-        chosen = grid[-1]
-    return chosen, pi0_storey_plus(proc, chosen), tuple(trace), flags
+    lam, value, trace, _ = scalar_right_boundary(proc, grid.tolist(), kappa)  # no clamp: the grid is >= kappa
+    return lam, value, trace, flags

@@ -4,19 +4,23 @@ A rename or move in the library would otherwise surface only as a failed
 benchmark run; these checks make it fail here.  The tracer and
 bench/workloads.py, whose lowest-slope trace length the traced analyze
 run must hit, are loaded read-only (no bytecode is written next to them).
+Every workload's calls also run here at the recorded seed, through the
+benchmark's own output check: its shape checks and its sha256 digests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynfdr import DEFAULT_PROCEDURES, LowestSlopeRule, parse_rule_spec, run_procedure, sort_pvalues
+from dynfdr import DEFAULT_PROCEDURES, LowestSlopeRule, cli, parse_rule_spec, run_procedure, sort_pvalues
 from dynfdr.pvalues import EmpiricalProcesses
 
 from conftest import random_mixture_pvalues
@@ -79,3 +83,23 @@ def test_every_trace_is_a_read_only_float_array_of_pairs(spec):
         assert trace.ndim == 2 and trace.shape[1] == 2
         assert (trace.shape[0] == 0) == (spec in ("bh", "orc")), spec
         assert not trace.flags.writeable
+
+
+WORKLOAD_NAMES = ("simulate-blockar", "verify-all", "analyze-1e6")
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_outputs_pass_the_benchmark_check(workloads, tmp_path, name):
+    # the seed-1 digests pin every output byte, so a changed number fails here, not only in the benchmark
+    assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
+    wl = workloads.WORKLOADS[name](tmp_path, workloads.DEFAULT_SEED)
+    wl.prepare()
+    assert wl.digests, "no digests recorded for the default seed"
+    for call in wl.calls:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                code = cli.main(list(call.args))
+            except SystemExit as exc:
+                code = exc.code
+        assert wl.check(call, code, stdout.getvalue()) is None

@@ -276,6 +276,35 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("procedures", [[1], "bh", [], ["bh", None]], ids=["int", "str", "empty", "mixed"])
+def test_simulate_procedures_must_be_a_list_of_specs(tmp_path, capsys, procedures):
+    # a str would otherwise run one spec per character, an int end in a traceback, [] run only orc
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": procedures}))
+    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    message = f"config field 'procedures' must be a nonempty list of procedure specs, got {procedures!r}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [",", " , ", ""])
+def test_simulate_procedures_flag_needs_a_spec(sim_config, tmp_path, capsys, flag):
+    code = run_cli(["simulate", str(sim_config), "--procedures", flag, "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    message = "argument --procedures must be a nonempty list of procedure specs, got []"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_simulate_rejects_a_config_without_true_nulls(tmp_path, capsys):
+    # m0 = round(0.04 * 10) = 0: the oracle, which simulate always runs, has no null proportion to use
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 10, "pi0": 0.04, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bh"]}))
+    assert run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    assert "config rejected: orc needs at least one true null" in capsys.readouterr().err
+
+
 def test_simulate_checks_out_before_the_study(sim_config, tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         pytest.fail("the study ran before --out was found unwritable")

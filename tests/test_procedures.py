@@ -268,6 +268,12 @@ def test_run_procedure_orc_from_labels():
     assert res.threshold == expected.threshold
 
 
+def test_run_procedure_orc_needs_a_true_null_among_the_labels():
+    proc = sort_pvalues([0.01, 0.5], truth=[False, False])
+    with pytest.raises(ValueError, match="orc needs at least one true null, and the truth labels have none"):
+        run_procedure(rule("orc"), proc, 0.05)
+
+
 def test_run_procedure_records_the_pi0_used():
     proc = sort_pvalues([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
     cases = [("bh", None, 1.0), ("orc", None, 0.75), ("orc", 0.5, 0.5)]

@@ -6,8 +6,9 @@ and 1s and p-values equal to kappa in the inputs, and it keeps every
 product and comparison in the thresholding arithmetic exact, so alpha
 can be put exactly on the step-up line.  The p-value file reader is
 checked against the line-parser oracle on generated file bytes, and the
-trimmed lowest-slope and quantile scans against the full-array scans on
-generated samples of up to 2000 p-values.
+array scans (lowest-slope, right-boundary, quantile) against the
+full-array and one-candidate-at-a-time scans on generated samples of up
+to 2000 p-values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dynfdr import (
     TWENTY_BIN_GRID,
     LowestSlopeRule,
     RightBoundaryQuantileRule,
+    RightBoundaryRule,
     cli,
     parse_rule_spec,
     run_procedure,
@@ -37,6 +39,7 @@ from conftest import (
     brute_force_threshold,
     full_lowest_slope,
     read_pvalue_lines,
+    scalar_right_boundary,
     unique_grid_right_boundary_quantile,
 )
 
@@ -186,21 +189,40 @@ LEVELS = st.one_of(
 )
 
 
+# right-boundary grids: the quantile levels' shapes, and single points
+GRIDS = st.one_of(LEVELS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda g: (g,)))
+
+
 def _same(est, oracle):
     lam, value, trace, flags = oracle
     assert repr(est.lam) == repr(lam) and repr(est.value) == repr(value)
+    assert type(est.lam) is float and type(est.value) is float
     assert est.flags == flags
     assert [tuple(map(repr, row)) for row in est.trace.tolist()] == [tuple(map(repr, row)) for row in trace]
+    # every bit, nan rows and sign bits included, in a read-only (n, 2) float64 array
+    assert est.trace.dtype == np.float64 and est.trace.shape == (len(trace), 2) and not est.trace.flags.writeable
+    assert est.trace.tobytes() == np.array(trace, dtype=np.float64).tobytes()
+
+
+def _place_grid(grid, kappa, where):
+    """A drawn grid as drawn, scaled to lie below kappa, or with kappa itself added."""
+    if where == "below kappa":
+        return tuple(sorted({kappa * g for g in grid if kappa * g > 0.0} or {kappa / 2}))  # a subnormal g underflows
+    if where == "through kappa":
+        return tuple(sorted({*grid, kappa}))
+    return grid
 
 
 def test_trimmed_scans_equal_the_full_scans():
-    # the prefix lowest-slope scan and the neighbour-deduplicated quantile grid, bit for bit
+    # lowest-slope (prefix scan), right-boundary (one array pass) and quantile (neighbour-deduplicated
+    # grid) against the full-array and one-candidate-at-a-time oracles, bit for bit
     seen = Counter()
 
-    @SETTINGS
-    @given(scan_samples(), LEVELS)
-    @example((np.round(np.linspace(0.0, 1.0, 1000), 1), 0.05), TWENTY_BIN_GRID)  # a tie run across the first prefix
-    def check(case, levels):
+    @settings(SETTINGS, max_examples=200)
+    @given(scan_samples(), LEVELS, GRIDS, st.sampled_from(("as drawn", "below kappa", "through kappa")))
+    @example((np.round(np.linspace(0.0, 1.0, 1000), 1), 0.05), TWENTY_BIN_GRID, TWENTY_BIN_GRID, "as drawn")  # a tie run across the first prefix
+    @example((np.array([0.3, 1.0, 0.02, 1.0, 0.6]), 0.05), TWENTY_BIN_GRID, (0.5,), "as drawn")  # 1s in the first prefix
+    def check(case, levels, grid, where):
         pvals, kappa = case
         proc = sort_pvalues(pvals)
         est = LowestSlopeRule(kappa).select(proc)
@@ -209,11 +231,21 @@ def test_trimmed_scans_equal_the_full_scans():
             seen[est.flags[0]] += 1
         elif len(est.trace) > _LSL_FIRST_PREFIX:
             seen["stop-past-prefix"] += 1
+        if proc.ordered[min(proc.m, _LSL_FIRST_PREFIX) - 1] == 1.0:
+            seen["one-in-first-prefix"] += 1
         rule = RightBoundaryQuantileRule(levels, kappa)
         _same(rule.select(proc), unique_grid_right_boundary_quantile(proc, rule.levels, kappa))
+        rule = RightBoundaryRule(_place_grid(grid, kappa, where), kappa)
+        est = rule.select(proc)
+        _same(est, scalar_right_boundary(proc, rule.grid, kappa))
+        (lam, cur), prev = est.trace[-1], est.trace[-2, 1]
+        seen["rb " + (est.flags[0] if est.flags else "stop" if lam >= kappa and cur >= prev else "no stop")] += 1
+        if len(rule.grid) == 1:
+            seen["rb single point"] += 1
 
     check()
-    for outcome in ("stop-past-prefix", "fallback-largest-order-statistic", "fallback-kappa"):
+    outcomes = ("stop-past-prefix", "fallback-largest-order-statistic", "fallback-kappa", "one-in-first-prefix")
+    for outcome in (*outcomes, "rb grid-below-kappa", "rb no stop", "rb stop", "rb single point"):
         assert seen[outcome] >= 5, seen
 
 
