@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, check_integer, check_number, sort_pvalues
 from .selection import SPEC_HELP, parse_rule_spec
@@ -52,7 +51,7 @@ def _read_one_column(path: str) -> np.ndarray | None:
     try:
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):  # split at LF alone
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")  # a byte order mark is no header
                 if len(line.splitlines()) > 1:
                     return None
                 fields = _fields(line)
@@ -70,7 +69,7 @@ def _read_one_column(path: str) -> np.ndarray | None:
                 break
             else:
                 return None  # no p-values
-        values = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8", ndmin=1)
+        values = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8-sig", ndmin=1)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     return values if ((values >= 0.0) & (values <= 1.0)).all() else None
@@ -84,7 +83,7 @@ def _read_pvalue_file(path: str) -> EmpiricalProcesses:
 
 def _parse_pvalue_lines(path: str) -> EmpiricalProcesses:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
@@ -338,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run one procedure on a p-value file")
     p_an.add_argument("input", help="text file: one p-value per line, optional 0/1 truth column (1 = true null)")
     p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {SPEC_HELP}")
-    p_an.add_argument("--alpha", type=_flag_type("alpha", float, check_open_unit), default=0.05, help="target FDR level (default 0.05)")
-    p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_open_unit), default=None, help="rejection-region bound (default: alpha)")
-    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_proportion), default=None, help="true null proportion for orc")
+    p_an.add_argument("--alpha", type=_flag_type("alpha", float, check_number, "(0, 1)"), default=0.05, help="target FDR level (default 0.05)")
+    p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_number, "(0, 1)"), default=None, help="rejection-region bound (default: alpha)")
+    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion for orc")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -10,7 +10,6 @@ caller decision, not an estimator one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,30 +22,6 @@ __all__ = [
     "pi0_storey_plus",
     "fdr_hat_star",
 ]
-
-
-def check_open_unit(name: str, value: float) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless 0 < value < 1."""
-    value = check_number(name, value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name}={value} outside (0, 1)")
-    return value
-
-
-def check_proportion(name: str, value: float) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless 0 < value <= 1."""
-    value = check_number(name, value)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name}={value} outside (0, 1]")
-    return value
-
-
-def check_pi0_star(value: float) -> float:
-    """``value`` as a float; ValueError unless it is a finite pi0 estimate > 0 (estimates above 1 are legal)."""
-    value = check_number("pi0_star", value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"pi0_star={value} must be positive and finite")
-    return value
 
 
 def scan_trace(rows) -> np.ndarray:
@@ -82,23 +57,16 @@ class Pi0Estimate:
     flags: tuple[str, ...] = ()
 
 
-def _check_lambda(lam: float) -> float:
-    lam = check_number("lambda", lam)
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda={lam} outside [0, 1)")
-    return lam
-
-
 def pi0_storey(proc: EmpiricalProcesses, lam: float) -> float:
     """Tail estimate of the true-null proportion, (m - R(lam)) / ((1-lam) m)."""
-    lam = _check_lambda(lam)
+    lam = check_number("lambda", lam, "[0, 1)")
     m = proc.m
     return (m - proc.count_R(lam)) / ((1.0 - lam) * m)
 
 
 def pi0_storey_plus(proc: EmpiricalProcesses, lam: float) -> float:
     """Plus-one tail estimate, (m - R(lam) + 1) / ((1-lam) m); always > 0."""
-    lam = _check_lambda(lam)
+    lam = check_number("lambda", lam, "[0, 1)")
     m = proc.m
     return (m - proc.count_R(lam) + 1) / ((1.0 - lam) * m)
 
@@ -109,11 +77,9 @@ def fdr_hat_star(proc: EmpiricalProcesses, pi0_star: float, t: float, kappa: flo
     Equals m * pi0_star * t / (R(t) v 1) for t <= kappa and is pinned to 1
     beyond kappa, which confines any rejection threshold to [0, kappa].
     """
-    pi0_star = check_pi0_star(pi0_star)
-    kappa = check_open_unit("kappa", kappa)
-    t = check_number("t", t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
+    pi0_star = check_number("pi0_star", pi0_star, "(0, inf)")
+    kappa = check_number("kappa", kappa, "(0, 1)")
+    t = check_number("t", t, "[0, 1]")
     if t > kappa:
         return 1.0
     return proc.m * pi0_star * t / max(proc.count_R(t), 1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_open_unit, check_pi0_star, check_proportion, fdr_hat_star
-from .pvalues import EmpiricalProcesses, MissingTruthLabels
+from .estimators import Pi0Estimate, fdr_hat_star
+from .pvalues import EmpiricalProcesses, MissingTruthLabels, check_number
 from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
 __all__ = [
@@ -67,7 +67,7 @@ def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) 
     1 gives the plain procedure, the true null proportion gives the
     oracle.  The reported FDR estimate at the threshold uses pi0_target.
     """
-    alpha, pi0_target = check_open_unit("alpha", alpha), check_proportion("pi0_target", pi0_target)
+    alpha, pi0_target = check_number("alpha", alpha, "(0, 1)"), check_number("pi0_target", pi0_target, "(0, 1]")
     pi0 = Pi0Estimate(lam=float("nan"), value=pi0_target)
     level = min(alpha / pi0_target, 1.0)
     m = proc.m
@@ -89,8 +89,8 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     qualifies and kappa is returned (same rejection set either way).
     Returns 0 when nothing qualifies.
     """
-    pi0_star = check_pi0_star(pi0_star)
-    alpha, kappa = check_open_unit("alpha", alpha), check_open_unit("kappa", kappa)
+    pi0_star = check_number("pi0_star", pi0_star, "(0, inf)")
+    alpha, kappa = check_number("alpha", alpha, "(0, 1)"), check_number("kappa", kappa, "(0, 1)")
     m = proc.m
     n_region = proc.count_R(kappa)
     if m * pi0_star * kappa / max(n_region, 1) <= alpha:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,19 +39,25 @@ def check_integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def check_number(name: str, value) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless it is a real number (a bool or a str is not)."""
+def check_number(name: str, value, within: str | None = None) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a real number (a bool or a str is not)
+    inside ``within``, an interval as the error prints it: ``"(0, 1]"``, ``"(0, inf)"``, ...; nan is inside none."""
     # a float (np.float64 included) passes first: the ABC isinstance costs ~0.5 us, on the per-replication path
     if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name}={value!r} is not a number")
-    return float(value)
+    value = float(value)
+    if within is not None:
+        low, high, low_closed, high_closed = _interval(within)
+        if not ((low < value or low_closed and value == low) and (value < high or high_closed and value == high)):
+            raise ValueError(f"{name}={value} outside {within}")
+    return value
 
 
-def _check_threshold(t: float) -> float:
-    t = check_number("threshold t", t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold t={t} outside [0, 1]")
-    return t
+@lru_cache(maxsize=None)
+def _interval(within: str) -> tuple[float, float, bool, bool]:
+    """``within`` as (low end, high end, whether low is inside, whether high is inside)."""
+    low, high = (float(end) for end in within[1:-1].split(","))
+    return low, high, within[0] == "[", within[-1] == "]"
 
 
 @dataclass(frozen=True)
@@ -77,12 +84,12 @@ class EmpiricalProcesses:
 
     def count_R(self, t: float) -> int:
         """#{p_i <= t}."""
-        t = _check_threshold(t)
+        t = check_number("threshold t", t, "[0, 1]")
         return int(self.ordered.searchsorted(t, side="right"))
 
     def count_V(self, t: float) -> int:
         """#{true-null p_i <= t}; requires truth labels."""
-        t = _check_threshold(t)
+        t = check_number("threshold t", t, "[0, 1]")
         if self.truth is None:
             raise MissingTruthLabels("V(t) needs truth labels, sample has none")
         return int(np.count_nonzero(self.values[self.truth] <= t))

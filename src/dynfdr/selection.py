@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, check_open_unit, pi0_storey_plus, scan_trace
+from .estimators import Pi0Estimate, pi0_storey_plus, scan_trace
 from .pvalues import EmpiricalProcesses, check_integer, check_number
 
 __all__ = [
@@ -40,11 +40,19 @@ __all__ = [
 ]
 
 
+# a grid spec of more points is refused before it is built (1e-9 steps over (0, 1) would take ~29 GB)
+_MAX_GRID_POINTS = 10**5
+
+
 def evenly_spaced_grid(start: float = 0.05, step: float = 0.05, stop: float = 0.95) -> tuple[float, ...]:
-    """Ascending grid start, start+step, ..., stop with exact decimal points."""
-    if step <= 0 or stop < start:
+    """Ascending grid start, start+step, ..., stop with exact decimal points; at most 10**5 points."""
+    start, stop = check_number("grid start", start, "(-inf, inf)"), check_number("grid stop", stop, "(-inf, inf)")
+    step = check_number("grid step", step, "(0, inf)")
+    if stop < start:
         raise ValueError(f"bad grid spec {start}:{step}:{stop}")
-    n = int(round((stop - start) / step)) + 1
+    n = int(round(min((stop - start) / step, _MAX_GRID_POINTS))) + 1  # the quotient can overflow to inf
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {start}:{step}:{stop} has more than {_MAX_GRID_POINTS} points")
     return tuple(round(start + i * step, 12) for i in range(n))
 
 
@@ -53,14 +61,12 @@ TWENTY_BIN_GRID = evenly_spaced_grid(0.05, 0.05, 0.95)
 
 
 def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
-    vals = tuple(check_number(f"{what} entry", g) for g in grid)
+    vals = tuple(check_number(f"{what} entry", g, "(0, 1)") for g in grid)
     if not vals:
         raise ValueError(f"{what} is empty")
     for a, b in zip(vals, vals[1:]):
         if not a < b:
             raise ValueError(f"{what} must be strictly ascending, got {vals}")
-    if not (0.0 < vals[0] and vals[-1] < 1.0):
-        raise ValueError(f"{what} entries must lie in (0, 1), got {vals}")
     return vals
 
 
@@ -78,7 +84,7 @@ class FixedRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
         object.__setattr__(self, "lam", check_number("lam", self.lam))
         if not self.kappa <= self.lam < 1.0:
             raise ValueError(f"fixed lambda={self.lam} outside [kappa={self.kappa}, 1)")
@@ -96,7 +102,7 @@ class RightBoundaryRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _check_grid(self.grid, "candidate grid"))
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_right_boundary(proc, self)
@@ -109,7 +115,7 @@ class LowestSlopeRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_lowest_slope(proc, self)
@@ -123,7 +129,7 @@ class KQuantileRule:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
         if self.k is not None:
             object.__setattr__(self, "k", check_integer("k", self.k, 1))
 
@@ -152,7 +158,7 @@ class RightBoundaryQuantileRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", _check_grid(self.levels, "quantile levels"))
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.kappa))
+        object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_right_boundary_quantile(proc, self)

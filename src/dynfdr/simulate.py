@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_open_unit, check_proportion
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, check_integer, check_number, sort_pvalues
 from .selection import parse_rule_spec
@@ -96,10 +95,7 @@ class BlockAR:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "block_size", check_integer("block_size", self.block_size, 1))
-        rho = check_number("rho", self.rho)
-        if not -1.0 < rho < 1.0:
-            raise ValueError(f"rho={rho} outside (-1, 1)")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", check_number("rho", self.rho, "(-1, 1)"))
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, low in (("m", 1), ("n_reps", 1), ("seed", 0)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
-        object.__setattr__(self, "pi0", check_proportion("pi0", self.pi0))
+        object.__setattr__(self, "pi0", check_number("pi0", self.pi0, "(0, 1]"))
         try:
             mu = check_number("mu", self.mu)
         except ValueError:
@@ -134,8 +130,8 @@ class ScenarioConfig:
         if not 0.0 <= mu < math.inf:
             raise ValueError(f"mu={self.mu!r} is not a finite number >= 0")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", check_open_unit("alpha", self.alpha))
-        object.__setattr__(self, "kappa", check_open_unit("kappa", self.alpha if self.kappa is None else self.kappa))
+        object.__setattr__(self, "alpha", check_number("alpha", self.alpha, "(0, 1)"))
+        object.__setattr__(self, "kappa", check_number("kappa", self.alpha if self.kappa is None else self.kappa, "(0, 1)"))
         if self.dependence is not None and not isinstance(self.dependence, BlockAR):
             raise ValueError(f"dependence={self.dependence!r} is not None or a BlockAR")
         if self.signal_placement not in ("head", "random"):

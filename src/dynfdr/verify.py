@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import check_open_unit
 from .pvalues import check_integer, check_number
 from .selection import TWENTY_BIN_GRID
 from .simulate import ScenarioConfig, _mean_se, _replications
@@ -85,11 +84,11 @@ def lemma2_exact_check(
     n_max = check_integer("n_max", n_max)
     if not 1 <= n_max <= 60:
         raise ValueError(f"n_max={n_max} outside 1..60 (exact summation cap)")
+    p_grid = [check_number("p", p, "(0, 1)") for p in p_grid]
     results = []
     for n in range(1, n_max + 1):
         weights = [math.comb(n, x) for x in range(n + 1)]
         for p in p_grid:
-            p = check_open_unit("p", p)
             expectation = math.fsum(
                 w * p**x * (1.0 - p) ** (n - x) / (n - x + 1)
                 for x, w in enumerate(weights)

@@ -25,16 +25,17 @@ def naive_rejection_set(pvals, threshold):
 def read_pvalue_lines(path):
     """The p-value file reader, one line at a time: the oracle of ``cli._read_pvalue_file``.
 
-    Lines are ``str.splitlines`` of the UTF-8 text; a first line whose
-    first field is not a float is a header; each line holds a p-value in
-    [0, 1] and, in every line or in none, a 0/1 truth label (1 = true
-    null); fields split at commas and whitespace.
+    Lines are ``str.splitlines`` of the UTF-8 text less a leading byte
+    order mark; a first line whose first field is not a float is a
+    header; each line holds a p-value in [0, 1] and, in every line or in
+    none, a 0/1 truth label (1 = true null); fields split at commas and
+    whitespace.
     """
     from dynfdr import sort_pvalues
     from dynfdr.cli import CliError
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values, labels, has_labels = [], [], None

@@ -4,8 +4,9 @@ A rename or move in the library would otherwise surface only as a failed
 benchmark run; these checks make it fail here.  The tracer and
 bench/workloads.py, whose lowest-slope trace length the traced analyze
 run must hit, are loaded read-only (no bytecode is written next to them).
-Every workload's calls also run here at the recorded seed, through the
-benchmark's own output check: its shape checks and its sha256 digests.
+Every workload's calls also run here at the recorded seed, traced,
+through the benchmark's own output check (its shape checks and its
+sha256 digests) and its check of the traced call counts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import importlib.util
 import io
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -89,17 +91,29 @@ WORKLOAD_NAMES = ("simulate-blockar", "verify-all", "analyze-1e6")
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_workload_outputs_pass_the_benchmark_check(workloads, tmp_path, name):
-    # the seed-1 digests pin every output byte, so a changed number fails here, not only in the benchmark
+def test_workload_outputs_pass_the_benchmark_check(layers, workloads, tmp_path, name):
+    # the seed-1 digests pin every output byte, so a changed number fails here, not only in the benchmark;
+    # the calls run traced, as in a --trace 1 round, so a changed call count fails here too
     assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
     wl = workloads.WORKLOADS[name](tmp_path, workloads.DEFAULT_SEED)
     wl.prepare()
     assert wl.digests, "no digests recorded for the default seed"
-    for call in wl.calls:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            try:
-                code = cli.main(list(call.args))
-            except SystemExit as exc:
-                code = exc.code
-        assert wl.check(call, code, stdout.getvalue()) is None
+    trace = layers.Trace()
+    restore = layers.install(trace)
+    main = trace.wrap(layers.ROOT, cli.main)
+    try:
+        t0 = perf_counter()
+        for call in wl.calls:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                try:
+                    code = main(list(call.args))
+                except SystemExit as exc:
+                    code = exc.code
+            assert wl.check(call, code, stdout.getvalue()) is None
+        wall = perf_counter() - t0
+    finally:
+        layers.uninstall(restore)
+    metrics = layers.layer_metrics(trace, wall, wl.reps_per_call * len(wl.calls))
+    expected = wl.expected_counts()
+    assert {count: metrics[count] for count in expected} == expected

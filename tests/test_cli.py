@@ -97,6 +97,25 @@ def test_analyze_bad_spec_is_usage_error(four_pvalues, capsys):
     assert "valid specs" in err
 
 
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("rb:0.1:0.1:inf", "grid stop=inf outside (-inf, inf)"),
+        ("rbq:0.1:0.1:inf", "grid stop=inf outside (-inf, inf)"),
+        ("rb:-inf:0.1:0.9", "grid start=-inf outside (-inf, inf)"),
+        ("rb:0.1:1e-320:0.9", "grid spec 0.1:1e-320:0.9 has more than 100000 points"),
+        ("rb:0.1:inf:0.9", "grid step=inf outside (0, inf)"),
+        ("rb:0.05:1e-6:0.95", "grid spec 0.05:1e-06:0.95 has more than 100000 points"),  # 900,001 points
+    ],
+)
+def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spec, reason):
+    code = run_cli(["analyze", str(four_pvalues), "--procedure", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("dynfdr: error: ") == 1
+    assert err.splitlines()[-1] == f"dynfdr: error: invalid procedure spec {spec!r}: bad grid in rule spec {spec!r}: {reason}"
+
+
 def test_analyze_header_and_labels(tmp_path, capsys):
     path = tmp_path / "pvals.txt"
     path.write_text("pvalue truth\n0.001 0\n0.02 1\n0.5 1\n0.9 1\n")

@@ -308,9 +308,18 @@ def _read(reader, path):
 @example(b"")
 @example(b"0.5 1\n")
 @example(b"0.5\n\xff0.3\n")  # not UTF-8
+@example(b"0.5\n\xef\xbb\xbf0.3\n")  # a byte order mark after the first line is no whitespace
 def test_reader_equals_the_line_parser(pvalue_path, data):
     pvalue_path.write_bytes(data)
     assert _read(cli._read_pvalue_file, pvalue_path) == _read(read_pvalue_lines, pvalue_path)
+
+
+@pytest.mark.parametrize("body", [b"0.001\n0.2\n0.5\n", b"p\n0.001\n0.2\n0.5\n", b"0.001 0\n0.2 1\n0.5 1\n"])
+def test_a_byte_order_mark_is_neither_a_header_nor_data(tmp_path, body):
+    path = tmp_path / "pvalues.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + body)
+    for reader in (cli._read_pvalue_file, cli._parse_pvalue_lines, read_pvalue_lines):
+        assert reader(str(path)).values.tolist() == [0.001, 0.2, 0.5], reader
 
 
 def test_one_column_file_skips_the_line_parser(tmp_path, monkeypatch):

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 
-from dynfdr import MissingTruthLabels, sort_pvalues
+from dynfdr import (
+    BlockAR,
+    LowestSlopeRule,
+    MissingTruthLabels,
+    RightBoundaryRule,
+    ScenarioConfig,
+    bh_step_up,
+    cli,
+    fdr_hat_star,
+    pi0_storey_plus,
+    sort_pvalues,
+    threshold_functional,
+)
+from dynfdr.verify import lemma2_exact_check
 
 from conftest import naive_count
 
@@ -139,3 +156,84 @@ def test_arrays_are_immutable():
             arr[0] = arr[1]
     values[0], truth[0] = 0.9, False  # the caller's arrays stay theirs
     assert proc.values.tolist() == [0.2, 0.1] and proc.truth.tolist() == [True, False]
+
+
+# each interval's values just outside it (nan and +-inf are added to every one) and its ends that are inside
+OUTSIDE = {
+    "(0, 1)": (0.0, 1.0),
+    "(0, 1]": (0.0, 1.0000000000000002),
+    "[0, 1)": (-5e-324, 1.0),
+    "[0, 1]": (-5e-324, 1.0000000000000002),
+    "(0, inf)": (0.0,),
+    "(-1, 1)": (-1.0, 1.0),
+}
+INSIDE = {"(0, 1]": (1.0,), "[0, 1)": (0.0,), "[0, 1]": (0.0, 1.0), "(0, inf)": (5e-324, 1e300)}
+FOUR = sort_pvalues([0.01, 0.02, 0.5, 0.9])
+
+
+def _raised(fn):
+    """call(value, path): the message of the ValueError ``fn(value)`` raises, None when it raises none."""
+
+    def call(value, path):
+        try:
+            fn(value)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    return call
+
+
+def _analyze(flag, *more):
+    """call(value, path): what ``dynfdr analyze`` says of ``--flag=value`` after naming the flag, None when it runs."""
+
+    def call(value, path):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["analyze", str(path), f"--{flag}={value!r}", *more])
+            except SystemExit as exc:
+                code = exc.code
+        if code != 2:
+            assert code == 0, err.getvalue()
+            return None
+        last = err.getvalue().splitlines()[-1]
+        prefix = f"dynfdr analyze: error: argument --{flag}: "
+        assert last.startswith(prefix), last
+        return last[len(prefix):]
+
+    return call
+
+
+RANGE_CHECKS = [  # (id, name, interval, call)
+    ("count_R", "threshold t", "[0, 1]", _raised(FOUR.count_R)),
+    ("pi0_storey_plus", "lambda", "[0, 1)", _raised(lambda v: pi0_storey_plus(FOUR, v))),
+    ("fdr_hat_star-pi0_star", "pi0_star", "(0, inf)", _raised(lambda v: fdr_hat_star(FOUR, v, 0.01, 0.05))),
+    ("fdr_hat_star-kappa", "kappa", "(0, 1)", _raised(lambda v: fdr_hat_star(FOUR, 1.0, 0.01, v))),
+    ("fdr_hat_star-t", "t", "[0, 1]", _raised(lambda v: fdr_hat_star(FOUR, 1.0, v, 0.05))),
+    ("bh_step_up-alpha", "alpha", "(0, 1)", _raised(lambda v: bh_step_up(FOUR, v))),
+    ("bh_step_up-pi0_target", "pi0_target", "(0, 1]", _raised(lambda v: bh_step_up(FOUR, 0.05, v))),
+    ("threshold_functional-pi0_star", "pi0_star", "(0, inf)", _raised(lambda v: threshold_functional(FOUR, v, 0.05, 0.05))),
+    ("threshold_functional-alpha", "alpha", "(0, 1)", _raised(lambda v: threshold_functional(FOUR, 1.0, v, 0.05))),
+    ("threshold_functional-kappa", "kappa", "(0, 1)", _raised(lambda v: threshold_functional(FOUR, 1.0, 0.05, v))),
+    ("LowestSlopeRule-kappa", "kappa", "(0, 1)", _raised(lambda v: LowestSlopeRule(kappa=v))),
+    ("RightBoundaryRule-grid", "candidate grid entry", "(0, 1)", _raised(lambda v: RightBoundaryRule(grid=(0.5, v), kappa=0.05))),
+    ("ScenarioConfig-pi0", "pi0", "(0, 1]", _raised(lambda v: ScenarioConfig(m=10, pi0=v, mu=1.0, n_reps=1, seed=0))),
+    ("ScenarioConfig-alpha", "alpha", "(0, 1)", _raised(lambda v: ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=1, seed=0, alpha=v))),
+    ("ScenarioConfig-kappa", "kappa", "(0, 1)", _raised(lambda v: ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=1, seed=0, kappa=v))),
+    ("BlockAR-rho", "rho", "(-1, 1)", _raised(lambda v: BlockAR(block_size=5, rho=v))),
+    ("lemma2_exact_check-p", "p", "(0, 1)", _raised(lambda v: lemma2_exact_check(1, (0.5, v)))),
+    ("cli-alpha", "alpha", "(0, 1)", _analyze("alpha")),
+    ("cli-kappa", "kappa", "(0, 1)", _analyze("kappa")),
+    ("cli-pi0", "pi0", "(0, 1]", _analyze("pi0", "--procedure", "orc")),
+]
+
+
+@pytest.mark.parametrize("name, within, call", [c[1:] for c in RANGE_CHECKS], ids=[c[0] for c in RANGE_CHECKS])
+def test_every_range_check_speaks_one_message(tmp_path, name, within, call):
+    path = tmp_path / "pvals.txt"
+    path.write_text("0.01\n0.02\n0.5\n0.9\n")
+    for value in (*OUTSIDE[within], math.nan, math.inf, -math.inf):
+        assert call(value, path) == f"{name}={value!r} outside {within}"
+    for value in INSIDE.get(within, ()):
+        assert call(value, path) is None, value
