@@ -19,7 +19,7 @@ import numpy as np
 from . import verify as verify_mod
 from .procedures import DEFAULT_PROCEDURES, run_procedure
 from .pvalues import EmpiricalProcesses, check_integer, check_number, sort_pvalues
-from .selection import SPEC_HELP, parse_rule_spec
+from .selection import ORACLE, SPEC_HELP, parse_rule_spec
 from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 __all__ = ["main", "console_entry"]
@@ -165,6 +165,8 @@ def _flag_type(name: str, convert, check, *args):
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kappa = args.alpha if args.kappa is None else args.kappa
     (rule,) = _check_specs([args.procedure], kappa, parser)
+    if args.pi0 is not None and rule != ORACLE:
+        parser.error(f"--pi0 applies only to --procedure orc, not {args.procedure!r}")
     proc = _read_pvalue_file(args.input)
     try:
         res = run_procedure(rule, proc, args.alpha, pi0=args.pi0)
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {SPEC_HELP}")
     p_an.add_argument("--alpha", type=_flag_type("alpha", float, check_number, "(0, 1)"), default=0.05, help="target FDR level (default 0.05)")
     p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_number, "(0, 1)"), default=None, help="rejection-region bound (default: alpha)")
-    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion for orc")
+    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion, for --procedure orc only")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -4,7 +4,10 @@ panels (realized FDR, power relative to the oracle, log MSE of the
 estimated true-null count).
 
 Replication j draws from a substream that is a pure function of
-(seed, j), so results do not depend on execution order.
+(seed, j), so results do not depend on execution order.  Replications
+are drawn in blocks of up to max(1, floor(8192 / m)) rows, with the AR
+recursion and the normal CDF run once per block; each row is bit for bit
+the draw of its replication alone.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -155,20 +159,63 @@ class ScenarioConfig:
         return f"m={self.m};pi0={self.pi0:g};mu={self.mu:g};dep={dep}"
 
 
-def _standard_noise(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+def _standard_noise(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """A (len(rngs), m) array of standard normal noise, row r drawn from ``rngs[r]``.
+
+    Independent, or block-AR(1) within consecutive blocks of ``block_size``.
+    """
     dep = cfg.dependence
+    shape = (cfg.m,) if dep is None else (-(-cfg.m // dep.block_size), dep.block_size)
+    z = np.empty((len(rngs), *shape))
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=z[r])
     if dep is None:
-        return rng.standard_normal(cfg.m)
-    b = dep.block_size
-    n_blocks = -(-cfg.m // b)
-    # one contiguous row per lag, each holding that lag of every block
-    z = rng.standard_normal((n_blocks, b)).T.copy()
+        return z
+    # (lag, row, block): one contiguous slice per lag, holding that lag of every block of every row
+    z = z.transpose(2, 0, 1).copy()
     z[1:] *= math.sqrt(1.0 - dep.rho * dep.rho)
-    rows = list(z)
-    for prev, cur in zip(rows, rows[1:]):
+    lags = list(z)
+    for prev, cur in zip(lags, lags[1:]):
         # stationary AR(1) recursion in place: unit marginal variance at every lag
         cur += dep.rho * prev
-    return z.T.reshape(-1)[: cfg.m]
+    return z.transpose(1, 2, 0).reshape(len(rngs), -1)[:, : cfg.m]
+
+
+# Values per drawn block: 8 rows at m = 1000, one row from m = 8193 on.  Per row,
+# 8 rows draw ~2.5x faster than one and 16 barely faster than 8; every row more
+# adds 9m bytes to the block the cache keeps.
+_BLOCK_VALUES = 8192
+
+
+def _block_rows(cfg: ScenarioConfig) -> int:
+    """Replications per drawn block: at most max(1, _BLOCK_VALUES // m), spread evenly over the n_reps,
+    so that a run draws fewer than one unused row per block."""
+    n_blocks = -(-cfg.n_reps // max(1, _BLOCK_VALUES // cfg.m))
+    return -(-cfg.n_reps // n_blocks)
+
+
+@lru_cache(maxsize=1)
+def _draw_block(cfg: ScenarioConfig, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unsorted p-values and truth labels of replications first, first + 1, ...: read-only (rows, m) arrays.
+
+    Row r is drawn from the substream of replication first + r in the
+    one-replication order (noise, then the placement permutation), and
+    every step after the draws is elementwise, so each row is bit for bit
+    the row that replication drawn alone gives.
+    """
+    rngs = [np.random.default_rng([cfg.seed, j]) for j in range(first, first + _block_rows(cfg))]
+    x = _standard_noise(cfg, rngs)
+    truth = np.ones(x.shape, dtype=bool)
+    if cfg.m1 > 0:
+        if cfg.signal_placement == "head":
+            positions = np.s_[:, : cfg.m1]
+        else:
+            positions = (np.arange(len(rngs))[:, None], np.array([rng.permutation(cfg.m)[: cfg.m1] for rng in rngs]))
+        x[positions] += cfg.mu
+        truth[positions] = False
+    pvals = _normal_cdf(-x)
+    pvals.flags.writeable = truth.flags.writeable = False
+    return pvals, truth
 
 
 def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProcesses:
@@ -176,21 +223,14 @@ def generate_statistics(cfg: ScenarioConfig, replication: int) -> EmpiricalProce
 
     True-null statistics are standard normal, false nulls get a +mu mean
     shift.  The replication substream is a pure function of
-    (cfg.seed, replication).
+    (cfg.seed, replication).  Replications are drawn a block of rows at a
+    time, and the last block is kept, so a run over j = 0, 1, ... draws
+    each block once.
     """
     replication = check_integer("replication", replication, 0)
-    rng = np.random.default_rng([cfg.seed, replication])
-    x = _standard_noise(cfg, rng)
-    truth = np.ones(cfg.m, dtype=bool)
-    if cfg.m1 > 0:
-        if cfg.signal_placement == "head":
-            positions = slice(cfg.m1)
-        else:
-            positions = rng.permutation(cfg.m)[: cfg.m1]
-        x[positions] += cfg.mu
-        truth[positions] = False
-    pvals = _normal_cdf(-x)
-    return sort_pvalues(pvals, truth)
+    r = replication % _block_rows(cfg)
+    pvals, truth = _draw_block(cfg, replication - r)
+    return sort_pvalues(pvals[r], truth[r])
 
 
 @dataclass(frozen=True)

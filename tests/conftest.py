@@ -208,6 +208,28 @@ def column_loop_noise(cfg, rng):
     return z.reshape(-1)[: cfg.m]
 
 
+def one_row_statistics(cfg, j):
+    """Replication j drawn on its own: the oracle of ``simulate.generate_statistics``'s block draw.
+
+    From the substream ``default_rng([cfg.seed, j])``: m standard normals
+    (block-AR through ``column_loop_noise``), then under random placement
+    a permutation whose first m1 entries are the false nulls (the first m1
+    slots under head placement); false nulls get +mu, and the p-values are
+    ``_normal_cdf(-x)``, sorted with their labels by ``sort_pvalues``.
+    """
+    from dynfdr import sort_pvalues
+    from dynfdr.simulate import _normal_cdf
+
+    rng = np.random.default_rng([cfg.seed, j])
+    x = rng.standard_normal(cfg.m) if cfg.dependence is None else column_loop_noise(cfg, rng)
+    truth = np.ones(cfg.m, dtype=bool)
+    if cfg.m1 > 0:
+        positions = slice(cfg.m1) if cfg.signal_placement == "head" else rng.permutation(cfg.m)[: cfg.m1]
+        x[positions] += cfg.mu
+        truth[positions] = False
+    return sort_pvalues(_normal_cdf(-x), truth)
+
+
 def full_lowest_slope(proc, kappa):
     """The lowest-slope scan scored over all m order statistics at once: the oracle of the prefix scan.
 

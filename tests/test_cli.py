@@ -132,6 +132,17 @@ def test_analyze_orc_without_pi0(four_pvalues, capsys):
     assert run_cli(["analyze", str(four_pvalues), "--procedure", "orc", "--pi0", "0.8"]) == 0
 
 
+@pytest.mark.parametrize("procedure", [[], ["--procedure", "rb20"], ["--procedure", "bh"], ["--procedure", " lsl"]])
+def test_analyze_pi0_without_orc_is_usage_error(four_pvalues, capsys, procedure):
+    # every rule but orc ignored --pi0, and the run exited 0
+    spec = procedure[1] if procedure else "rb20"
+    code = run_cli(["analyze", str(four_pvalues), *procedure, "--pi0", "0.3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("dynfdr: error: ") == 1
+    assert err.splitlines()[-1] == f"dynfdr: error: --pi0 applies only to --procedure orc, not {spec!r}"
+
+
 def test_analyze_reports_the_pi0_each_baseline_used(tmp_path, capsys):
     path = tmp_path / "pvals.txt"
     path.write_text("0.001 0\n0.02 1\n0.5 1\n0.9 1\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from dynfdr import (
 from dynfdr.simulate import _normal_cdf
 from dynfdr.verify import fdr_control_check
 
-from conftest import column_loop_noise, reference_normal_cdf, row
+from conftest import column_loop_noise, one_row_statistics, reference_normal_cdf, row
 
 
 def test_config_validation():
@@ -167,12 +168,14 @@ def test_cdf_is_scipy_ndtr_on_a_million_normal_values(scale, shift):
 def test_cdf_is_scipy_ndtr_on_the_simulated_statistics(monkeypatch, dependence):
     # the acceptance configs: m = 1000, pi0 = 0.8, mu in {1, 2}, independent or block-AR(50, -0.9)
     seen = []
+    simulate._draw_block.cache_clear()  # a block kept from an earlier test would skip the CDF
     monkeypatch.setattr(simulate, "_normal_cdf", lambda v: seen.append(v) or _normal_cdf(v))
     for mu in (1.0, 2.0):
         cfg = ScenarioConfig(m=1000, pi0=0.8, mu=mu, n_reps=250, seed=20260808, dependence=dependence)
         for j in range(cfg.n_reps):
             generate_statistics(cfg, j)
-    assert len(seen) == 500
+    assert all(v.shape[1:] == (1000,) for v in seen)
+    assert sum(len(v) for v in seen) >= 500  # the blocks cover all 500 replications
     assert_is_scipy_ndtr(np.concatenate(seen))
 
 
@@ -251,10 +254,10 @@ def test_block_ar_marginals_and_adjacent_correlation():
 @pytest.mark.parametrize("m, block_size", [(123, 1), (123, 2), (123, 7), (123, 50), (100, 50), (123, 200)])
 def test_block_ar_noise_equals_the_column_loop(m, block_size, rho):
     cfg = ScenarioConfig(m=m, pi0=1.0, mu=0.0, n_reps=1, seed=1, dependence=BlockAR(block_size, rho))
-    for seed in range(5):
-        noise = simulate._standard_noise(cfg, np.random.default_rng([seed, 3]))
-        assert noise.shape == (m,)
-        assert np.array_equal(noise, column_loop_noise(cfg, np.random.default_rng([seed, 3])))
+    noise = simulate._standard_noise(cfg, [np.random.default_rng([seed, 3]) for seed in range(5)])
+    assert noise.shape == (5, m)
+    for seed, row in enumerate(noise):
+        assert np.array_equal(row, column_loop_noise(cfg, np.random.default_rng([seed, 3])))
 
 
 def test_block_ar_short_final_block():
@@ -262,6 +265,46 @@ def test_block_ar_short_final_block():
         m=120, pi0=1.0, mu=0.0, n_reps=1, seed=2, dependence=BlockAR(50, 0.5)
     )
     assert generate_statistics(cfg, 0).m == 120
+
+
+# every m with independent noise, and block-AR at b = 1, 7, 50 and b > m
+_DRAW_CASES = [
+    (1, None), (1, BlockAR(1, 0.5)), (1, BlockAR(7, -0.9)),
+    (7, None), (7, BlockAR(1, -0.9)), (7, BlockAR(7, 0.5)), (7, BlockAR(50, -0.9)),
+    (1000, None), (1000, BlockAR(7, 0.5)), (1000, BlockAR(50, -0.9)), (1000, BlockAR(1500, 0.9)),
+    (8193, None), (8193, BlockAR(50, -0.9)),
+    (20000, None), (20000, BlockAR(1, 0.5)), (20000, BlockAR(50, -0.9)),
+]
+
+
+@pytest.mark.parametrize("placement", ["head", "random"])
+@pytest.mark.parametrize("m, dependence", _DRAW_CASES)
+def test_block_draw_equals_the_one_row_draw(m, dependence, placement):
+    # pi0 = 0.5 makes about half the hypotheses false (the one of m = 1, as round(0.5) = 0); pi0 = 1 leaves m1 = 0
+    for pi0, n_reps in ((0.5, 11), (1.0, 3)):
+        cfg = ScenarioConfig(m=m, pi0=pi0, mu=1.5, n_reps=n_reps, seed=m, dependence=dependence, signal_placement=placement)
+        # shuffled, so blocks are entered at any row; past n_reps too
+        for j in np.random.default_rng([m, n_reps]).permutation(2 * n_reps + 2).tolist():
+            got, want = generate_statistics(cfg, j), one_row_statistics(cfg, j)
+            for name in ("values", "ordered", "truth"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), (name, j)
+                assert a.tobytes() == b.tobytes(), (name, j)
+        assert not any(a.flags.writeable for a in simulate._draw_block(cfg, 0))  # the cache hands out no writable array
+
+
+@pytest.mark.parametrize("dependence", [None, BlockAR(50, -0.9)])
+def test_a_cold_draw_at_large_m_holds_a_few_copies_of_its_row(dependence):
+    # blocks shrink to one row at large m: a fixed 8-row block peaks near 90 times the row's 8m bytes
+    cfg = ScenarioConfig(m=200_000, pi0=0.8, mu=1.0, n_reps=1000, seed=3, dependence=dependence, signal_placement="random")
+    simulate._draw_block.cache_clear()
+    tracemalloc.start()
+    try:
+        generate_statistics(cfg, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * cfg.m
 
 
 def test_experiment_is_deterministic(tmp_path):
