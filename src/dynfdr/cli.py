@@ -9,6 +9,7 @@ given flags and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -197,39 +198,25 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cfg_field(cfg: dict, name: str, check, parser, required=True, default=None):
-    """``cfg[name]`` as ``check(name, value)`` returns it: check_integer or check_number."""
-    if name not in cfg:
-        if required:
-            parser.error(f"config is missing field {name!r}")
-        return default
-    value = cfg[name]
-    try:
-        return check(name, value)
-    except ValueError:
-        parser.error(f"config field {name!r} has bad value {value!r}")
-
-
-def _parse_dependence(cfg: dict, parser: argparse.ArgumentParser) -> BlockAR | None:
-    dep = cfg.get("dependence")
+def _parse_dependence(dep) -> BlockAR | None:
+    """The ``dependence`` of a simulate config: None (independent) or a BlockAR; ValueError on any other shape."""
     if dep is None:
         return None
     if not isinstance(dep, dict) or "type" not in dep:
-        parser.error("config field 'dependence' must be an object with a 'type'")
+        raise ValueError(f"dependence={dep!r} is not an object with a 'type'")
     kind = dep["type"]
     if kind in ("independent", "indep", "none"):
         return None
-    if kind in ("block_ar", "blockar", "ar"):
-        block_size = _cfg_field(dep, "block_size", check_integer, parser)
-        rho = _cfg_field(dep, "rho", check_number, parser)
-        try:
-            return BlockAR(block_size=block_size, rho=rho)
-        except ValueError as exc:
-            parser.error(f"config field 'dependence' is malformed: {exc}")
-    parser.error(f"config field 'dependence.type' unknown: {kind!r}")
+    if kind not in ("block_ar", "blockar", "ar"):
+        raise ValueError(f"dependence type {kind!r} is not 'block_ar' or 'independent'")
+    for name in ("block_size", "rho"):
+        if name not in dep:
+            raise ValueError(f"dependence is missing field {name!r}")
+    return BlockAR(block_size=dep["block_size"], rho=dep["rho"])
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Read the JSON config: its shape is checked here, every value by ScenarioConfig and BlockAR."""
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -238,25 +225,14 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         parser.error("config must be a JSON object")
-
-    m = _cfg_field(cfg, "m", check_integer, parser)
-    pi0 = _cfg_field(cfg, "pi0", check_number, parser)
-    alpha = _cfg_field(cfg, "alpha", check_number, parser, required=False, default=0.05)
-    kappa = _cfg_field(cfg, "kappa", check_number, parser, required=False, default=None)
-    n_reps = _cfg_field(cfg, "J", check_integer, parser)
-    seed = _cfg_field(cfg, "seed", check_integer, parser)
-    mu_raw = cfg.get("mu")
-    if mu_raw is None:
-        parser.error("config is missing field 'mu'")
-    mus = mu_raw if isinstance(mu_raw, list) else [mu_raw]
-    try:
-        mus = [check_number("mu", v) for v in mus]
-    except ValueError:
-        parser.error(f"config field 'mu' has bad value {mu_raw!r}")
+    for name in ("m", "pi0", "mu", "J", "seed"):
+        if name not in cfg:
+            parser.error(f"config is missing field {name!r}")
+    mus = cfg["mu"] if isinstance(cfg["mu"], list) else [cfg["mu"]]
     if not mus:
         parser.error("config field 'mu' is an empty list")
-    dependence = _parse_dependence(cfg, parser)
-    placement = cfg.get("signal_placement", "head")
+    if "kappa" in cfg and cfg["kappa"] is None:  # ScenarioConfig reads kappa=None as "kappa = alpha"
+        parser.error("config rejected: kappa=None is not a number")
 
     if args.procedures is not None:
         where, procedures = "argument --procedures", [s.strip() for s in args.procedures.split(",") if s.strip()]
@@ -267,21 +243,20 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
     rows = []
     try:
-        scenarios = [
-            ScenarioConfig(
-                m=m,
-                pi0=pi0,
-                mu=mu,
-                n_reps=n_reps,
-                seed=seed + idx,
-                alpha=alpha,
-                kappa=kappa,
-                dependence=dependence,
-                signal_placement=placement,
-            )
-            for idx, mu in enumerate(mus)
-        ]
-        _check_specs(procedures, scenarios[0].kappa, parser)
+        first = ScenarioConfig(
+            m=cfg["m"],
+            pi0=cfg["pi0"],
+            mu=mus[0],
+            n_reps=cfg["J"],
+            seed=cfg["seed"],
+            alpha=cfg.get("alpha", 0.05),
+            kappa=cfg.get("kappa"),
+            dependence=_parse_dependence(cfg.get("dependence")),
+            signal_placement=cfg.get("signal_placement", "head"),
+        )
+        # scenario i draws from seed + i, formed from the checked seed
+        scenarios = [dataclasses.replace(first, mu=mu, seed=first.seed + i) for i, mu in enumerate(mus)]
+        _check_specs(procedures, first.kappa, parser)
         _probe_out(args.out)  # before the study, not after it
         for scenario in scenarios:
             # a valid config can still imply data a procedure rejects (lsl at m = 1)
@@ -343,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_number, "(0, 1)"), default=None, help="rejection-region bound (default: alpha)")
     p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion, for --procedure orc only")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p_an.set_defaults(func=_cmd_analyze)
+    p_an.set_defaults(func=_cmd_analyze, parser=p_an)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study from a JSON config")
     p_sim.add_argument("config", help="JSON config: m, pi0, mu (scalar or list), dependence, alpha, J, seed")
     p_sim.add_argument("--procedures", default=None, help="comma list of procedure specs (overrides config)")
     p_sim.add_argument("--out", default="metrics.csv", help="output CSV path (default metrics.csv)")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_ver = sub.add_parser("verify", help="run the theory-check suites")
     p_ver.add_argument("suite", choices=VERIFY_SUITES, help="which suite to run")
@@ -357,15 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     # a 3-SE check needs a standard error, so at least two replications
     p_ver.add_argument("--reps", type=_flag_type("reps", int, check_integer, 2), default=1000, help="replications for the simulation-backed suites (>= 2)")
     p_ver.add_argument("--out", default=None, help="also write the report as CSV")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_verify, parser=p_ver)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # usage errors print the subcommand's usage
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

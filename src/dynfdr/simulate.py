@@ -126,15 +126,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, low in (("m", 1), ("n_reps", 1), ("seed", 0)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
-        object.__setattr__(self, "pi0", check_number("pi0", self.pi0, "(0, 1]"))
-        try:
-            mu = check_number("mu", self.mu)
-        except ValueError:
-            mu = math.nan  # rejected just below, in mu's own words
-        if not 0.0 <= mu < math.inf:
-            raise ValueError(f"mu={self.mu!r} is not a finite number >= 0")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", check_number("alpha", self.alpha, "(0, 1)"))
+        for name, within in (("pi0", "(0, 1]"), ("mu", "[0, inf)"), ("alpha", "(0, 1)")):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), within))
         object.__setattr__(self, "kappa", check_number("kappa", self.alpha if self.kappa is None else self.kappa, "(0, 1)"))
         if self.dependence is not None and not isinstance(self.dependence, BlockAR):
             raise ValueError(f"dependence={self.dependence!r} is not None or a BlockAR")
@@ -162,15 +155,16 @@ class ScenarioConfig:
 def _standard_noise(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """A (len(rngs), m) array of standard normal noise, row r drawn from ``rngs[r]``.
 
-    Independent, or block-AR(1) within consecutive blocks of ``block_size``.
+    Independent, or block-AR(1) within consecutive blocks of ``block_size``;
+    a block_size above m is one block of m values, so it draws no more.
     """
     dep = cfg.dependence
-    shape = (cfg.m,) if dep is None else (-(-cfg.m // dep.block_size), dep.block_size)
-    z = np.empty((len(rngs), *shape))
+    b = cfg.m if dep is None else min(dep.block_size, cfg.m)
+    z = np.empty((len(rngs), -(-cfg.m // b), b))
     for r, rng in enumerate(rngs):
         rng.standard_normal(out=z[r])
     if dep is None:
-        return z
+        return z[:, 0]
     # (lag, row, block): one contiguous slice per lag, holding that lag of every block of every row
     z = z.transpose(2, 0, 1).copy()
     z[1:] *= math.sqrt(1.0 - dep.rho * dep.rho)

@@ -193,12 +193,12 @@ def one_shot_supermartingale_check(m0, s, t, draws, seed):
 def column_loop_noise(cfg, rng):
     """Block-AR(1) noise built one lag column at a time: the oracle of ``simulate._standard_noise``.
 
-    Draws an (n_blocks, b) standard normal matrix e and sets
+    Draws an (n_blocks, b) standard normal matrix e, with b = min(block_size, m), and sets
     z[:, 0] = e[:, 0], z[:, i] = rho z[:, i-1] + sqrt(1 - rho^2) e[:, i],
     then returns the first m values of z in row order.
     """
     dep = cfg.dependence
-    b = dep.block_size
+    b = min(dep.block_size, cfg.m)
     e = rng.standard_normal((-(-cfg.m // b), b))
     z = np.empty_like(e)
     z[:, 0] = e[:, 0]

@@ -112,8 +112,8 @@ def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spe
     code = run_cli(["analyze", str(four_pvalues), "--procedure", spec])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.count("dynfdr: error: ") == 1
-    assert err.splitlines()[-1] == f"dynfdr: error: invalid procedure spec {spec!r}: bad grid in rule spec {spec!r}: {reason}"
+    assert err.count("dynfdr analyze: error: ") == 1
+    assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: bad grid in rule spec {spec!r}: {reason}"
 
 
 def test_analyze_header_and_labels(tmp_path, capsys):
@@ -139,8 +139,8 @@ def test_analyze_pi0_without_orc_is_usage_error(four_pvalues, capsys, procedure)
     code = run_cli(["analyze", str(four_pvalues), *procedure, "--pi0", "0.3"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.count("dynfdr: error: ") == 1
-    assert err.splitlines()[-1] == f"dynfdr: error: --pi0 applies only to --procedure orc, not {spec!r}"
+    assert err.count("dynfdr analyze: error: ") == 1
+    assert err.splitlines()[-1] == f"dynfdr analyze: error: --pi0 applies only to --procedure orc, not {spec!r}"
 
 
 def test_analyze_reports_the_pi0_each_baseline_used(tmp_path, capsys):
@@ -273,7 +273,7 @@ def test_simulate_rejects_a_non_finite_mu(tmp_path, capsys, mu, shown):
     path.write_text(f'{{"m": 10, "pi0": 0.5, "mu": {mu}, "J": 2, "seed": 1}}')
     code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
     assert code == 2
-    assert f"config rejected: mu={shown} is not a finite number >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: config rejected: mu={shown} outside [0, inf)"
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -301,8 +301,37 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
     path.write_text(json.dumps(config))
     code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
     assert code == 2
-    message = f"config field {field!r} has bad value {value!r}"
-    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    # ScenarioConfig and BlockAR check the values, so the message names J as n_reps
+    name = "n_reps" if field == "J" else field
+    bad = value[-1] if isinstance(value, list) else value  # the list's one bad entry is its last
+    kind = "an integer" if field in ("J", "m", "seed", "block_size") else "a number"
+    message = f"config rejected: {name}={bad!r} is not {kind}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dependence": 5}, "dependence=5 is not an object with a 'type'"),
+        ({"dependence": {"rho": 0.5}}, "dependence={'rho': 0.5} is not an object with a 'type'"),
+        ({"dependence": {"type": "garch"}}, "dependence type 'garch' is not 'block_ar' or 'independent'"),
+        ({"dependence": {"type": "block_ar", "rho": 0.5}}, "dependence is missing field 'block_size'"),
+        ({"dependence": {"type": "block_ar", "block_size": 10}}, "dependence is missing field 'rho'"),
+        ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 1.0}}, "rho=1.0 outside (-1, 1)"),
+        ({"dependence": {"type": "block_ar", "block_size": 0, "rho": 0.5}}, "block_size=0 must be >= 1"),
+        ({"kappa": None}, "kappa=None is not a number"),  # null is no number, though ScenarioConfig(kappa=None) means alpha
+    ],
+    ids=["not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null"],
+)
+def test_simulate_rejects_a_bad_dependence_or_kappa(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, **change}))
+    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage: dynfdr simulate ") and err.count("error:") == 1
+    assert err.splitlines()[-1] == f"dynfdr simulate: error: config rejected: {message}"
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -314,7 +343,7 @@ def test_simulate_procedures_must_be_a_list_of_specs(tmp_path, capsys, procedure
     code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
     assert code == 2
     message = f"config field 'procedures' must be a nonempty list of procedure specs, got {procedures!r}"
-    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -323,7 +352,7 @@ def test_simulate_procedures_flag_needs_a_spec(sim_config, tmp_path, capsys, fla
     code = run_cli(["simulate", str(sim_config), "--procedures", flag, "--out", str(tmp_path / "m.csv")])
     assert code == 2
     message = "argument --procedures must be a nonempty list of procedure specs, got []"
-    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr: error: {message}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
     assert not (tmp_path / "m.csv").exists()
 
 

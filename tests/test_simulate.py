@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -59,9 +60,11 @@ def test_config_sizes_must_be_integers(field, value):
         ScenarioConfig(**{**good, field: value})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False, np.float64("nan"), "1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, False, np.float64("nan"), "1", -0.5])
 def test_config_mu_must_be_a_finite_number(value):
-    with pytest.raises(ValueError, match="mu=.* is not a finite number >= 0"):
+    number = isinstance(value, float)  # np.float64 is a float
+    message = f"mu={value} outside [0, inf)" if number else f"mu={value!r} is not a number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ScenarioConfig(m=10, pi0=0.5, mu=value, n_reps=2, seed=1)
 
 
@@ -305,6 +308,22 @@ def test_a_cold_draw_at_large_m_holds_a_few_copies_of_its_row(dependence):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * cfg.m
+
+
+def test_a_block_size_above_m_draws_no_more_than_block_size_m():
+    # a block of block_size normals per row once took 8 * block_size bytes: 16 MB here, and a crash at 10**10
+    def peak(block_size):
+        cfg = ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=2, seed=3, dependence=BlockAR(block_size, 0.5), signal_placement="random")
+        simulate._draw_block.cache_clear()
+        tracemalloc.start()
+        try:
+            generate_statistics(cfg, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations out of the way
+    assert peak(10**6) < 2 * peak(10)
 
 
 def test_experiment_is_deterministic(tmp_path):
