@@ -26,6 +26,7 @@ from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 __all__ = ["main", "console_entry"]
 
 VERIFY_SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative", "all")
+_CONFIG_FIELDS = ("m", "pi0", "mu", "J", "seed", "alpha", "kappa", "dependence", "signal_placement", "procedures")
 
 
 class CliError(Exception):
@@ -204,10 +205,13 @@ def _parse_dependence(dep) -> BlockAR | None:
         return None
     if not isinstance(dep, dict) or "type" not in dep:
         raise ValueError(f"dependence={dep!r} is not an object with a 'type'")
+    for key in dep:
+        if key not in ("type", "block_size", "rho"):
+            raise ValueError(f"unknown field {'dependence.' + key!r}")
     kind = dep["type"]
-    if kind in ("independent", "indep", "none"):
+    if kind == "independent":
         return None
-    if kind not in ("block_ar", "blockar", "ar"):
+    if kind != "block_ar":
         raise ValueError(f"dependence type {kind!r} is not 'block_ar' or 'independent'")
     for name in ("block_size", "rho"):
         if name not in dep:
@@ -225,6 +229,9 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         parser.error("config must be a JSON object")
+    for key in cfg:  # a misspelt key is never ignored
+        if key not in _CONFIG_FIELDS:
+            parser.error(f"config rejected: unknown field {key!r}")
     for name in ("m", "pi0", "mu", "J", "seed"):
         if name not in cfg:
             parser.error(f"config is missing field {name!r}")
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=_cmd_analyze, parser=p_an)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study from a JSON config")
-    p_sim.add_argument("config", help="JSON config: m, pi0, mu (scalar or list), dependence, alpha, J, seed")
+    p_sim.add_argument("config", help="JSON config: m, pi0, mu (scalar or list), J, seed; optional alpha, kappa, dependence, signal_placement, procedures")
     p_sim.add_argument("--procedures", default=None, help="comma list of procedure specs (overrides config)")
     p_sim.add_argument("--out", default="metrics.csv", help="output CSV path (default metrics.csv)")
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
@@ -342,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, args.parser)  # usage errors print the subcommand's usage
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a simulate config whose m is too large for one row
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

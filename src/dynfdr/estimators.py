@@ -1,11 +1,11 @@
 """Estimators of the true-null proportion and of the FDR at a cut-off.
 
-The plus-one variant of the tail estimator is bounded away from zero and
-is what the thresholding step always consumes; the plain variant is the
-estimate the right-boundary rules compare, which selection computes at
-all their candidates at once, in the operations ``pi0_storey`` uses at one.
-Estimates above 1 are legal and are never clipped here: capping is a
-caller decision, not an estimator one.
+The tail estimate (m - R(lam) + c) / ((1 - lam) m) is written once, in
+``tail_estimate``.  Its plus-one variant (c = 1) is bounded away from zero
+and is what the thresholding step always consumes; the plain variant
+(c = 0) is the estimate the right-boundary rules compare.  Estimates
+above 1 are legal and are never clipped here: capping is a caller
+decision, not an estimator one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ def scan_trace(rows) -> np.ndarray:
 _NO_TRACE = scan_trace(())
 
 
+def tail_estimate(m, r, lam):
+    """(m - r) / ((1 - lam) m), elementwise and unchecked: r = R(lam) is the plain estimate, R(lam) - 1 the plus-one."""
+    return (m - r) / ((1.0 - lam) * m)
+
+
 @dataclass(frozen=True)
 class Pi0Estimate:
     """The pi0 a procedure used, and how it was chosen.
@@ -60,15 +65,13 @@ class Pi0Estimate:
 def pi0_storey(proc: EmpiricalProcesses, lam: float) -> float:
     """Tail estimate of the true-null proportion, (m - R(lam)) / ((1-lam) m)."""
     lam = check_number("lambda", lam, "[0, 1)")
-    m = proc.m
-    return (m - proc.count_R(lam)) / ((1.0 - lam) * m)
+    return tail_estimate(proc.m, proc.count_R(lam), lam)
 
 
 def pi0_storey_plus(proc: EmpiricalProcesses, lam: float) -> float:
     """Plus-one tail estimate, (m - R(lam) + 1) / ((1-lam) m); always > 0."""
     lam = check_number("lambda", lam, "[0, 1)")
-    m = proc.m
-    return (m - proc.count_R(lam) + 1) / ((1.0 - lam) * m)
+    return tail_estimate(proc.m, proc.count_R(lam) - 1, lam)
 
 
 def fdr_hat_star(proc: EmpiricalProcesses, pi0_star: float, t: float, kappa: float) -> float:

@@ -3,11 +3,12 @@
 Each scanning rule runs candidates from the left and stops the first time
 the pi0 estimate stops improving (decreasing), so the decision at a
 candidate depends only on p-value counts at or below it.  ``_first_stop``
-is that stopping rule, and the only place it is written.  That forward-scan
-structure is what licenses plugging the selected lambda into the
-truncated FDR estimator without losing finite-sample control.  The claim
-holds unless the estimate carries a flag: a flagged fallback or clamp
-may depend on p-values above the chosen lambda.
+is that stopping rule and ``estimators.tail_estimate`` that estimate,
+each written only once.  That forward-scan structure is what licenses
+plugging the selected lambda into the truncated FDR estimator without
+losing finite-sample control.  The claim holds unless the estimate
+carries a flag: a flagged fallback or clamp may depend on p-values
+above the chosen lambda.
 
 Rules are addressable by compact string specs (``fixed:0.5``, ``rb20``,
 ``lsl``, ``kq:median``, ``rbq:0.05:0.05:0.95``, ...), which the CLI and
@@ -23,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .estimators import Pi0Estimate, pi0_storey_plus, scan_trace
+from .estimators import Pi0Estimate, pi0_storey_plus, scan_trace, tail_estimate
 from .pvalues import EmpiricalProcesses, check_integer, check_number
 
 __all__ = [
@@ -216,9 +217,7 @@ def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, str
 def _right_boundary_scan(proc: EmpiricalProcesses, grid, kappa: float, flags: tuple[str, ...] = ()) -> Pi0Estimate:
     """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
     candidates = np.concatenate(([0.0], grid))
-    m = proc.m
-    # the plain estimate (m - R(lam)) / ((1 - lam) m) at every candidate, as pi0_storey computes it
-    est = (m - proc.ordered.searchsorted(candidates, side="right")) / ((1.0 - candidates) * m)
+    est = tail_estimate(proc.m, proc.ordered.searchsorted(candidates, side="right"), candidates)
     last = _first_stop(candidates, est, kappa, strict=False)
     n = last + 1 if last > 0 else candidates.size  # no stop: the last grid point
     chosen = float(candidates[n - 1])
@@ -250,10 +249,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     n = min(_LSL_FIRST_PREFIX, m)
     while True:
         head = p[:n]
-        counts = p.searchsorted(head, side="right")  # R(p_(i)) including ties
-        den = (1.0 - head) * m
-        den[head.searchsorted(1.0):] = np.nan  # the plus-one estimate is nan at p = 1
-        est = (m - counts + 1) / den
+        est = tail_estimate(m, p.searchsorted(head, side="right") - 1, np.where(head < 1.0, head, np.nan))  # nan at p = 1
         first = _first_stop(head, est, kappa, strict=True)
         if first > 0 or n == m:
             break

@@ -128,6 +128,8 @@ class ScenarioConfig:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         for name, within in (("pi0", "(0, 1]"), ("mu", "[0, inf)"), ("alpha", "(0, 1)")):
             object.__setattr__(self, name, check_number(name, getattr(self, name), within))
+        if self.m0 == 0:  # the oracle, and every FDR target, needs a true null
+            raise ValueError(f"m={self.m}, pi0={self.pi0!r} give m0 = round(pi0 * m) = 0 true nulls")
         object.__setattr__(self, "kappa", check_number("kappa", self.alpha if self.kappa is None else self.kappa, "(0, 1)"))
         if self.dependence is not None and not isinstance(self.dependence, BlockAR):
             raise ValueError(f"dependence={self.dependence!r} is not None or a BlockAR")
@@ -246,7 +248,8 @@ class MetricsRow:
     n_reps: int
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
+def mean_se(x: np.ndarray) -> tuple[float, float]:
+    """The mean of ``x`` and its standard error, nan for one value (no warning, even for an all-nan ``x``)."""
     mean = float(x.mean())
     se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else float("nan")
     return mean, se
@@ -267,7 +270,7 @@ def _ratio_of_means_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return r, math.sqrt(max(var_r, 0.0))
 
 
-def _replications(cfg: ScenarioConfig, specs: Sequence[str]):
+def replications(cfg: ScenarioConfig, specs: Sequence[str]):
     """The one replication loop behind ``run_experiment`` and the Monte Carlo checks.
 
     Parses each spec once, then per replication j, in order: draw the
@@ -305,24 +308,21 @@ def run_experiment(
     specs = list(dict.fromkeys(procedures))
     if "orc" not in specs:
         specs.append("orc")
-    fdp, power, lam, pi0v = np.stack([rec for _, rec in _replications(cfg, specs)], axis=-1)
+    fdp, power, lam, pi0v = np.stack([rec for _, rec in replications(cfg, specs)], axis=-1)
     orc = specs.index("orc")
 
     rows = []
     for i, s in enumerate(specs):
-        realized, fdr_se = _mean_se(fdp[i])
+        realized, fdr_se = mean_se(fdp[i])
         if s == "orc":
             corrected, corrected_se = cfg.alpha, 0.0
             rel, rel_se = 1.0, 0.0
         else:
-            corrected, corrected_se = _mean_se(fdp[i] - fdp[orc])
+            corrected, corrected_se = mean_se(fdp[i] - fdp[orc])
             corrected += cfg.alpha
             rel, rel_se = _ratio_of_means_se(power[i], power[orc])
-        mse, mse_se = _mean_se((pi0v[i] * cfg.m - cfg.m0) ** 2)
-        if np.isnan(lam[i]).all():
-            mean_lam, lam_se = float("nan"), float("nan")
-        else:
-            mean_lam, lam_se = _mean_se(lam[i])
+        mse, mse_se = mean_se((pi0v[i] * cfg.m - cfg.m0) ** 2)
+        mean_lam, lam_se = mean_se(lam[i])  # (nan, nan) for bh and orc, which select no lambda
         rows.append(
             MetricsRow(
                 scenario=cfg.label,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .pvalues import check_integer, check_number
 from .selection import TWENTY_BIN_GRID
-from .simulate import ScenarioConfig, _mean_se, _replications
+from .simulate import ScenarioConfig, mean_se, replications
 
 __all__ = [
     "CheckResult",
@@ -62,7 +62,7 @@ def _three_se_check(
     mean >= bound - 3 SE, "both" |mean - bound| <= 3 SE.  With one draw
     the SE is nan and the check fails.
     """
-    mean, se = _mean_se(x)
+    mean, se = mean_se(x)
     tol = 3.0 * se
     if side == "upper":
         passed = mean <= bound + tol + slack
@@ -188,7 +188,7 @@ def fdr_control_check(
     alpha, kappa = cfg.alpha, cfg.kappa
     specs = list(dict.fromkeys([*rules, "bh", "orc"]))
     v_kappa, recs = [], []
-    for proc, rec in _replications(cfg, specs):
+    for proc, rec in replications(cfg, specs):
         v_kappa.append(proc.count_V(kappa))
         recs.append(rec)
     fdp, _, _, pi0v = np.stack(recs, axis=-1)
@@ -219,7 +219,7 @@ def conservative_estimation_check(
     cfg.n_reps replications.
     """
     specs = list(dict.fromkeys(rules))
-    pi0s = dict(zip(specs, np.stack([rec[3] for _, rec in _replications(cfg, specs)], axis=-1)))
+    pi0s = dict(zip(specs, np.stack([rec[3] for _, rec in replications(cfg, specs)], axis=-1)))
     return [
         _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
         for s in rules

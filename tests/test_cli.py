@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynfdr import cli
+from dynfdr import DEFAULT_PROCEDURES, BlockAR, ScenarioConfig, cli, emit_figure_data, run_experiment
 
 
 def run_cli(args):
@@ -321,8 +326,15 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 1.0}}, "rho=1.0 outside (-1, 1)"),
         ({"dependence": {"type": "block_ar", "block_size": 0, "rho": 0.5}}, "block_size=0 must be >= 1"),
         ({"kappa": None}, "kappa=None is not a number"),  # null is no number, though ScenarioConfig(kappa=None) means alpha
+        ({"dependance": {"type": "block_ar", "block_size": 10, "rho": 0.5}}, "unknown field 'dependance'"),
+        ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 0.5, "size": 3}}, "unknown field 'dependence.size'"),
+        ({"dependence": {"type": "indep"}}, "dependence type 'indep' is not 'block_ar' or 'independent'"),
+        ({"dependence": {"type": "ar", "block_size": 10, "rho": 0.5}}, "dependence type 'ar' is not 'block_ar' or 'independent'"),
     ],
-    ids=["not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null"],
+    ids=[
+        "not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null",
+        "misspelt-key", "unknown-dependence-key", "alias-indep", "alias-ar",
+    ],
 )
 def test_simulate_rejects_a_bad_dependence_or_kappa(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -361,7 +373,18 @@ def test_simulate_rejects_a_config_without_true_nulls(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"m": 10, "pi0": 0.04, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bh"]}))
     assert run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")]) == 2
-    assert "config rejected: orc needs at least one true null" in capsys.readouterr().err
+    message = "config rejected: m=10, pi0=0.04 give m0 = round(pi0 * m) = 0 true nulls"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
+
+
+def test_simulate_reports_running_out_of_memory_as_one_error_line(tmp_path, capsys):
+    # 8 PB per row of noise: beyond any user address space, so numpy refuses it at once
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": 10**15, "pi0": 0.8, "mu": 1.0, "J": 1, "seed": 1, "procedures": ["bh"]}))
+    assert run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_simulate_checks_out_before_the_study(sim_config, tmp_path, capsys, monkeypatch):
@@ -420,6 +443,83 @@ def test_simulate_block_dependence_config(tmp_path):
     out = tmp_path / "metrics.csv"
     assert run_cli(["simulate", str(path), "--out", str(out)]) == 0
     assert "ar50rho-0.9" in out.read_text()
+
+
+MISSING = object()  # leaves the key out of the config
+# field: (valid values, invalid ones: missing, null, wrong type, out of range); m0 = round(pi0 m) >= 1 at every valid m
+CONFIG_FIELDS = {
+    "m": ([2, 20, 50], [MISSING, None, "20", 2.0, True, 0, -3]),
+    "pi0": ([0.5, 0.8, 1], [MISSING, None, "0.8", True, 0.0, 1.5, -0.1]),
+    "mu": ([0, 1.0, [1.0, 2.5]], [MISSING, None, "1", True, {}, -1.0, [], [1.0, "2"]]),
+    "J": ([1, 2, 3], [MISSING, None, "2", 2.0, 0]),
+    "seed": ([0, 7], [MISSING, None, "1", 1.5, True, -1]),
+    "alpha": ([MISSING, 0.1], [None, "0.05", True, 0, 1.0]),
+    "kappa": ([MISSING, 0.2], [None, "0.05", 0.0, 1]),
+    "signal_placement": ([MISSING, "head", "random"], [None, 1, "middle"]),
+    "procedures": ([MISSING, ["bh"], ["lsl", "rb20q", "kq:median"]], [None, "bh", [1], [], ["zz"]]),
+    "dependence": ([MISSING, None, {"type": "independent"}], [5, "block_ar", []]),
+}
+DEPENDENCE_FIELDS = {
+    "type": (["block_ar"], [MISSING, None, 5, "garch", "blockar"]),
+    "block_size": ([1, 10, 60], [MISSING, None, "10", 2.5, True, 0]),
+    "rho": ([-0.9, 0, 0.5], [MISSING, None, "0.5", True, 1.0, -1]),
+}
+EXTRA_KEYS = ["dependance", "procedure", "J "]
+
+
+def _fill(draw, fields, bad):
+    """A config object: each field a valid value, except ``bad``, which gets an invalid one."""
+    values = {name: draw(st.sampled_from(invalid if name == bad else valid)) for name, (valid, invalid) in fields.items()}
+    return {name: value for name, value in values.items() if value is not MISSING}
+
+
+@st.composite
+def simulate_configs(draw):
+    """A simulate config and whether it is valid: at most one field, nested ones included, or one extra key is bad."""
+    bad = st.sampled_from(["extra", "dependence.extra", *CONFIG_FIELDS, *DEPENDENCE_FIELDS])
+    where = draw(bad) if draw(st.booleans()) else "none"
+    cfg = _fill(draw, CONFIG_FIELDS, where)
+    if where in DEPENDENCE_FIELDS or where == "dependence.extra" or (where != "dependence" and draw(st.booleans())):
+        cfg["dependence"] = _fill(draw, DEPENDENCE_FIELDS, where)
+    if where.endswith("extra"):
+        target = cfg["dependence"] if where == "dependence.extra" else cfg
+        target[draw(st.sampled_from(EXTRA_KEYS))] = 1
+    return cfg, where == "none"
+
+
+def _expected_csv(cfg, path):
+    """The CSV the library writes for a valid config, built without the CLI."""
+    dep = cfg.get("dependence")
+    block = BlockAR(dep["block_size"], dep["rho"]) if dep and dep["type"] == "block_ar" else None
+    rows = []
+    for i, mu in enumerate(cfg["mu"] if isinstance(cfg["mu"], list) else [cfg["mu"]]):
+        scenario = ScenarioConfig(
+            m=cfg["m"], pi0=cfg["pi0"], mu=mu, n_reps=cfg["J"], seed=cfg["seed"] + i, alpha=cfg.get("alpha", 0.05),
+            kappa=cfg.get("kappa"), dependence=block, signal_placement=cfg.get("signal_placement", "head"),
+        )
+        rows.extend(run_experiment(scenario, cfg.get("procedures", DEFAULT_PROCEDURES)))
+    emit_figure_data(rows, path)
+    return Path(path).read_bytes()
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(simulate_configs())
+def test_simulate_config_error_contract(case):
+    # every config ends in the CSV the library writes, or in one error line and no file; never a traceback
+    cfg, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "m.csv"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(["simulate", str(path), "--out", str(out)])
+        err = err.getvalue()
+        assert code == (0 if valid else 2), err
+        if valid:
+            assert err == "" and out.read_bytes() == _expected_csv(cfg, Path(tmp) / "expected.csv")
+        else:
+            assert err.startswith("usage: dynfdr simulate ") and err.count("error:") == 1 and "Traceback" not in err
+            assert not out.exists()
 
 
 def test_verify_lemma2_suite(tmp_path, capsys):

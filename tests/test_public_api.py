@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import dynfdr
 from dynfdr import verify
 
@@ -36,3 +39,13 @@ def test_verify_does_not_export_the_test_oracle():
     # the reference normal CDF is a test oracle and lives in tests/conftest.py
     assert "reference_normal_cdf" not in verify.__all__
     assert not hasattr(verify, "reference_normal_cdf")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs belongs to its home module's interface, so it has no leading underscore
+    imported = []
+    for path in sorted(Path(dynfdr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("dynfdr")):
+                imported += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert imported == []

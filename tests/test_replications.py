@@ -10,7 +10,7 @@ import pytest
 
 from conftest import replication_records, row
 from dynfdr import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
-from dynfdr.simulate import _replications
+from dynfdr.simulate import replications
 from dynfdr.verify import conservative_estimation_check, fdr_control_check
 
 SPECS = ("bh", "orc", "fixed:0.5", "rb20", "lsl", "rb20q")
@@ -35,7 +35,7 @@ def test_kernel_records_equal_oracle_loop_bit_for_bit(name):
     cfg = CONFIGS[name]
     expected, _ = replication_records(cfg, SPECS)
     n = 0
-    for j, (proc, rec) in enumerate(_replications(cfg, SPECS)):
+    for j, (proc, rec) in enumerate(replications(cfg, SPECS)):
         assert proc.m == cfg.m and rec.shape == (4, len(SPECS))
         for i, s in enumerate(SPECS):
             np.testing.assert_array_equal(rec[:, i], expected[s][j])
@@ -89,7 +89,7 @@ def test_no_false_nulls_gives_zero_power_and_undefined_relative_power(tmp_path):
     # relative power is undefined without false nulls: nan, except the oracle's anchor 1.0
     cfg = ScenarioConfig(m=100, pi0=1.0, mu=2.0, n_reps=20, seed=403)
     specs = ("bh", "orc", "rb20", "lsl")
-    for _, rec in _replications(cfg, specs):
+    for _, rec in replications(cfg, specs):
         assert (rec[1] == 0.0).all()
     table = run_experiment(cfg, specs)
     for r in table:

@@ -38,6 +38,8 @@ def test_config_validation():
         ScenarioConfig(**{**good, "pi0": 0.0})
     with pytest.raises(ValueError):
         ScenarioConfig(**{**good, "pi0": 1.2})
+    with pytest.raises(ValueError, match=r"^m=100, pi0=0\.004 give m0 = round\(pi0 \* m\) = 0 true nulls$"):
+        ScenarioConfig(**{**good, "pi0": 0.004})  # checked at construction, before any replication is drawn
     with pytest.raises(ValueError):
         ScenarioConfig(**{**good, "mu": -1.0})
     with pytest.raises(ValueError):
@@ -283,8 +285,8 @@ _DRAW_CASES = [
 @pytest.mark.parametrize("placement", ["head", "random"])
 @pytest.mark.parametrize("m, dependence", _DRAW_CASES)
 def test_block_draw_equals_the_one_row_draw(m, dependence, placement):
-    # pi0 = 0.5 makes about half the hypotheses false (the one of m = 1, as round(0.5) = 0); pi0 = 1 leaves m1 = 0
-    for pi0, n_reps in ((0.5, 11), (1.0, 3)):
+    # pi0 = 0.6 makes about 40% of the hypotheses false (none at m = 1, as a config needs m0 >= 1); pi0 = 1 leaves m1 = 0
+    for pi0, n_reps in ((0.6, 11), (1.0, 3)):
         cfg = ScenarioConfig(m=m, pi0=pi0, mu=1.5, n_reps=n_reps, seed=m, dependence=dependence, signal_placement=placement)
         # shuffled, so blocks are entered at any row; past n_reps too
         for j in np.random.default_rng([m, n_reps]).permutation(2 * n_reps + 2).tolist():
