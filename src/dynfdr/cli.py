@@ -13,6 +13,7 @@ import dataclasses
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,40 +42,30 @@ def _fields(line: str) -> list[str]:
 def _read_one_column(path: str) -> np.ndarray | None:
     """The values of a one-column p-value file in one ``np.loadtxt`` pass; None when the line parser must decide.
 
-    The lines up to the first p-value get the line parser's own checks:
-    an optional header on line 1, then one field that ``float`` takes.
-    ``loadtxt`` then needs one field on every line, parsed whole by the C
-    routine behind ``float`` (which refuses ``_`` and non-ASCII digits),
-    or it raises.  It breaks lines at LF, CRLF and CR only;
-    the other breaks of ``str.splitlines`` are whitespace to it, so a
-    line they split in two has two fields.
+    Line 1 is read as ``loadtxt`` breaks lines, at LF, CRLF or CR; the
+    other breaks of ``str.splitlines`` are whitespace to it, so a line 1
+    they split goes to the line parser.  Line 1 is skipped when its first
+    field is not a float: a header, or a blank line.  ``loadtxt`` then
+    needs one field on every line, parsed whole by the C routine behind
+    ``float`` (which refuses ``_`` and non-ASCII digits), or it raises.
     """
-    skip = 0
     try:
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):  # split at LF alone
-                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")  # a byte order mark is no header
-                if len(line.splitlines()) > 1:
-                    return None
-                fields = _fields(line)
-                if fields == [""]:
-                    continue
-                try:
-                    float(fields[0])
-                except ValueError:
-                    if lineno > 1:
-                        return None
-                    skip = 1  # header line
-                    continue
-                if len(fields) > 1:
-                    return None
-                break
-            else:
-                return None  # no p-values
-        values = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8-sig", ndmin=1)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # a byte order mark is no header
+            first = fh.readline()
+        if len(first.splitlines()) > 1:
+            return None
+        skip = 0
+        try:
+            float(_fields(first)[0])
+        except ValueError:
+            skip = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns when there is no data
+            values = np.loadtxt(path, comments=None, skiprows=skip, encoding="utf-8-sig", ndmin=2)
+    except (OSError, ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
         return None
-    return values if ((values >= 0.0) & (values <= 1.0)).all() else None
+    column = values[:, 0]
+    return column if values.shape[1] == 1 and ((column >= 0.0) & (column <= 1.0)).all() else None
 
 
 def _read_pvalue_file(path: str) -> EmpiricalProcesses:
@@ -210,6 +201,9 @@ def _parse_dependence(dep) -> BlockAR | None:
             raise ValueError(f"unknown field {'dependence.' + key!r}")
     kind = dep["type"]
     if kind == "independent":
+        extra = [key for key in dep if key != "type"]
+        if extra:
+            raise ValueError(f"dependence type 'independent' has no field {extra[0]!r}")
         return None
     if kind != "block_ar":
         raise ValueError(f"dependence type {kind!r} is not 'block_ar' or 'independent'")

@@ -1,11 +1,11 @@
 """Estimators of the true-null proportion and of the FDR at a cut-off.
 
-The tail estimate (m - R(lam) + c) / ((1 - lam) m) is written once, in
-``tail_estimate``.  Its plus-one variant (c = 1) is bounded away from zero
-and is what the thresholding step always consumes; the plain variant
-(c = 0) is the estimate the right-boundary rules compare.  Estimates
-above 1 are legal and are never clipped here: capping is a caller
-decision, not an estimator one.
+Each formula is written once: the tail estimate (m - R(lam) + c) /
+((1 - lam) m) in ``tail_estimate``, the FDR estimate m pi0 t / (R(t) v 1)
+in ``fdr_estimate``.  The plus-one tail estimate (c = 1) is bounded away
+from zero and is what thresholding consumes; the plain one (c = 0) is
+what the right-boundary rules compare.  Estimates above 1 are legal and
+never clipped here: capping is a caller decision, not an estimator one.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ _NO_TRACE = scan_trace(())
 def tail_estimate(m, r, lam):
     """(m - r) / ((1 - lam) m), elementwise and unchecked: r = R(lam) is the plain estimate, R(lam) - 1 the plus-one."""
     return (m - r) / ((1.0 - lam) * m)
+
+
+def fdr_estimate(m, pi0, t, r):
+    """m * pi0 * t / (r v 1), unchecked: the FDR estimate at cut-off t, where r = R(t)."""
+    return m * pi0 * t / max(r, 1)
 
 
 @dataclass(frozen=True)
@@ -85,4 +90,4 @@ def fdr_hat_star(proc: EmpiricalProcesses, pi0_star: float, t: float, kappa: flo
     t = check_number("t", t, "[0, 1]")
     if t > kappa:
         return 1.0
-    return proc.m * pi0_star * t / max(proc.count_R(t), 1)
+    return fdr_estimate(proc.m, pi0_star, t, proc.count_R(t))

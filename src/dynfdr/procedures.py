@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Pi0Estimate, fdr_hat_star
+from .estimators import Pi0Estimate, fdr_estimate
 from .pvalues import EmpiricalProcesses, MissingTruthLabels, check_number
 from .selection import BH, ORACLE, LambdaRule, StepUpRule
 
@@ -50,14 +50,16 @@ class ProcedureResult:
         return int(self.rejected.size)
 
 
-def _last_true(mask: np.ndarray) -> int:
-    """Index of the last True in a nonempty boolean array, -1 when there is none."""
-    last = mask.size - 1 - int(mask[::-1].argmax())
-    return last if mask[last] else -1
+def _step_up(ordered: np.ndarray, passing: np.ndarray) -> float:
+    """The step-up cut: the largest of ``ordered`` whose comparison passes (``passing[k]``), else 0.0."""
+    (hits,) = passing.nonzero()
+    return float(ordered[hits[-1]]) if hits.size else 0.0
 
 
-def _rejection_set(proc: EmpiricalProcesses, threshold: float) -> np.ndarray:
-    return (proc.values <= threshold).nonzero()[0]
+def _result(proc: EmpiricalProcesses, threshold: float, pi0: Pi0Estimate) -> ProcedureResult:
+    """Everything a procedure reports at ``threshold``, with the FDR estimate there at ``pi0.value``."""
+    (rejected,) = (proc.values <= threshold).nonzero()
+    return ProcedureResult(threshold, rejected, float(fdr_estimate(proc.m, pi0.value, threshold, rejected.size)), pi0)
 
 
 def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
@@ -68,17 +70,11 @@ def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) 
     oracle.  The reported FDR estimate at the threshold uses pi0_target.
     """
     alpha, pi0_target = check_number("alpha", alpha, "(0, 1)"), check_number("pi0_target", pi0_target, "(0, 1]")
-    pi0 = Pi0Estimate(lam=float("nan"), value=pi0_target)
-    level = min(alpha / pi0_target, 1.0)
-    m = proc.m
-    passing = proc.ordered <= np.arange(1, m + 1) * (level / m)
-    last = _last_true(passing)
-    if last < 0:
-        return ProcedureResult(0.0, np.empty(0, dtype=np.int64), 0.0, pi0)
-    threshold = float(proc.ordered[last])
-    rejected = _rejection_set(proc, threshold)
-    estimate = m * pi0_target * threshold / max(rejected.size, 1)
-    return ProcedureResult(threshold, rejected, float(estimate), pi0)
+    level, m = min(alpha / pi0_target, 1.0), proc.m
+    # not threshold_functional's m * pi0 * p <= alpha * k: the two forms round apart, and
+    # one shared form would move the bh and orc thresholds of some rounded samples
+    threshold = _step_up(proc.ordered, proc.ordered <= np.arange(1, m + 1) * (level / m))
+    return _result(proc, threshold, Pi0Estimate(lam=float("nan"), value=pi0_target))
 
 
 def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float, kappa: float) -> float:
@@ -91,24 +87,17 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     """
     pi0_star = check_number("pi0_star", pi0_star, "(0, inf)")
     alpha, kappa = check_number("alpha", alpha, "(0, 1)"), check_number("kappa", kappa, "(0, 1)")
-    m = proc.m
-    n_region = proc.count_R(kappa)
-    if m * pi0_star * kappa / max(n_region, 1) <= alpha:
+    m, n_region = proc.m, proc.count_R(kappa)
+    if fdr_estimate(m, pi0_star, kappa, n_region) <= alpha:
         return kappa
-    if n_region == 0:
-        return 0.0
     head = proc.ordered[:n_region]
-    last = _last_true(m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
-    return float(head[last]) if last >= 0 else 0.0
+    return _step_up(head, m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
 
 
 def dynamic_adaptive(proc: EmpiricalProcesses, rule: LambdaRule, alpha: float) -> ProcedureResult:
     """Select lambda, estimate pi0, threshold the truncated FDR estimate at ``rule.kappa``."""
     est = rule.select(proc)
-    threshold = threshold_functional(proc, est.value, alpha, rule.kappa)
-    rejected = _rejection_set(proc, threshold)
-    estimate_at = fdr_hat_star(proc, est.value, threshold, rule.kappa)
-    return ProcedureResult(float(threshold), rejected, float(estimate_at), est)
+    return _result(proc, threshold_functional(proc, est.value, alpha, rule.kappa), est)
 
 
 def run_procedure(

@@ -121,6 +121,23 @@ def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spe
     assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: bad grid in rule spec {spec!r}: {reason}"
 
 
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("rb:0.5,0.2", "candidate grid must be strictly ascending, got (0.5, 0.2)"),
+        ("rb:0.5,0.5", "candidate grid must be strictly ascending, got (0.5, 0.5)"),
+        ("rbq:0.5,0.2", "quantile levels must be strictly ascending, got (0.5, 0.2)"),
+        ("rb:0.9:0.1:0.1", "bad grid in rule spec 'rb:0.9:0.1:0.1': bad grid spec 0.9:0.1:0.1"),  # stop < start
+    ],
+)
+def test_analyze_grid_that_does_not_ascend_is_usage_error(four_pvalues, capsys, spec, reason):
+    code = run_cli(["analyze", str(four_pvalues), "--procedure", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: {reason}"
+
+
 def test_analyze_header_and_labels(tmp_path, capsys):
     path = tmp_path / "pvals.txt"
     path.write_text("pvalue truth\n0.001 0\n0.02 1\n0.5 1\n0.9 1\n")
@@ -330,10 +347,11 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 0.5, "size": 3}}, "unknown field 'dependence.size'"),
         ({"dependence": {"type": "indep"}}, "dependence type 'indep' is not 'block_ar' or 'independent'"),
         ({"dependence": {"type": "ar", "block_size": 10, "rho": 0.5}}, "dependence type 'ar' is not 'block_ar' or 'independent'"),
+        ({"dependence": {"type": "independent", "block_size": -4, "rho": "x"}}, "dependence type 'independent' has no field 'block_size'"),
     ],
     ids=[
         "not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null",
-        "misspelt-key", "unknown-dependence-key", "alias-indep", "alias-ar",
+        "misspelt-key", "unknown-dependence-key", "alias-indep", "alias-ar", "independent-with-fields",
     ],
 )
 def test_simulate_rejects_a_bad_dependence_or_kappa(tmp_path, capsys, change, message):
@@ -426,6 +444,24 @@ def test_simulate_rejects_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_simulate_config_that_is_no_json_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1]")
+    code = run_cli(["simulate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1] == "dynfdr simulate: error: config must be a JSON object"
+
+
+def test_simulate_unreadable_config_is_one_error_line(tmp_path, capsys):
+    code = run_cli(["simulate", str(tmp_path), "--out", str(tmp_path / "m.csv")])  # a directory
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_simulate_block_dependence_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
@@ -457,7 +493,7 @@ CONFIG_FIELDS = {
     "kappa": ([MISSING, 0.2], [None, "0.05", 0.0, 1]),
     "signal_placement": ([MISSING, "head", "random"], [None, 1, "middle"]),
     "procedures": ([MISSING, ["bh"], ["lsl", "rb20q", "kq:median"]], [None, "bh", [1], [], ["zz"]]),
-    "dependence": ([MISSING, None, {"type": "independent"}], [5, "block_ar", []]),
+    "dependence": ([MISSING, None, {"type": "independent"}], [5, "block_ar", [], {"type": "independent", "block_size": 10}]),
 }
 DEPENDENCE_FIELDS = {
     "type": (["block_ar"], [MISSING, None, 5, "garch", "blockar"]),

@@ -4,15 +4,19 @@ Derandomised, with a bounded number of examples, so every run checks
 the same inputs.  Values sit on the grid k/64: it puts ties, exact 0s
 and 1s and p-values equal to kappa in the inputs, and it keeps every
 product and comparison in the thresholding arithmetic exact, so alpha
-can be put exactly on the step-up line.  The p-value file reader is
-checked against the line-parser oracle on generated file bytes, and the
-array scans (lowest-slope, right-boundary, quantile) against the
-full-array and one-candidate-at-a-time scans on generated samples of up
-to 2000 p-values.
+can be put exactly on the step-up line.  Every procedure's rejection set
+and FDR estimate are checked at its threshold on rounded mixtures.  The
+p-value file reader, and ``analyze`` run on the file, are checked against
+the line-parser oracle on generated file bytes, and the array scans
+(lowest-slope, right-boundary, quantile) against the full-array and
+one-candidate-at-a-time scans on generated samples of up to 2000
+p-values.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 from collections import Counter
 from fractions import Fraction
 
@@ -27,6 +31,7 @@ from dynfdr import (
     RightBoundaryQuantileRule,
     RightBoundaryRule,
     cli,
+    fdr_hat_star,
     parse_rule_spec,
     run_procedure,
     sort_pvalues,
@@ -38,6 +43,9 @@ from dynfdr.selection import _LSL_FIRST_PREFIX
 from conftest import (
     brute_force_threshold,
     full_lowest_slope,
+    naive_count,
+    naive_rejection_set,
+    random_mixture_pvalues,
     read_pvalue_lines,
     scalar_right_boundary,
     unique_grid_right_boundary_quantile,
@@ -133,6 +141,37 @@ def test_value_sort_equals_the_stable_index_sort(case):
         res = run_procedure(parse_rule_spec(spec, kappa), proc, 0.05)
         n = int(np.searchsorted(stable_ordered, res.threshold, side="right"))
         np.testing.assert_array_equal(res.rejected, np.sort(stable_order[:n]), err_msg=spec)
+
+
+@st.composite
+def rounded_mixtures(draw):
+    """Mixtures rounded to 2-4 decimals, with ties at 0, at kappa and at 1, truth labels with a true null, and alpha."""
+    m = draw(st.integers(2, 200))
+    kappa = draw(st.sampled_from((0.05, 0.25)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pvals = np.round(random_mixture_pvalues(rng, m, draw(st.sampled_from((0.2, 0.5, 0.8)))), draw(st.integers(2, 4)))
+    for value in (0.0, kappa, 1.0):
+        if draw(st.booleans()):
+            pvals[rng.choice(m, draw(st.integers(1, max(1, m // 8))), replace=False)] = value
+    truth = rng.random(m) < 0.7
+    truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
+    return pvals, truth, kappa, draw(st.sampled_from((0.05, 0.2)))
+
+
+@SETTINGS
+@given(rounded_mixtures())
+def test_every_result_is_the_rejection_set_and_fdr_estimate_at_its_threshold(case):
+    pvals, truth, kappa, alpha = case
+    proc, m = sort_pvalues(pvals, truth), len(pvals)
+    for spec in (*DEFAULT_PROCEDURES, "kq:median", "rb:0.2,0.5,0.8"):
+        res = run_procedure(parse_rule_spec(spec, kappa), proc, alpha)
+        t = res.threshold
+        assert set(res.rejected.tolist()) == naive_rejection_set(pvals, t), spec
+        if spec in ("bh", "orc"):
+            expected = m * res.pi0.value * t / max(naive_count(pvals, t), 1)
+        else:
+            expected = fdr_hat_star(proc, res.pi0.value, t, kappa)
+        assert res.fdr_estimate_at_threshold == expected, spec
 
 
 LAMBDA_RULES = ("fixed:0.5", "rb20", "lsl", "kq:median", "rb20q")
@@ -309,6 +348,7 @@ def _read(reader, path):
 @example(b"0.5 1\n")
 @example(b"0.5\n\xff0.3\n")  # not UTF-8
 @example(b"0.5\n\xef\xbb\xbf0.3\n")  # a byte order mark after the first line is no whitespace
+@example(b"\n p\n0.5\n")  # a blank line 1, so the header on line 2 is an error
 def test_reader_equals_the_line_parser(pvalue_path, data):
     pvalue_path.write_bytes(data)
     assert _read(cli._read_pvalue_file, pvalue_path) == _read(read_pvalue_lines, pvalue_path)
@@ -328,7 +368,30 @@ def test_one_column_file_skips_the_line_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_parse_pvalue_lines", fail)
     path = tmp_path / "pvalues.txt"
-    path.write_bytes(b"p_value\r\n\r\n  0.25\r\n-0\t\r\n1\r\n\r\n1e-3")
-    proc = cli._read_pvalue_file(str(path))
-    assert proc.values.tobytes() == np.array([0.25, -0.0, 1.0, 1e-3]).tobytes()
-    assert proc.truth is None
+    for body in (b"p_value\r\n\r\n  0.25\r\n-0\t\r\n1\r\n\r\n1e-3", b"p_value\r\r  0.25\r-0\t\r1\r\r1e-3"):  # CRLF, CR
+        path.write_bytes(body)
+        proc = cli._read_pvalue_file(str(path))
+        assert proc.values.tobytes() == np.array([0.25, -0.0, 1.0, 1e-3]).tobytes(), body
+        assert proc.truth is None
+
+
+ANALYZE_ARGS = (["--procedure", "bh"], ["--procedure", "rb20"], ["--procedure", "lsl"], ["--procedure", "orc", "--pi0", "0.8"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(pvalue_files())
+def test_analyze_error_contract(pvalue_path, data):
+    # every file ends in a report whose count the library gives, or in one error line; never a traceback
+    pvalue_path.write_bytes(data)
+    for args in ANALYZE_ARGS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", str(pvalue_path), *args])
+        err = err.getvalue()
+        assert code in (0, 1) and "Traceback" not in err, (args, err)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1, (args, err)
+            continue
+        pi0 = 0.8 if args[1] == "orc" else None
+        expected = run_procedure(parse_rule_spec(args[1], 0.05), read_pvalue_lines(pvalue_path), 0.05, pi0=pi0)
+        assert f"n_rejected: {expected.n_rejected}\n" in out.getvalue(), args

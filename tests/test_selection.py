@@ -321,6 +321,18 @@ def test_parse_rule_spec_shorthands():
     assert parse_rule_spec("rb20q", 0.05) == RightBoundaryQuantileRule(TWENTY_BIN_GRID, 0.05)
 
 
+@pytest.mark.parametrize(
+    "spec, rule",
+    [
+        ("rb:0.2,0.5,0.8", RightBoundaryRule((0.2, 0.5, 0.8), 0.05)),
+        ("rb:0.5", RightBoundaryRule((0.5,), 0.05)),
+        ("rbq:0.5", RightBoundaryQuantileRule((0.5,), 0.05)),
+    ],
+)
+def test_parse_rule_spec_comma_list_and_single_value_grids(spec, rule):
+    assert parse_rule_spec(spec, 0.05) == rule
+
+
 def test_parse_rule_spec_step_up_baselines():
     for spec, oracle in (("bh", False), (" orc ", True)):
         rule = parse_rule_spec(spec, 0.05)
