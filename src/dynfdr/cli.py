@@ -26,7 +26,6 @@ from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 __all__ = ["main", "console_entry"]
 
-VERIFY_SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative", "all")
 _CONFIG_FIELDS = ("m", "pi0", "mu", "J", "seed", "alpha", "kappa", "dependence", "signal_placement", "procedures")
 
 
@@ -281,23 +280,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.out:
         _probe_out(args.out)  # before the suites, not after them
-    results = []
-    suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
-    for suite in suites:
-        if suite == "lemma2":
-            results.extend(verify_mod.lemma2_exact_check())
-        elif suite == "supermartingale":
-            for m0 in (10, 50):
-                for s, t in ((0.2, 0.6), (0.5, 0.9)):
-                    results.extend(
-                        verify_mod.supermartingale_check(m0, s, t, draws=100_000, seed=args.seed)
-                    )
-        elif suite == "fdr-control":
-            cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0, n_reps=args.reps, seed=args.seed)
-            results.extend(verify_mod.fdr_control_check(cfg))
-        elif suite == "conservative":
-            cfg = ScenarioConfig(m=1000, pi0=0.8, mu=1.0, n_reps=args.reps, seed=args.seed)
-            results.extend(verify_mod.conservative_estimation_check(cfg))
+    suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
+    results = [r for suite in suites for r in verify_mod.run_suite(suite, args.seed, args.reps)]
     print(verify_mod.format_report(results))
     if args.out:
         _write_out(args.out, lambda path: verify_mod.write_report_csv(results, path))
@@ -328,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_ver = sub.add_parser("verify", help="run the theory-check suites")
-    p_ver.add_argument("suite", choices=VERIFY_SUITES, help="which suite to run")
+    p_ver.add_argument("suite", choices=(*verify_mod.SUITES, "all"), help="which suite to run")
     p_ver.add_argument("--seed", type=_flag_type("seed", int, check_integer, 0), default=20260808, help="Monte Carlo seed (>= 0)")
     # a 3-SE check needs a standard error, so at least two replications
     p_ver.add_argument("--reps", type=_flag_type("reps", int, check_integer, 2), default=1000, help="replications for the simulation-backed suites (>= 2)")

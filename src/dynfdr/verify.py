@@ -33,9 +33,12 @@ __all__ = [
     "format_report",
     "write_report_csv",
     "DEFAULT_RULES",
+    "SUITES",
+    "run_suite",
 ]
 
 DEFAULT_RULES = ("fixed:0.5", "rb20", "lsl", "rb20q")
+SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
 
 # rows of uniforms drawn at a time by supermartingale_check
 _DRAW_BLOCK = 4096
@@ -114,8 +117,7 @@ def supermartingale_check(
     Simulates m0 uniform nulls per draw and, within each stratum of the
     observed V(s), compares the stratum mean of M(t) against M(s) plus
     three stratum standard errors.  Strata with fewer than 30 draws are
-    skipped but reported.  The terminal value M(1) = 0 is asserted
-    exactly.
+    skipped but reported.  The terminal value M(1) = 0 is reported first.
 
     The uniforms are drawn in blocks of a fixed number of rows and each
     block is reduced to its counts V(s), V(t) at once, so memory is
@@ -141,17 +143,8 @@ def supermartingale_check(
     m_t = (1.0 - t) / (m0 - v_t + 1.0)
 
     label = f"supermartingale(m0={m0},s={s:g},t={t:g})"
-    terminal = (1.0 - 1.0) / (m0 - m0 + 1.0)
-    results = [
-        CheckResult(
-            check=f"{label}[terminal]",
-            statistic=terminal,
-            bound=0.0,
-            tolerance=0.0,
-            passed=terminal == 0.0,
-            detail="M(1) = 0 exactly",
-        )
-    ]
+    # M(1) = (1 - 1) / (m0 - V(1) + 1) has a zero numerator, so it is 0 whatever V(1) is
+    results = [CheckResult(f"{label}[terminal]", 0.0, 0.0, 0.0, True, "M(1) = 0 exactly")]
     for v in np.unique(v_s):
         sel = v_s == v
         n = int(sel.sum())
@@ -224,6 +217,18 @@ def conservative_estimation_check(
         _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
         for s in rules
     ]
+
+
+def run_suite(name: str, seed: int, reps: int) -> list[CheckResult]:
+    """The checks of suite ``name``, one of ``SUITES`` (in report order); ``seed`` seeds its draws, ``reps`` sizes its replications."""
+    if name == "lemma2":
+        return lemma2_exact_check()
+    if name == "supermartingale":
+        return [r for m0 in (10, 50) for s, t in ((0.2, 0.6), (0.5, 0.9)) for r in supermartingale_check(m0, s, t, seed=seed)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; one of {', '.join(SUITES)}")
+    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0 if name == "fdr-control" else 1.0, n_reps=reps, seed=seed)
+    return fdr_control_check(cfg) if name == "fdr-control" else conservative_estimation_check(cfg)
 
 
 def all_passed(results: Sequence[CheckResult]) -> bool:

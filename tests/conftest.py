@@ -162,6 +162,27 @@ def replication_records(cfg, specs):
     return records, v_kappa
 
 
+def bootstrap_lambda_threshold(proc, rng, alpha, kappa, n_boot=100):
+    """The threshold of Storey, Taylor & Siegmund's (2004) bootstrap lambda, which is no stopping time.
+
+    On the twenty-bin grid, lambda minimises the mean squared distance of
+    the plain estimate on ``n_boot`` resamples of the p-values to the
+    smallest plain estimate on the sample; it is raised to kappa, and the
+    plus-one estimate at lambda goes through ``threshold_functional``.
+    """
+    from dynfdr import TWENTY_BIN_GRID, pi0_storey_plus, threshold_functional
+
+    grid = np.array(TWENTY_BIN_GRID)
+
+    def plain(p):  # the plain estimate at every grid point, per row of p
+        return (p[..., None] > grid).sum(axis=-2) / ((1.0 - grid) * proc.m)
+
+    boot = proc.values[rng.integers(0, proc.m, (n_boot, proc.m))]
+    mse = ((plain(boot) - plain(proc.values).min()) ** 2).mean(axis=0)
+    lam = max(float(grid[np.argmin(mse)]), kappa)
+    return threshold_functional(proc, pi0_storey_plus(proc, lam), alpha, kappa)
+
+
 def one_shot_supermartingale_check(m0, s, t, draws, seed):
     """``verify.supermartingale_check`` with V(s), V(t) counted from one (draws, m0) draw.
 

@@ -17,14 +17,12 @@ from dynfdr import (
     BlockAR,
     ScenarioConfig,
     cli,
-    generate_statistics,
-    parse_rule_spec,
     run_experiment,
-    run_procedure,
     sort_pvalues,
     threshold_functional,
 )
-from dynfdr.verify import lemma2_exact_check, supermartingale_check
+from dynfdr.simulate import replications
+from dynfdr.verify import lemma2_exact_check, run_suite
 
 from conftest import brute_force_threshold, naive_rejection_set, row
 
@@ -166,15 +164,10 @@ def test_criterion_07_binomial_bound_exact():
 
 
 def test_criterion_08_supermartingale():
-    ok = True
-    n_strata = 0
-    for m0 in (10, 50):
-        for s, t in ((0.2, 0.6), (0.5, 0.9)):
-            results = supermartingale_check(m0, s, t, draws=100_000, seed=SEED)
-            checked = [r for r in results if not r.detail.startswith("skipped")]
-            n_strata += len(checked)
-            ok = ok and all(r.passed for r in checked)
-    report("criterion 8 (supermartingale inequality per stratum)", ok, f"{n_strata} strata checked")
+    results = run_suite("supermartingale", SEED, reps=2)  # reps sizes only the replicating suites
+    checked = [r for r in results if not r.detail.startswith("skipped")]
+    ok = all(r.passed for r in checked)
+    report("criterion 8 (supermartingale inequality per stratum)", ok, f"{len(checked)} strata checked")
 
 
 def test_criterion_09_threshold_oracle_equivalence():
@@ -201,12 +194,7 @@ def test_criterion_09_threshold_oracle_equivalence():
 def test_criterion_10_conservative_under_null():
     cfg = ScenarioConfig(m=1000, pi0=1.0, mu=0.0, n_reps=2000, seed=SEED + 5)
     rules = ADAPTIVE + ("kq:median",)
-    estimates = {rule: np.empty(cfg.n_reps) for rule in rules}
-    parsed = {rule: parse_rule_spec(rule, cfg.kappa) for rule in rules}
-    for j in range(cfg.n_reps):
-        proc = generate_statistics(cfg, j)
-        for rule in rules:
-            estimates[rule][j] = run_procedure(parsed[rule], proc, cfg.alpha, pi0=1.0).pi0.value
+    estimates = dict(zip(rules, np.stack([rec[3] for _, rec in replications(cfg, rules)], axis=-1)))
     ok = True
     detail = []
     for rule, values in estimates.items():

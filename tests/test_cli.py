@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -590,6 +591,53 @@ def test_verify_unknown_suite(capsys):
     code = run_cli(["verify", "nonsense"])
     assert code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# field: (valid values, invalid ones); a --reps above 3 is never drawn, as a valid 10**15 would run for ever
+VERIFY_FIELDS = {
+    "suite": (["lemma2", "fdr-control", "conservative"], ["nonsense"]),
+    "--seed": (["0", str(10**30)], ["-1", "1e3", "", "x"]),
+    "--reps": (["2", "3"], ["0", "1", "-1", "2.0", "x"]),
+}
+
+
+@st.composite
+def verify_argvs(draw):
+    """A verify argv and whether it is a usage error: any subset of the fields is bad, and --out is any of four kinds."""
+    bad = draw(st.sets(st.sampled_from(list(VERIFY_FIELDS))))
+    values = {name: draw(st.sampled_from(invalid if name in bad else valid)) for name, (valid, invalid) in VERIFY_FIELDS.items()}
+    argv = ["verify", values.pop("suite"), *(arg for item in values.items() for arg in item)]
+    return argv, bool(bad), draw(st.sampled_from([None, "fresh", "directory", "missing"]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(verify_argvs())
+def test_verify_error_contract(case):
+    # every argv ends in a report, exit 1 only on a FAIL line, or in one error line and no file; never a traceback
+    argv, usage_error, out_kind = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {None: None, "fresh": Path(tmp) / "r.csv", "directory": Path(tmp), "missing": Path(tmp) / "no" / "r.csv"}[out_kind]
+        argv = argv + ([] if out is None else ["--out", str(out)])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+        stdout, stderr = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in stderr, (argv, stderr)
+        assert (code == 2) == usage_error, (argv, stderr)
+        if code == 2:
+            assert stdout == "" and stderr.startswith("usage: dynfdr verify ") and stderr.count("error:") == 1
+            assert stderr.splitlines()[-1].startswith("dynfdr verify: error: "), stderr
+            assert out is None or not out.is_file()
+        elif out_kind in ("directory", "missing"):
+            assert code == 1 and stdout == "" and stderr.startswith(f"error: cannot write {out}: ") and stderr.count("\n") == 1
+        else:
+            lines = stdout.splitlines()
+            if out is not None:
+                assert lines.pop() == f"wrote {out}"
+            n_checks, n_failed = map(int, re.fullmatch(r"(\d+) checks, (\d+) failed", lines[-1]).groups())
+            assert stderr == "" and code == (1 if n_failed else 0)
+            assert sum(line.startswith("FAIL ") for line in lines) == n_failed
+            assert out is None or len(out.read_text().splitlines()) == 1 + n_checks
 
 
 def test_import_cli_does_not_load_scipy():

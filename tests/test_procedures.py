@@ -21,7 +21,7 @@ from dynfdr import (
     threshold_functional,
 )
 
-from conftest import brute_force_threshold, naive_rejection_set, random_mixture_pvalues
+from conftest import bootstrap_lambda_threshold, brute_force_threshold, naive_rejection_set, random_mixture_pvalues
 
 
 def rule(spec, kappa=0.05):
@@ -288,3 +288,26 @@ def test_run_procedure_unknown_spec():
     # specs are parsed where they enter the program, so an unknown one never reaches run_procedure
     with pytest.raises(ValueError, match="unknown rule spec"):
         rule("bogus")
+
+
+# ------------------------------------------------ limits of the guarantee
+
+
+def test_a_lambda_that_is_no_stopping_time_loses_control():
+    # Dirac-uniform: the m1 false nulls sit at p = 0, the m0 nulls are uniform.  The bootstrap
+    # lambda depends on the p-values above it too, so it is no stopping time, and its FDR
+    # exceeds alpha by more than 3 SE; fixed:0.5 on the same draws does not
+    m, m1, alpha, n_reps = 20, 4, 0.05, 4000
+    rng = np.random.default_rng(5)
+    fixed = rule("fixed:0.5", alpha)
+    truth = np.arange(m) >= m1
+    fdp = np.empty((2, n_reps))
+    for j in range(n_reps):
+        proc = sort_pvalues(np.concatenate([np.zeros(m1), rng.random(m - m1)]), truth)
+        thresholds = (bootstrap_lambda_threshold(proc, rng, alpha, alpha), run_procedure(fixed, proc, alpha).threshold)
+        for i, t in enumerate(thresholds):
+            rejected = proc.values <= t
+            fdp[i, j] = np.count_nonzero(rejected & truth) / max(np.count_nonzero(rejected), 1)
+    mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
+    assert mean[0] > alpha + 3.0 * se[0], (mean, se)
+    assert mean[1] <= alpha + 3.0 * se[1], (mean, se)

@@ -35,6 +35,21 @@ def test_package_exports_exactly_the_pinned_names():
     assert not hasattr(dynfdr.selection, "select_k_quantile")  # rule.select(proc) runs a rule
 
 
+VERIFY_PUBLIC = [
+    "CheckResult", "DEFAULT_RULES", "SUITES", "run_suite",
+    "lemma2_exact_check", "supermartingale_check", "fdr_control_check", "conservative_estimation_check",
+    "all_passed", "format_report", "write_report_csv",
+]
+
+
+def test_verify_exports_exactly_the_pinned_names():
+    assert sorted(verify.__all__) == sorted(VERIFY_PUBLIC)
+    assert len(verify.__all__) == len(set(verify.__all__))
+    for name in VERIFY_PUBLIC:
+        assert hasattr(verify, name), name
+    assert verify.SUITES == ("lemma2", "supermartingale", "fdr-control", "conservative")  # the report order
+
+
 def test_verify_does_not_export_the_test_oracle():
     # the reference normal CDF is a test oracle and lives in tests/conftest.py
     assert "reference_normal_cdf" not in verify.__all__

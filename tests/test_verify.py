@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dynfdr import BlockAR, ScenarioConfig
+from dynfdr import TWENTY_BIN_GRID, BlockAR, ScenarioConfig, verify
 from dynfdr.verify import (
     _DRAW_BLOCK,
     CheckResult,
@@ -18,6 +19,7 @@ from dynfdr.verify import (
     fdr_control_check,
     format_report,
     lemma2_exact_check,
+    run_suite,
     supermartingale_check,
     write_report_csv,
 )
@@ -94,6 +96,24 @@ def test_lemma2_n_max_must_be_an_integer(n_max):
 
 def test_lemma2_accepts_a_numpy_integer_n_max():
     assert repr(lemma2_exact_check(n_max=np.int64(3))) == repr(lemma2_exact_check(n_max=3))
+
+
+def test_lemma2_statistics_equal_the_closed_form():
+    # E[1/(n - X + 1)] = (1 - p^(n+1)) / ((n+1)(1 - p)) for X ~ BIN(n, p)
+    results = lemma2_exact_check()
+    cases = [(n, p) for n in range(1, 61) for p in TWENTY_BIN_GRID]
+    assert len(results) == len(cases)
+    for r, (n, p) in zip(results, cases):
+        assert r.check == f"lemma2(n={n},p={p:g})"
+        assert r.statistic == pytest.approx((1.0 - p ** (n + 1)) / ((n + 1) * (1.0 - p)), rel=1e-12, abs=0.0)
+
+
+def test_lemma2_sum_is_the_closed_form_exactly():
+    for n in range(1, 21):
+        for k in range(1, 20):
+            p = Fraction(k, 20)
+            total = sum(math.comb(n, x) * p**x * (1 - p) ** (n - x) / (n - x + 1) for x in range(n + 1))
+            assert total == (1 - p ** (n + 1)) / ((n + 1) * (1 - p)), (n, p)
 
 
 # --------------------------------------------------------- supermartingale
@@ -187,6 +207,29 @@ def test_supermartingale_memory_does_not_grow_with_draws_times_m0():
     assert peak < 8 * 2**20
 
 
+def test_supermartingale_suite_means_equal_the_closed_form(monkeypatch):
+    # given V(s) = v, each of the n = m0 - v nulls above s lies at or below t with probability
+    # q = (t - s) / (1 - s), so E[M(t) | V(s) = v] = M(s) (1 - q^(n+1)) <= M(s), exactly
+    table = []
+
+    def record(m0, s, t, seed):
+        table.append((m0, s, t))
+        return []
+
+    monkeypatch.setattr(verify, "supermartingale_check", record)
+    assert run_suite("supermartingale", seed=0, reps=2) == []
+    strata = 0
+    for m0, s, t in table:
+        s, t = Fraction(s), Fraction(t)
+        q = (t - s) / (1 - s)
+        for n in range(m0 + 1):  # n = m0 - v over every v in 0..m0
+            m_s = (1 - s) / (n + 1)
+            mean = sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) * (1 - t) / (n - k + 1) for k in range(n + 1))
+            assert mean == m_s * (1 - q ** (n + 1)) <= m_s, (m0, s, t, n)
+            strata += 1
+    assert len(table) == 4 and strata == 124
+
+
 # ------------------------------------------------- FDR control + estimation
 
 
@@ -235,6 +278,11 @@ def test_pi0_estimates_in_sanity_band_under_strong_signal():
     for r in results:
         assert r.statistic >= cfg.pi0 - 3.0 * (r.tolerance / 3.0)
         assert r.statistic <= 1.2, f"{r.check} drifted high: {r.statistic}"
+
+
+def test_run_suite_rejects_an_unknown_name_listing_the_suites():
+    with pytest.raises(ValueError, match="unknown suite 'all'; one of lemma2, supermartingale, fdr-control, conservative"):
+        run_suite("all", seed=0, reps=2)
 
 
 # ----------------------------------------------------------------- reports
