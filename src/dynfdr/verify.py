@@ -40,8 +40,8 @@ __all__ = [
 DEFAULT_RULES = ("fixed:0.5", "rb20", "lsl", "rb20q")
 SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
 
-# rows of uniforms drawn at a time by supermartingale_check
-_DRAW_BLOCK = 4096
+# uniforms (values, not rows) drawn at a time by supermartingale_check: 256 KB, or one row when m0 is larger
+_DRAW_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,14 @@ def supermartingale_check(
     three stratum standard errors.  Strata with fewer than 30 draws are
     skipped but reported.  The terminal value M(1) = 0 is reported first.
 
-    The uniforms are drawn in blocks of a fixed number of rows and each
-    block is reduced to its counts V(s), V(t) at once, so memory is
-    O(block * m0 + draws) rather than O(draws * m0).  The blocks are the
-    rows of one (draws, m0) draw, so the results do not depend on the
-    block size.
+    The uniforms are drawn in blocks of whole rows holding at most
+    ``_DRAW_BLOCK`` values (at least one row), and each block is reduced
+    to its counts V(s), V(t) at once.  The counts take the smallest
+    unsigned type that holds m0 (one byte below 256, two below 65,536),
+    and M(t) is formed one stratum at a time, so memory is
+    O(max(_DRAW_BLOCK, m0) + draws) bytes rather than O(draws * m0).
+    The blocks are the rows of one (draws, m0) draw, so the results do
+    not depend on the block size.
     """
     m0 = check_integer("m0", m0, 1)
     draws = check_integer("draws", draws, 1)
@@ -132,15 +135,16 @@ def supermartingale_check(
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
     rng = np.random.default_rng([seed, m0])
-    v_s = np.empty(draws, dtype=np.int64)
-    v_t = np.empty(draws, dtype=np.int64)
-    for start in range(0, draws, _DRAW_BLOCK):
+    rows = max(1, _DRAW_BLOCK // m0)
+    v_s = np.empty(draws, dtype=np.min_scalar_type(m0))
+    v_t = np.empty_like(v_s)
+    for start in range(0, draws, rows):
         # the generator fills rows in order, so the blocks are the rows of one (draws, m0) draw
-        u = rng.random((min(_DRAW_BLOCK, draws - start), m0))
+        u = rng.random((min(rows, draws - start), m0))
         stop = start + u.shape[0]
-        v_s[start:stop] = (u <= s).sum(axis=1)
-        v_t[start:stop] = (u <= t).sum(axis=1)
-    m_t = (1.0 - t) / (m0 - v_t + 1.0)
+        # with out given the sum runs in the counts' type, which holds every count <= m0
+        np.sum(u <= s, axis=1, out=v_s[start:stop])
+        np.sum(u <= t, axis=1, out=v_t[start:stop])
 
     label = f"supermartingale(m0={m0},s={s:g},t={t:g})"
     # M(1) = (1 - 1) / (m0 - V(1) + 1) has a zero numerator, so it is 0 whatever V(1) is
@@ -162,8 +166,10 @@ def supermartingale_check(
                 )
             )
             continue
+        # M(t) of this stratum's draws only; m0 - V(t) is an exact integer in any count type
+        m_t = (1.0 - t) / (m0 - v_t[sel] + 1.0)
         # 1e-12 absorbs accumulation rounding in the degenerate s == t case
-        results.append(_three_se_check(name, m_t[sel], m_s, f"{n} draws", slack=1e-12))
+        results.append(_three_se_check(name, m_t, m_s, f"{n} draws", slack=1e-12))
     return results
 
 

@@ -183,6 +183,23 @@ def bootstrap_lambda_threshold(proc, rng, alpha, kappa, n_boot=100):
     return threshold_functional(proc, pi0_storey_plus(proc, lam), alpha, kappa)
 
 
+def equicorrelated_statistics(m, m1, mu, rho, rng):
+    """A one-factor (equicorrelated) sample: X_i = sqrt(rho) Z_0 + sqrt(1 - rho) Z_i, plus mu on the m1 false nulls.
+
+    Z_0, ..., Z_m are standard normals drawn from ``rng`` in that order, the
+    false nulls are the first m1 indices, and the p-values ``_normal_cdf(-X)``
+    are sorted with their labels by ``sort_pvalues``.  Every pair of
+    statistics has correlation rho, so no two p-values are independent.
+    """
+    from dynfdr import sort_pvalues
+    from dynfdr.simulate import _normal_cdf
+
+    z = rng.standard_normal(m + 1)
+    x = math.sqrt(rho) * z[0] + math.sqrt(1.0 - rho) * z[1:]
+    x[:m1] += mu
+    return sort_pvalues(_normal_cdf(-x), np.arange(m) >= m1)
+
+
 def one_shot_supermartingale_check(m0, s, t, draws, seed):
     """``verify.supermartingale_check`` with V(s), V(t) counted from one (draws, m0) draw.
 

@@ -21,7 +21,13 @@ from dynfdr import (
     threshold_functional,
 )
 
-from conftest import bootstrap_lambda_threshold, brute_force_threshold, naive_rejection_set, random_mixture_pvalues
+from conftest import (
+    bootstrap_lambda_threshold,
+    brute_force_threshold,
+    equicorrelated_statistics,
+    naive_rejection_set,
+    random_mixture_pvalues,
+)
 
 
 def rule(spec, kappa=0.05):
@@ -311,3 +317,21 @@ def test_a_lambda_that_is_no_stopping_time_loses_control():
     mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
     assert mean[0] > alpha + 3.0 * se[0], (mean, se)
     assert mean[1] <= alpha + 3.0 * se[1], (mean, se)
+
+
+def test_adaptive_rules_lose_control_under_a_common_factor():
+    # one-factor dependence at rho = 0.5 breaks the theorem's independence hypothesis.  bh and orc,
+    # valid under positive dependence, stay within 3 SE of alpha, and so does lsl; rb20 and
+    # fixed:0.5, whose pi0 estimates swing with the common factor, exceed alpha by more than 3 SE
+    m, m1, mu, rho, alpha, n_reps = 1000, 200, 1.0, 0.5, 0.05, 2000
+    specs = ("bh", "orc", "lsl", "rb20", "fixed:0.5")
+    rules = [rule(s, alpha) for s in specs]
+    fdp = np.empty((len(specs), n_reps))
+    for j in range(n_reps):
+        proc = equicorrelated_statistics(m, m1, mu, rho, np.random.default_rng([99, j]))
+        for i, r in enumerate(rules):
+            rejected = run_procedure(r, proc, alpha).rejected
+            fdp[i, j] = np.count_nonzero(proc.truth[rejected]) / max(rejected.size, 1)
+    mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
+    within = dict(zip(specs, mean <= alpha + 3.0 * se))
+    assert within == {"bh": True, "orc": True, "lsl": True, "rb20": False, "fixed:0.5": False}, (mean, se)

@@ -188,23 +188,44 @@ def test_supermartingale_accepts_numpy_integer_sizes():
     assert repr(numpy) == repr(plain)
 
 
-@pytest.mark.parametrize("m0", [1, 10, 50])
-@pytest.mark.parametrize("draws", [1, 29, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 7])
+def _blocked_draw_cases():
+    # at each m0, draw counts that end a block anywhere, and counts one short of, at and one past
+    # one and three blocks of rows; m0 = 300 keeps its counts in uint16, the others in uint8
+    for m0 in (1, 10, 50, 300):
+        rows = _DRAW_BLOCK // m0
+        for draws in sorted({1, 29, 4095, 4096, 4097, 12295, rows - 1, rows, rows + 1, 3 * rows + 7}):
+            yield pytest.param(draws, m0, id=f"{draws}-{m0}")
+    # m0 above _DRAW_BLOCK: every block is a single row
+    yield pytest.param(3, 40_000, id="3-40000")
+
+
+@pytest.mark.parametrize("draws, m0", _blocked_draw_cases())
 def test_blocked_draw_equals_one_shot_draw(m0, draws):
     # repr compares every float bit for bit and treats the skipped strata's nan as equal
     blocked = supermartingale_check(m0, 0.2, 0.5, draws=draws, seed=11)
     assert repr(blocked) == repr(one_shot_supermartingale_check(m0, 0.2, 0.5, draws, seed=11))
 
 
-def test_supermartingale_memory_does_not_grow_with_draws_times_m0():
-    # the one-shot (100_000, 50) float matrix alone is 40 MB
+def _traced_peak(*args, **kwargs):
+    # a warm-up call first: np.unique imports numpy.ma (~1.5 MB) on its first call in a process
+    supermartingale_check(2, 0.2, 0.6, draws=2)
     tracemalloc.start()
     try:
-        supermartingale_check(50, 0.2, 0.5, draws=100_000)
-        _, peak = tracemalloc.get_traced_memory()
+        supermartingale_check(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_supermartingale_memory_does_not_grow_with_draws_times_m0():
+    # the one-shot (100_000, 50) float matrix alone is 40 MB; a 256 KB block, two uint8 count
+    # arrays and one stratum's M(t) come to ~0.8 MB
+    assert _traced_peak(50, 0.2, 0.5, draws=100_000) < 1.5 * 2**20
+
+
+def test_supermartingale_memory_does_not_grow_with_m0():
+    # 4,096 rows of 2,000 uniforms would be a 65 MB block; the block stays at 256 KB
+    assert _traced_peak(2_000, 0.2, 0.6, draws=5_000, seed=0) < 2 * 2**20
 
 
 def test_supermartingale_suite_means_equal_the_closed_form(monkeypatch):
