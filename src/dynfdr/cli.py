@@ -26,7 +26,13 @@ from .simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 __all__ = ["main", "console_entry"]
 
-_CONFIG_FIELDS = ("m", "pi0", "mu", "J", "seed", "alpha", "kappa", "dependence", "signal_placement", "procedures")
+# simulate config key: the ScenarioConfig field it fills, or None for a key _cmd_simulate reads itself
+_CONFIG_KEYS = {
+    "m": "m", "pi0": "pi0", "mu": None, "J": "n_reps", "seed": "seed", "alpha": "alpha", "kappa": "kappa",
+    "dependence": None, "signal_placement": "signal_placement", "procedures": None,
+}
+# dependence type: its fields besides 'type', all required
+_DEPENDENCE_FIELDS = {"block_ar": ("block_size", "rho"), "independent": ()}
 
 
 class CliError(Exception):
@@ -189,31 +195,30 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
+def _check_keys(obj: dict, allowed, required, prefix: str = "") -> None:
+    """ValueError naming a key of ``obj`` not in ``allowed`` (a misspelt key is never ignored), or a ``required`` one it lacks."""
+    for key in [*obj, *required]:
+        if key not in allowed:
+            raise ValueError(f"unknown field {prefix + key!r}")
+        if key not in obj:
+            raise ValueError(f"missing field {prefix + key!r}")
+
+
 def _parse_dependence(dep) -> BlockAR | None:
     """The ``dependence`` of a simulate config: None (independent) or a BlockAR; ValueError on any other shape."""
     if dep is None:
         return None
     if not isinstance(dep, dict) or "type" not in dep:
         raise ValueError(f"dependence={dep!r} is not an object with a 'type'")
-    for key in dep:
-        if key not in ("type", "block_size", "rho"):
-            raise ValueError(f"unknown field {'dependence.' + key!r}")
     kind = dep["type"]
-    if kind == "independent":
-        extra = [key for key in dep if key != "type"]
-        if extra:
-            raise ValueError(f"dependence type 'independent' has no field {extra[0]!r}")
-        return None
-    if kind != "block_ar":
-        raise ValueError(f"dependence type {kind!r} is not 'block_ar' or 'independent'")
-    for name in ("block_size", "rho"):
-        if name not in dep:
-            raise ValueError(f"dependence is missing field {name!r}")
-    return BlockAR(block_size=dep["block_size"], rho=dep["rho"])
+    if not isinstance(kind, str) or kind not in _DEPENDENCE_FIELDS:
+        raise ValueError(f"dependence type {kind!r} is not {' or '.join(map(repr, _DEPENDENCE_FIELDS))}")
+    _check_keys(dep, ("type", *_DEPENDENCE_FIELDS[kind]), _DEPENDENCE_FIELDS[kind], "dependence.")
+    return BlockAR(dep["block_size"], dep["rho"]) if kind == "block_ar" else None
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Read the JSON config: its shape is checked here, every value by ScenarioConfig and BlockAR."""
+    """Read the JSON config: its keys are checked here, every value by ScenarioConfig and BlockAR."""
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -222,38 +227,25 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         parser.error("config must be a JSON object")
-    for key in cfg:  # a misspelt key is never ignored
-        if key not in _CONFIG_FIELDS:
-            parser.error(f"config rejected: unknown field {key!r}")
-    for name in ("m", "pi0", "mu", "J", "seed"):
-        if name not in cfg:
-            parser.error(f"config is missing field {name!r}")
-    mus = cfg["mu"] if isinstance(cfg["mu"], list) else [cfg["mu"]]
-    if not mus:
-        parser.error("config field 'mu' is an empty list")
-    if "kappa" in cfg and cfg["kappa"] is None:  # ScenarioConfig reads kappa=None as "kappa = alpha"
-        parser.error("config rejected: kappa=None is not a number")
-
-    if args.procedures is not None:
-        where, procedures = "argument --procedures", [s.strip() for s in args.procedures.split(",") if s.strip()]
-    else:
-        where, procedures = "config field 'procedures'", cfg.get("procedures", list(DEFAULT_PROCEDURES))
-    if not (isinstance(procedures, list) and procedures and all(isinstance(s, str) for s in procedures)):
-        parser.error(f"{where} must be a nonempty list of procedure specs, got {procedures!r}")
-
     rows = []
     try:
-        first = ScenarioConfig(
-            m=cfg["m"],
-            pi0=cfg["pi0"],
-            mu=mus[0],
-            n_reps=cfg["J"],
-            seed=cfg["seed"],
-            alpha=cfg.get("alpha", 0.05),
-            kappa=cfg.get("kappa"),
-            dependence=_parse_dependence(cfg.get("dependence")),
-            signal_placement=cfg.get("signal_placement", "head"),
-        )
+        _check_keys(cfg, _CONFIG_KEYS, ("m", "pi0", "mu", "J", "seed"))
+        mus = cfg["mu"] if isinstance(cfg["mu"], list) else [cfg["mu"]]
+        if not mus:
+            parser.error("config field 'mu' is an empty list")
+        if "kappa" in cfg and cfg["kappa"] is None:  # ScenarioConfig reads kappa=None as "kappa = alpha"
+            raise ValueError("kappa=None is not a number")
+        if args.procedures is not None:
+            where, procedures = "argument --procedures", args.procedures.split(",")
+        else:
+            where, procedures = "config field 'procedures'", cfg.get("procedures", list(DEFAULT_PROCEDURES))
+        strings = isinstance(procedures, list) and all(isinstance(s, str) for s in procedures)
+        procedures = [s.strip() for s in procedures if s.strip()] if strings else procedures  # alike from either place
+        if not (strings and procedures):
+            parser.error(f"{where} must be a nonempty list of procedure specs, got {procedures!r}")
+        # a key the config leaves out keeps ScenarioConfig's default
+        fields = {field: cfg[key] for key, field in _CONFIG_KEYS.items() if field and key in cfg}
+        first = ScenarioConfig(mu=mus[0], dependence=_parse_dependence(cfg.get("dependence")), **fields)
         # scenario i draws from seed + i, formed from the checked seed
         scenarios = [dataclasses.replace(first, mu=mu, seed=first.seed + i) for i, mu in enumerate(mus)]
         _check_specs(procedures, first.kappa, parser)

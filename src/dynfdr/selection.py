@@ -46,14 +46,16 @@ _MAX_GRID_POINTS = 10**5
 
 
 def evenly_spaced_grid(start: float = 0.05, step: float = 0.05, stop: float = 0.95) -> tuple[float, ...]:
-    """Ascending grid start, start+step, ..., stop with exact decimal points; at most 10**5 points."""
+    """Ascending grid start, start+step, ... up to stop, never past it, with exact decimal points; at most 10**5 points."""
     start, stop = check_number("grid start", start, "(-inf, inf)"), check_number("grid stop", stop, "(-inf, inf)")
     step = check_number("grid step", step, "(0, inf)")
     if stop < start:
         raise ValueError(f"bad grid spec {start}:{step}:{stop}")
-    n = int(round(min((stop - start) / step, _MAX_GRID_POINTS))) + 1  # the quotient can overflow to inf
+    n = int(min((stop - start) / step, _MAX_GRID_POINTS) + 1e-9) + 1  # down, 1e-9 for float error; the quotient can be inf
     if n > _MAX_GRID_POINTS:
         raise ValueError(f"grid spec {start}:{step}:{stop} has more than {_MAX_GRID_POINTS} points")
+    while n > 1 and round(start + (n - 1) * step, 12) > stop:  # the 1e-9 can admit a point just past stop
+        n -= 1
     return tuple(round(start + i * step, 12) for i in range(n))
 
 

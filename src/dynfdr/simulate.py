@@ -149,9 +149,9 @@ class ScenarioConfig:
         dep = (
             "indep"
             if self.dependence is None
-            else f"ar{self.dependence.block_size}rho{self.dependence.rho:g}"
+            else f"ar{self.dependence.block_size}rho{self.dependence.rho:.12g}"
         )
-        return f"m={self.m};pi0={self.pi0:g};mu={self.mu:g};dep={dep}"
+        return f"m={self.m};pi0={self.pi0:.12g};mu={self.mu:.12g};dep={dep}"
 
 
 def _standard_noise(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -305,9 +305,7 @@ def run_experiment(
     replication, so relative power is nan except for the oracle's 1.0.
     Deterministic given (cfg, procedures).
     """
-    specs = list(dict.fromkeys(procedures))
-    if "orc" not in specs:
-        specs.append("orc")
+    specs = list(dict.fromkeys([*procedures, "orc"]))
     fdp, power, lam, pi0v = np.stack([rec for _, rec in replications(cfg, specs)], axis=-1)
     orc = specs.index("orc")
 

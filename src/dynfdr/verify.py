@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .procedures import DEFAULT_PROCEDURES
 from .pvalues import check_integer, check_number
 from .selection import TWENTY_BIN_GRID
 from .simulate import ScenarioConfig, mean_se, replications
@@ -37,7 +38,8 @@ __all__ = [
     "run_suite",
 ]
 
-DEFAULT_RULES = ("fixed:0.5", "rb20", "lsl", "rb20q")
+# the dynamic procedures of the simulation study: all but the step-up baselines
+DEFAULT_RULES = tuple(s for s in DEFAULT_PROCEDURES if s not in ("bh", "orc"))
 SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
 
 # uniforms (values, not rows) drawn at a time by supermartingale_check: 256 KB, or one row when m0 is larger
@@ -88,6 +90,8 @@ def lemma2_exact_check(
     if not 1 <= n_max <= 60:
         raise ValueError(f"n_max={n_max} outside 1..60 (exact summation cap)")
     p_grid = [check_number("p", p, "(0, 1)") for p in p_grid]
+    if not p_grid:  # no check would run, and all_passed reads no checks as a pass
+        raise ValueError("p_grid is empty")
     results = []
     for n in range(1, n_max + 1):
         weights = [math.comb(n, x) for x in range(n + 1)]

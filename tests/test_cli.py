@@ -339,8 +339,8 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
         ({"dependence": 5}, "dependence=5 is not an object with a 'type'"),
         ({"dependence": {"rho": 0.5}}, "dependence={'rho': 0.5} is not an object with a 'type'"),
         ({"dependence": {"type": "garch"}}, "dependence type 'garch' is not 'block_ar' or 'independent'"),
-        ({"dependence": {"type": "block_ar", "rho": 0.5}}, "dependence is missing field 'block_size'"),
-        ({"dependence": {"type": "block_ar", "block_size": 10}}, "dependence is missing field 'rho'"),
+        ({"dependence": {"type": "block_ar", "rho": 0.5}}, "missing field 'dependence.block_size'"),
+        ({"dependence": {"type": "block_ar", "block_size": 10}}, "missing field 'dependence.rho'"),
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 1.0}}, "rho=1.0 outside (-1, 1)"),
         ({"dependence": {"type": "block_ar", "block_size": 0, "rho": 0.5}}, "block_size=0 must be >= 1"),
         ({"kappa": None}, "kappa=None is not a number"),  # null is no number, though ScenarioConfig(kappa=None) means alpha
@@ -348,7 +348,7 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 0.5, "size": 3}}, "unknown field 'dependence.size'"),
         ({"dependence": {"type": "indep"}}, "dependence type 'indep' is not 'block_ar' or 'independent'"),
         ({"dependence": {"type": "ar", "block_size": 10, "rho": 0.5}}, "dependence type 'ar' is not 'block_ar' or 'independent'"),
-        ({"dependence": {"type": "independent", "block_size": -4, "rho": "x"}}, "dependence type 'independent' has no field 'block_size'"),
+        ({"dependence": {"type": "independent", "block_size": -4, "rho": "x"}}, "unknown field 'dependence.block_size'"),
     ],
     ids=[
         "not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null",
@@ -435,6 +435,41 @@ def test_simulate_names_missing_field(tmp_path, capsys):
     code = run_cli(["simulate", str(path)])
     assert code == 2
     assert "'m'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["m", "pi0", "mu", "J", "seed"])
+def test_simulate_missing_field_is_one_error_line(tmp_path, capsys, name):
+    config = {"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1}
+    del config[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    message = f"config rejected: missing field {name!r}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
+
+
+def test_simulate_strips_config_specs_as_it_strips_the_flag(tmp_path, capsys):
+    # "orc " is the oracle simulate always runs, and " rb20" the rb20 before it: one block each
+    outs = []
+    for procedures in (["orc ", "rb20", " rb20"], ["orc", "rb20"]):
+        path, out = tmp_path / "cfg.json", tmp_path / f"m{len(outs)}.csv"
+        path.write_text(json.dumps({"m": 50, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 3, "procedures": procedures}))
+        assert run_cli(["simulate", str(path), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 2 * 5
+
+
+def test_simulate_runs_the_readme_config(tmp_path, capsys):
+    # the documented example holds only keys simulate accepts; J shrunk so it runs in a test
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    config = json.loads(block)
+    config["J"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_rejects_malformed_json(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The pytest settings in pyproject.toml, run on a throwaway test file."""
+"""The settings in pyproject.toml: pytest's, run on a throwaway test file, and the Python it declares."""
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,13 @@ def test_a_failing_property_is_one_failure(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out, out
     assert "1 failed, 1 passed" in out, out
+
+
+def test_every_source_file_parses_as_the_oldest_declared_python():
+    # only one Python may be installed, so parse at the declared minimum rather than run under it
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text()).groups())
+    root = PYPROJECT.parent
+    paths = sorted(path for folder in ("src", "tests", "demos") for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynfdr import (
     FixedRule,
@@ -351,3 +353,31 @@ def test_evenly_spaced_grid():
     assert len(grid) == 19
     assert grid[0] == 0.05 and grid[-1] == 0.95
     assert grid[5] == 0.3  # no float drift
+
+
+@pytest.mark.parametrize(
+    "spec, rule",
+    [
+        ("rb:0.2:0.25:0.6", RightBoundaryRule((0.2, 0.45), 0.05)),  # 0.7 lies past stop
+        ("rb:0.1:0.3:0.9", RightBoundaryRule((0.1, 0.4, 0.7), 0.05)),  # 1.0 lies past stop
+        ("rb:0.1:0.1:0.29999999999", RightBoundaryRule((0.1, 0.2), 0.05)),  # 0.3 is within 1e-9 steps of stop, yet past it
+        ("rbq:0.2:0.25:0.6", RightBoundaryQuantileRule((0.2, 0.45), 0.05)),
+    ],
+)
+def test_a_grid_spec_never_passes_its_stop(spec, rule):
+    assert parse_rule_spec(spec, 0.05) == rule
+
+
+def test_a_grid_that_reaches_its_stop_keeps_it():
+    # 0.05 to 0.95 is 17.999999999999996 steps of 0.05 in floats; the tolerance keeps 0.95
+    assert TWENTY_BIN_GRID == tuple(k / 20 for k in range(1, 20))
+    assert parse_rule_spec("rbq:0.5:0.1:0.9", 0.05) == RightBoundaryQuantileRule((0.5, 0.6, 0.7, 0.8, 0.9), 0.05)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 999), st.integers(1, 999), st.integers(0, 998))
+def test_evenly_spaced_grid_is_every_point_up_to_stop(start, step, span):
+    # in thousandths: the points are the exact decimals start + i step for every i with start + i step <= stop
+    stop = min(start + span, 999)
+    grid = evenly_spaced_grid(start / 1000, step / 1000, stop / 1000)
+    assert grid == tuple((start + i * step) / 1000 for i in range((stop - start) // step + 1))

@@ -112,6 +112,16 @@ def test_numpy_integer_sizes_are_accepted():
     assert cfg.label == "m=100;pi0=0.8;mu=1;dep=ar10rho0.5"
 
 
+def test_label_tells_apart_values_that_differ_in_the_csv():
+    # pi0, mu and rho carry the CSV's 12 significant digits, so distinct mus give distinct labels
+    labels = [ScenarioConfig(m=10, pi0=0.8, mu=mu, n_reps=1, seed=1).label for mu in (1.0000001, 1.0000002)]
+    assert labels == ["m=10;pi0=0.8;mu=1.0000001;dep=indep", "m=10;pi0=0.8;mu=1.0000002;dep=indep"]
+    # the benchmark's scenarios keep their labels
+    for mu in (1.0, 2.0):
+        cfg = ScenarioConfig(m=1000, pi0=0.8, mu=mu, n_reps=1, seed=1, dependence=BlockAR(50, -0.9))
+        assert cfg.label == f"m=1000;pi0=0.8;mu={mu:g};dep=ar50rho-0.9"
+
+
 @pytest.mark.parametrize("replication", [2.7, True, -1])
 def test_replication_must_be_an_integer_at_least_zero(replication):
     # 2.7 and True would otherwise draw replications 2 and 1

@@ -88,6 +88,12 @@ def test_lemma2_input_validation():
         lemma2_exact_check(n_max=5, p_grid=(0.0,))
 
 
+def test_lemma2_rejects_an_empty_grid():
+    # an empty grid would give no checks, which all_passed reads as a pass
+    with pytest.raises(ValueError, match="p_grid is empty"):
+        lemma2_exact_check(p_grid=())
+
+
 @pytest.mark.parametrize("n_max", [True, 2.0, 2.5, "3"])
 def test_lemma2_n_max_must_be_an_integer(n_max):
     with pytest.raises(ValueError, match="n_max=.* is not an integer"):
