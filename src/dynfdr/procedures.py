@@ -1,11 +1,11 @@
-"""Step-up thresholding procedures.
+"""Step-up thresholding procedures, all cut by one comparison m * pi0 * p_(k) <= alpha * k.
 
-``bh_step_up`` is the classical linear step-up rule (and, run at an
-inflated level, the oracle benchmark).  ``dynamic_adaptive`` is the full
-pipeline: select lambda with a stopping rule, estimate pi0, then push the
-truncated FDR estimate through the sup-threshold functional.  Reported
-thresholds are always realized p-values (or the region bound), because
-anything between two order statistics rejects the same set.
+``bh_step_up`` is the classical linear step-up rule (pi0 = 1) and, at the
+true null proportion, the oracle benchmark.  ``dynamic_adaptive`` is the
+full pipeline: select lambda with a stopping rule, estimate pi0, then
+make the same cut inside [0, kappa] (the sup-threshold functional).
+Reported thresholds are always realized p-values (or the region bound),
+because anything between two order statistics rejects the same set.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class ProcedureResult:
         return int(self.rejected.size)
 
 
-def _step_up(ordered: np.ndarray, passing: np.ndarray) -> float:
-    """The step-up cut: the largest of ``ordered`` whose comparison passes (``passing[k]``), else 0.0."""
-    (hits,) = passing.nonzero()
+def _step_up(ordered: np.ndarray, m: int, pi0: float, alpha: float) -> float:
+    """The step-up cut: the largest p_(k) of ``ordered`` with m * pi0 * p_(k) <= alpha * k, else 0.0."""
+    (hits,) = (m * pi0 * ordered <= alpha * np.arange(1, ordered.size + 1)).nonzero()
     return float(ordered[hits[-1]]) if hits.size else 0.0
 
 
@@ -63,17 +63,14 @@ def _result(proc: EmpiricalProcesses, threshold: float, pi0: Pi0Estimate) -> Pro
 
 
 def bh_step_up(proc: EmpiricalProcesses, alpha: float, pi0_target: float = 1.0) -> ProcedureResult:
-    """Linear step-up cut at the largest p_(k) with p_(k) <= k * level / m.
+    """Linear step-up cut at the largest p_(k) with m * pi0_target * p_(k) <= alpha * k.
 
-    ``pi0_target`` inflates the level to alpha / pi0_target (capped at 1):
-    1 gives the plain procedure, the true null proportion gives the
-    oracle.  The reported FDR estimate at the threshold uses pi0_target.
+    ``pi0_target`` 1 gives the plain procedure (which rejects every p-value
+    when all are at most alpha), the true null proportion gives the oracle.
+    The reported FDR estimate at the threshold uses pi0_target.
     """
     alpha, pi0_target = check_number("alpha", alpha, "(0, 1)"), check_number("pi0_target", pi0_target, "(0, 1]")
-    level, m = min(alpha / pi0_target, 1.0), proc.m
-    # not threshold_functional's m * pi0 * p <= alpha * k: the two forms round apart, and
-    # one shared form would move the bh and orc thresholds of some rounded samples
-    threshold = _step_up(proc.ordered, proc.ordered <= np.arange(1, m + 1) * (level / m))
+    threshold = _step_up(proc.ordered, proc.m, pi0_target, alpha)
     return _result(proc, threshold, Pi0Estimate(lam=float("nan"), value=pi0_target))
 
 
@@ -90,8 +87,7 @@ def threshold_functional(proc: EmpiricalProcesses, pi0_star: float, alpha: float
     m, n_region = proc.m, proc.count_R(kappa)
     if fdr_estimate(m, pi0_star, kappa, n_region) <= alpha:
         return kappa
-    head = proc.ordered[:n_region]
-    return _step_up(head, m * pi0_star * head <= alpha * np.arange(1, n_region + 1))
+    return _step_up(proc.ordered[:n_region], m, pi0_star, alpha)
 
 
 def dynamic_adaptive(proc: EmpiricalProcesses, rule: LambdaRule, alpha: float) -> ProcedureResult:

@@ -16,6 +16,7 @@ from dynfdr import (
     fdr_hat_star,
     parse_rule_spec,
     pi0_storey_plus,
+    procedures,
     run_procedure,
     sort_pvalues,
     threshold_functional,
@@ -63,7 +64,7 @@ def test_bh_inflated_level():
 
 def test_bh_level_capped_at_one():
     proc = sort_pvalues([0.2, 0.9, 1.0])
-    res = bh_step_up(proc, 0.9, pi0_target=0.5)  # 0.9 / 0.5 caps at level 1
+    res = bh_step_up(proc, 0.9, pi0_target=0.5)  # alpha / pi0_target = 1.8, uncapped: 3 * 0.5 * 1.0 <= 0.9 * 3
     assert res.n_rejected == 3
 
 
@@ -71,6 +72,15 @@ def test_bh_ties_all_rejected():
     proc = sort_pvalues([0.01, 0.01, 0.01, 0.9])
     res = bh_step_up(proc, 0.05)
     assert res.rejected.tolist() == [0, 1, 2]
+
+
+def test_all_alpha_ties_are_all_rejected_for_every_m():
+    # at p = alpha / pi0 both sides of m * pi0 * p_(m) <= alpha * m are the same product
+    orc = rule("orc")
+    for m in range(1, 2001):
+        assert bh_step_up(sort_pvalues(np.full(m, 0.05)), 0.05).n_rejected == m, m
+        one_at_one = sort_pvalues(np.append(np.full(m - 1, 0.5), 1.0))
+        assert run_procedure(orc, one_at_one, 0.05, pi0=0.05).n_rejected == m, m
 
 
 def test_bh_parameter_validation():
@@ -143,6 +153,36 @@ def test_threshold_functional_matches_brute_force():
         impl_set = naive_rejection_set(pvals, t_impl)
         oracle_set = naive_rejection_set(pvals, t_oracle)
         assert impl_set == oracle_set, f"trial {trial}: {t_impl} vs {t_oracle}"
+
+
+# ----------------------------------------------------- mutants of the cut
+
+
+def _mutant_cut(compare, first_rank):
+    """``procedures._step_up`` with its comparison or its ranks changed."""
+
+    def step_up(ordered, m, pi0, alpha):
+        (hits,) = compare(m * pi0 * ordered, alpha * np.arange(first_rank, first_rank + ordered.size)).nonzero()
+        return float(ordered[hits[-1]]) if hits.size else 0.0
+
+    return step_up
+
+
+# each mutant of the cut, and the check that catches it (and passes the real cut)
+CUT_MUTANTS = {
+    "strict comparison": (_mutant_cut(np.less, 1), test_all_alpha_ties_are_all_rejected_for_every_m),
+    "rank + 1": (_mutant_cut(np.less_equal, 2), test_threshold_functional_matches_brute_force),
+    "rank - 1": (_mutant_cut(np.less_equal, 0), test_bh_hand_enumeration),
+}
+
+
+@pytest.mark.parametrize("mutant", CUT_MUTANTS)
+def test_each_mutant_of_the_cut_fails_its_check(mutant, monkeypatch):
+    cut, check = CUT_MUTANTS[mutant]
+    check()
+    monkeypatch.setattr(procedures, "_step_up", cut)
+    with pytest.raises(AssertionError):
+        check()
 
 
 # ---------------------------------------------------------------- pipeline

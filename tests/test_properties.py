@@ -5,7 +5,8 @@ the same inputs.  Values sit on the grid k/64: it puts ties, exact 0s
 and 1s and p-values equal to kappa in the inputs, and it keeps every
 product and comparison in the thresholding arithmetic exact, so alpha
 can be put exactly on the step-up line.  Every procedure's rejection set
-and FDR estimate are checked at its threshold on rounded mixtures.  The
+and FDR estimate are checked at its threshold on rounded mixtures, and
+bh against the functional at pi0 = 1 inside the region.  The
 p-value file reader, and ``analyze`` run on the file, are checked against
 the line-parser oracle on generated file bytes, and the array scans
 (lowest-slope, right-boundary, quantile) against the full-array and
@@ -30,6 +31,7 @@ from dynfdr import (
     LowestSlopeRule,
     RightBoundaryQuantileRule,
     RightBoundaryRule,
+    bh_step_up,
     cli,
     fdr_hat_star,
     parse_rule_spec,
@@ -172,6 +174,17 @@ def test_every_result_is_the_rejection_set_and_fdr_estimate_at_its_threshold(cas
         else:
             expected = fdr_hat_star(proc, res.pi0.value, t, kappa)
         assert res.fdr_estimate_at_threshold == expected, spec
+
+
+@SETTINGS
+@given(rounded_mixtures())
+@example((np.full(19, 0.05), np.ones(19, dtype=bool), 0.05, 0.05))  # every p-value exactly alpha
+def test_bh_is_the_functional_at_unit_pi0_inside_the_region(case):
+    pvals, _, kappa, alpha = case
+    proc = sort_pvalues(pvals)
+    bh = bh_step_up(proc, alpha)
+    if bh.threshold <= kappa:
+        assert set(bh.rejected.tolist()) == naive_rejection_set(pvals, threshold_functional(proc, 1.0, alpha, kappa))
 
 
 LAMBDA_RULES = ("fixed:0.5", "rb20", "lsl", "kq:median", "rb20q")
