@@ -45,7 +45,7 @@ __all__ = [
 _MAX_GRID_POINTS = 10**5
 
 
-def evenly_spaced_grid(start: float = 0.05, step: float = 0.05, stop: float = 0.95) -> tuple[float, ...]:
+def evenly_spaced_grid(start: float, step: float, stop: float) -> tuple[float, ...]:
     """Ascending grid start, start+step, ... up to stop, never past it, with exact decimal points; at most 10**5 points."""
     start, stop = check_number("grid start", start, "(-inf, inf)"), check_number("grid stop", stop, "(-inf, inf)")
     step = check_number("grid step", step, "(0, inf)")
@@ -351,7 +351,7 @@ def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:
     if s == "rb20q":
         return RightBoundaryQuantileRule(levels=TWENTY_BIN_GRID, kappa=kappa)
     head, sep, arg = s.partition(":")
-    if sep and arg:
+    if sep and (arg := arg.strip()):
         if head == "fixed":
             try:
                 lam = float(arg)

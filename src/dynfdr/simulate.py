@@ -245,7 +245,6 @@ class MetricsRow:
     mse_m0_se: float
     mean_lambda: float
     mean_lambda_se: float
-    n_reps: int
 
 
 def mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -335,7 +334,6 @@ def run_experiment(
                 mse_m0_se=mse_se,
                 mean_lambda=mean_lam,
                 mean_lambda_se=lam_se,
-                n_reps=cfg.n_reps,
             )
         )
     return tuple(rows)

@@ -78,24 +78,16 @@ def _three_se_check(
     return CheckResult(check, mean, bound, tol, passed, detail)
 
 
-def lemma2_exact_check(
-    n_max: int = 60, p_grid: Sequence[float] = TWENTY_BIN_GRID
-) -> list[CheckResult]:
+def lemma2_exact_check() -> list[CheckResult]:
     """Exact check that E[1/(n - X + 1)] <= 1/((n+1)(1-p)) for X ~ BIN(n, p).
 
-    The expectation is an exact finite sum over the binomial pmf, so the
-    tolerance only absorbs float rounding (1e-12).
+    For n in 1..60 and p on the twenty-bin grid, in that order, the expectation is an
+    exact finite sum over the binomial pmf; the tolerance only absorbs float rounding (1e-12).
     """
-    n_max = check_integer("n_max", n_max)
-    if not 1 <= n_max <= 60:
-        raise ValueError(f"n_max={n_max} outside 1..60 (exact summation cap)")
-    p_grid = [check_number("p", p, "(0, 1)") for p in p_grid]
-    if not p_grid:  # no check would run, and all_passed reads no checks as a pass
-        raise ValueError("p_grid is empty")
     results = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 61):
         weights = [math.comb(n, x) for x in range(n + 1)]
-        for p in p_grid:
+        for p in TWENTY_BIN_GRID:
             expectation = math.fsum(
                 w * p**x * (1.0 - p) ** (n - x) / (n - x + 1)
                 for x, w in enumerate(weights)

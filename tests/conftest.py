@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from pathlib import Path
@@ -181,6 +182,91 @@ def bootstrap_lambda_threshold(proc, rng, alpha, kappa, n_boot=100):
     mse = ((plain(boot) - plain(proc.values).min()) ** 2).mean(axis=0)
     lam = max(float(grid[np.argmin(mse)]), kappa)
     return threshold_functional(proc, pi0_storey_plus(proc, lam), alpha, kappa)
+
+
+# The proof's middle term (alpha/kappa) E[V(kappa) / (m pi0*)] under Dirac-uniform: the m1 false
+# nulls sit at p = 0 and the m0 = m - m1 nulls are iid U(0, 1), so R(t) = m1 + V(t) and
+# V(kappa) / (m pi0*) = V(kappa) (1 - lambda) / (m0 - V(lambda) + 1).  Optional stopping bounds
+# it by alpha (1 - kappa^m0) when lambda >= kappa is a stopping time.
+
+
+def dirac_uniform_fixed_term(lam, m, m1, alpha, kappa):
+    """The middle term of a fixed lambda >= kappa, in closed form.
+
+    Given V(kappa) = v, E[(1 - lambda) / (m0 - V(lambda) + 1)] = (1 - kappa)(1 - q^(m0-v+1)) / (m0 - v + 1)
+    with q = (lambda - kappa) / (1 - kappa).  Exact when the arguments are ``Fraction``s.
+    """
+    m0 = m - m1
+    q = (lam - kappa) / (1 - kappa)
+    return sum(
+        math.comb(m0, v) * kappa**v * (1 - kappa) ** (m0 - v)
+        * (alpha / kappa) * v * (1 - kappa) * (1 - q ** (m0 - v + 1)) / (m0 - v + 1)
+        for v in range(m0 + 1)
+    )
+
+
+def _binomial_pmf(n, q):
+    """P(X = k), k = 0..n, for X ~ BIN(n, q), from ``math.comb``."""
+    return np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)])
+
+
+def dirac_uniform_rb_term(grid, m, m1, alpha, kappa):
+    """The middle term of the right-boundary rule on ``grid`` (ascending, from kappa up), by a binomial chain.
+
+    The chain holds P(V(kappa) = a, V(g) = b, no stop yet) at the last point g it reached
+    and moves it to the next grid point with the binomial law of the nulls in between.
+    There the scan stops where the plain estimate (m0 - V) / ((1 - g) m), formed as
+    ``estimators.tail_estimate`` forms it, does not fall below the one at the previous
+    candidate (at 0 it is m0 / m); the stopped mass is summed at lambda = g.  What never
+    stops is summed at the last grid point.
+    """
+    assert grid[0] >= kappa
+    m0 = m - m1
+    v = np.arange(m0 + 1)
+    joint = np.diag(_binomial_pmf(m0, kappa))
+    point, prev_est = kappa, np.full(m0 + 1, m0 / m)
+
+    def term(lam, mass):
+        return np.sum(mass * (alpha / kappa) * v[:, None] * (1.0 - lam) / (m0 - v[None, :] + 1))
+
+    total = 0.0
+    for g in grid:
+        q = (g - point) / (1.0 - point)
+        move = np.zeros((m0 + 1, m0 + 1))  # move[b, c] = P(V(g) = c | V(point) = b)
+        for b in range(m0 + 1):
+            move[b, b:] = _binomial_pmf(m0 - b, q)
+        est = (m0 - v) / ((1.0 - g) * m)
+        stops = est[None, :] >= prev_est[:, None]
+        total += term(g, joint @ (move * stops))
+        joint = joint @ (move * ~stops)
+        point, prev_est = g, est
+    return total + term(grid[-1], joint)
+
+
+def dirac_uniform_enumerated_term(pi0_star, grid, m, m1, alpha, kappa):
+    """The middle term of a rule that reads counts at the grid points only, by enumerating the null counts.
+
+    Every split of the m0 nulls over the cells between 0, kappa, the grid points and 1
+    is one sample: the nulls of a cell (s, t] sit at t, so the counts at kappa and at
+    every grid point are those of the split.  ``pi0_star(proc)`` gives the rule's pi0*
+    on that sample, and the term is weighted by the split's multinomial probability.
+    """
+    from dynfdr import sort_pvalues
+
+    m0 = m - m1
+    edges = (0.0, *sorted({kappa, *grid}), 1.0)
+    cells = len(edges) - 1
+    truth = np.arange(m) >= m1
+    terms = []
+    for bars in itertools.combinations(range(m0 + cells - 1), cells - 1):
+        counts = np.diff((-1, *bars, m0 + cells - 1)) - 1
+        weight = math.factorial(m0) / math.prod(math.factorial(c) for c in counts)
+        weight *= math.prod((t - s) ** c for s, t, c in zip(edges, edges[1:], counts))
+        nulls = np.repeat(edges[1:], counts)
+        proc = sort_pvalues(np.concatenate([np.zeros(m1), nulls]), truth)
+        v_kappa = np.count_nonzero(nulls <= kappa)
+        terms.append(weight * (alpha / kappa) * v_kappa / (m * pi0_star(proc)))
+    return math.fsum(terms)
 
 
 def equicorrelated_statistics(m, m1, mu, rho, rng):

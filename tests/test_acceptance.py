@@ -153,7 +153,7 @@ def test_criterion_06_dependent_control(dependent_runs):
 
 def test_criterion_07_binomial_bound_exact():
     t0 = time.perf_counter()
-    results = lemma2_exact_check(n_max=60)
+    results = lemma2_exact_check()
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in results) and elapsed < 1.0
     report(

@@ -25,6 +25,8 @@ from dynfdr import (
 from conftest import (
     bootstrap_lambda_threshold,
     brute_force_threshold,
+    dirac_uniform_enumerated_term,
+    dirac_uniform_rb_term,
     equicorrelated_statistics,
     naive_rejection_set,
     random_mixture_pvalues,
@@ -357,6 +359,21 @@ def test_a_lambda_that_is_no_stopping_time_loses_control():
     mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
     assert mean[0] > alpha + 3.0 * se[0], (mean, se)
     assert mean[1] <= alpha + 3.0 * se[1], (mean, se)
+
+
+def test_an_argmin_lambda_breaks_the_proofs_middle_step():
+    # Dirac-uniform again.  The argmin rule takes the grid point >= kappa with the smallest
+    # plus-one estimate; it reads every grid point, so it is no stopping time, and its exact
+    # middle term (alpha/kappa) E[V(kappa) / (m pi0*)] exceeds the optional-stopping bound
+    # alpha (1 - kappa^m0).  rb on the same grid stays below it
+    grid, alpha = (0.05, 0.25, 0.5, 0.75), 0.05
+    for (m, m1), expected in {(5, 1): 0.0598, (10, 1): 0.0627, (12, 2): 0.0627}.items():
+        bound = alpha * (1.0 - alpha ** (m - m1))
+        argmin = dirac_uniform_enumerated_term(
+            lambda proc: min(pi0_storey_plus(proc, g) for g in grid), grid, m, m1, alpha, alpha
+        )
+        assert argmin > bound and argmin == pytest.approx(expected, abs=1e-4), (m, m1, argmin)
+        assert dirac_uniform_rb_term(grid, m, m1, alpha, alpha) <= bound + 1e-12, (m, m1)
 
 
 def test_adaptive_rules_lose_control_under_a_common_factor():

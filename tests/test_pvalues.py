@@ -22,7 +22,6 @@ from dynfdr import (
     sort_pvalues,
     threshold_functional,
 )
-from dynfdr.verify import lemma2_exact_check
 
 from conftest import naive_count
 
@@ -222,7 +221,6 @@ RANGE_CHECKS = [  # (id, name, interval, call)
     ("ScenarioConfig-alpha", "alpha", "(0, 1)", _raised(lambda v: ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=1, seed=0, alpha=v))),
     ("ScenarioConfig-kappa", "kappa", "(0, 1)", _raised(lambda v: ScenarioConfig(m=10, pi0=0.8, mu=1.0, n_reps=1, seed=0, kappa=v))),
     ("BlockAR-rho", "rho", "(-1, 1)", _raised(lambda v: BlockAR(block_size=5, rho=v))),
-    ("lemma2_exact_check-p", "p", "(0, 1)", _raised(lambda v: lemma2_exact_check(1, (0.5, v)))),
     ("cli-alpha", "alpha", "(0, 1)", _analyze("alpha")),
     ("cli-kappa", "kappa", "(0, 1)", _analyze("kappa")),
     ("cli-pi0", "pi0", "(0, 1]", _analyze("pi0", "--procedure", "orc")),

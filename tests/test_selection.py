@@ -335,6 +335,19 @@ def test_parse_rule_spec_comma_list_and_single_value_grids(spec, rule):
     assert parse_rule_spec(spec, 0.05) == rule
 
 
+@pytest.mark.parametrize(
+    "spec, rule",
+    [
+        ("kq: median", KQuantileRule(None, 0.05)),
+        ("kq: 2", KQuantileRule(2, 0.05)),
+        ("fixed: 0.5", FixedRule(0.5, 0.05)),
+        ("rb: 0.1, 0.5", RightBoundaryRule((0.1, 0.5), 0.05)),
+    ],
+)
+def test_parse_rule_spec_ignores_blanks_around_the_argument(spec, rule):
+    assert parse_rule_spec(spec, 0.05) == rule
+
+
 def test_parse_rule_spec_step_up_baselines():
     for spec, oracle in (("bh", False), (" orc ", True)):
         rule = parse_rule_spec(spec, 0.05)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dynfdr import TWENTY_BIN_GRID, BlockAR, ScenarioConfig, verify
+from dynfdr import TWENTY_BIN_GRID, BlockAR, ScenarioConfig, parse_rule_spec, sort_pvalues, verify
 from dynfdr.verify import (
     _DRAW_BLOCK,
     CheckResult,
@@ -24,7 +24,13 @@ from dynfdr.verify import (
     write_report_csv,
 )
 
-from conftest import one_shot_supermartingale_check, reference_normal_cdf
+from conftest import (
+    dirac_uniform_enumerated_term,
+    dirac_uniform_fixed_term,
+    dirac_uniform_rb_term,
+    one_shot_supermartingale_check,
+    reference_normal_cdf,
+)
 
 
 # ------------------------------------ reference normal CDF (the oracle in conftest)
@@ -54,8 +60,7 @@ def test_reference_cdf_rejects_nan():
 
 
 def test_lemma2_two_term_sums():
-    results = lemma2_exact_check(n_max=2, p_grid=(0.5,))
-    by_n = {r.check: r for r in results}
+    by_n = {r.check: r for r in lemma2_exact_check()}
     r1 = by_n["lemma2(n=1,p=0.5)"]
     assert r1.statistic == pytest.approx(0.75)
     assert r1.bound == pytest.approx(1.0)
@@ -66,42 +71,10 @@ def test_lemma2_two_term_sums():
     assert r2.passed
 
 
-def test_lemma2_degenerate_p_near_zero():
-    # as p -> 0 the expectation collapses to 1/(n+1), which is the bound at p = 0
-    results = lemma2_exact_check(n_max=5, p_grid=(1e-12,))
-    for r in results:
-        n = int(r.check.split("n=")[1].split(",")[0])
-        assert r.statistic == pytest.approx(1.0 / (n + 1), rel=1e-9)
-        assert r.passed
-
-
 def test_lemma2_full_grid_holds():
     results = lemma2_exact_check()
     assert len(results) == 60 * 19
     assert all_passed(results)
-
-
-def test_lemma2_input_validation():
-    with pytest.raises(ValueError):
-        lemma2_exact_check(n_max=61)
-    with pytest.raises(ValueError):
-        lemma2_exact_check(n_max=5, p_grid=(0.0,))
-
-
-def test_lemma2_rejects_an_empty_grid():
-    # an empty grid would give no checks, which all_passed reads as a pass
-    with pytest.raises(ValueError, match="p_grid is empty"):
-        lemma2_exact_check(p_grid=())
-
-
-@pytest.mark.parametrize("n_max", [True, 2.0, 2.5, "3"])
-def test_lemma2_n_max_must_be_an_integer(n_max):
-    with pytest.raises(ValueError, match="n_max=.* is not an integer"):
-        lemma2_exact_check(n_max=n_max)
-
-
-def test_lemma2_accepts_a_numpy_integer_n_max():
-    assert repr(lemma2_exact_check(n_max=np.int64(3))) == repr(lemma2_exact_check(n_max=3))
 
 
 def test_lemma2_statistics_equal_the_closed_form():
@@ -310,6 +283,64 @@ def test_pi0_estimates_in_sanity_band_under_strong_signal():
 def test_run_suite_rejects_an_unknown_name_listing_the_suites():
     with pytest.raises(ValueError, match="unknown suite 'all'; one of lemma2, supermartingale, fdr-control, conservative"):
         run_suite("all", seed=0, reps=2)
+
+
+# ------------------------------- the proof's middle step, exact under Dirac-uniform
+
+# (m, m1): the middle term of rb20 and of fixed:0.5 at alpha = kappa = 0.05
+MIDDLE_TERMS = {
+    (10, 1): (0.0499986158, 0.0499023437),
+    (20, 4): (0.0499991889, 0.0499992371),
+    (50, 10): (0.0499996695, 0.0500000000),
+    (50, 40): (0.0499990015, 0.0499511719),
+    (30, 0): (0.0499998292, 0.0500000000),
+}
+# fixed:0.5 sits within 1e-10 of the bound there (4.5e-14 and 4.7e-11), so the bound is checked in Fraction
+EXACT_MARGIN = {(50, 10), (30, 0)}
+SMALL_GRID = (0.05, 0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("m, m1", MIDDLE_TERMS)
+def test_middle_term_under_dirac_uniform_is_pinned_and_bounded(m, m1):
+    bound = 0.05 * (1.0 - 0.05 ** (m - m1))
+    rb20 = dirac_uniform_rb_term(TWENTY_BIN_GRID, m, m1, 0.05, 0.05)
+    fixed = dirac_uniform_fixed_term(0.5, m, m1, 0.05, 0.05)
+    assert (rb20, fixed) == pytest.approx(MIDDLE_TERMS[m, m1], abs=1e-10, rel=0.0)
+    assert rb20 <= bound + 1e-12 and fixed <= bound + 1e-12
+    if (m, m1) in EXACT_MARGIN:
+        level = Fraction(1, 20)
+        exact = dirac_uniform_fixed_term(Fraction(1, 2), m, m1, level, level)
+        assert exact <= level * (1 - level ** (m - m1))
+        assert float(exact) == pytest.approx(fixed, rel=1e-14)
+
+
+def test_the_chain_is_the_closed_form_on_a_one_point_grid():
+    # on the grid (lambda,) the scan always ends at lambda, so rb:lambda is fixed:lambda
+    for lam in (0.05, 0.5, 0.9):
+        chain = dirac_uniform_rb_term((lam,), 20, 4, 0.05, 0.05)
+        assert chain == pytest.approx(dirac_uniform_fixed_term(lam, 20, 4, 0.05, 0.05), rel=1e-14), lam
+
+
+@pytest.mark.parametrize("m, m1", [(2, 0), (5, 1), (10, 1), (12, 2), (12, 11)])
+def test_the_chain_is_the_library_rule_summed_over_every_null_split(m, m1):
+    rule = parse_rule_spec("rb:0.05,0.25,0.5,0.75", 0.05)
+    enumerated = dirac_uniform_enumerated_term(lambda proc: rule.select(proc).value, SMALL_GRID, m, m1, 0.05, 0.05)
+    assert dirac_uniform_rb_term(SMALL_GRID, m, m1, 0.05, 0.05) == pytest.approx(enumerated, abs=1e-15, rel=0.0)
+
+
+def test_the_chain_is_the_mean_of_the_library_rule_on_drawn_samples():
+    m, m1, n_draws = 10, 1, 20_000
+    alpha = kappa = 0.05
+    rule = parse_rule_spec("rb:0.05,0.25,0.5,0.75", kappa)
+    truth = np.arange(m) >= m1
+    nulls = np.random.default_rng(1).random((n_draws, m - m1))
+    terms = np.array([
+        (alpha / kappa) * np.count_nonzero(u <= kappa)
+        / (m * rule.select(sort_pvalues(np.concatenate([np.zeros(m1), u]), truth)).value)
+        for u in nulls
+    ])
+    mean, se = terms.mean(), terms.std(ddof=1) / math.sqrt(n_draws)
+    assert abs(mean - dirac_uniform_rb_term(SMALL_GRID, m, m1, alpha, kappa)) <= 3.0 * se
 
 
 # ----------------------------------------------------------------- reports
