@@ -148,8 +148,7 @@ class KQuantileRule:
         if lam >= 1.0:
             lam = max(self.kappa, 1.0 - 1.0 / m)
             flags = ("clamped-below-one",)
-        value = pi0_storey_plus(proc, lam)
-        return Pi0Estimate(lam=lam, value=value, trace=scan_trace((lam, value)), flags=flags)
+        return _estimate(proc, lam, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,16 @@ class StepUpRule:
 BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
 
 
+def _estimate(proc: EmpiricalProcesses, lam: float, trace=None, flags: tuple[str, ...] = ()) -> Pi0Estimate:
+    """The one builder of a rule's Pi0Estimate: ``value`` is the plus-one estimate at the chosen ``lam``;
+    ``trace``, the scanned (candidate, estimate) rows, is None for a one-candidate rule: the row (lam, value)."""
+    value = pi0_storey_plus(proc, lam)
+    return Pi0Estimate(lam, value, scan_trace((lam, value) if trace is None else trace), flags)
+
+
 def select_fixed(proc: EmpiricalProcesses, rule: FixedRule) -> Pi0Estimate:
     """Identity rule: keep the rule's lambda, estimate pi0 there."""
-    value = pi0_storey_plus(proc, rule.lam)
-    return Pi0Estimate(lam=rule.lam, value=value, trace=scan_trace((rule.lam, value)))
+    return _estimate(proc, rule.lam)
 
 
 def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> Pi0Estimate:
@@ -227,8 +232,7 @@ def _right_boundary_scan(proc: EmpiricalProcesses, grid, kappa: float, flags: tu
         # whole grid sits below the rejection region; keep lambda admissible
         chosen = kappa
         flags += ("grid-below-kappa",)
-    trace = scan_trace(np.column_stack((candidates, est))[:n])
-    return Pi0Estimate(lam=chosen, value=pi0_storey_plus(proc, chosen), trace=trace, flags=flags)
+    return _estimate(proc, chosen, np.column_stack((candidates, est))[:n], flags)
 
 
 # order statistics the lowest-slope scan scores first; each further pass scores 4x as many
@@ -271,9 +275,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
             chosen = kappa
             flags = ("fallback-kappa",)
 
-    value = pi0_storey_plus(proc, chosen)
-    trace = scan_trace(np.column_stack((p[:n], est[:n])))
-    return Pi0Estimate(lam=chosen, value=value, trace=trace, flags=flags)
+    return _estimate(proc, chosen, np.column_stack((p[:n], est[:n])), flags)
 
 
 def select_right_boundary_quantile(
@@ -295,9 +297,7 @@ def select_right_boundary_quantile(
     keep[1:] &= quantiles[1:] != quantiles[:-1]
     grid = quantiles[keep]
     if not grid.size:
-        value = pi0_storey_plus(proc, kappa)
-        flags = ("empty-grid-fallback",) + flags
-        return Pi0Estimate(lam=kappa, value=value, trace=scan_trace((kappa, value)), flags=flags)
+        return _estimate(proc, kappa, flags=("empty-grid-fallback",) + flags)
     return _right_boundary_scan(proc, grid, kappa, flags)
 
 

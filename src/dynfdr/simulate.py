@@ -254,6 +254,15 @@ def mean_se(x: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """The one writer of the CSV reports: UTF-8, LF line ends, ``header`` and then ``rows``,
+    every cell that is not a str a number written with 12 significant digits (``.12g``)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else f"{c:.12g}" for c in row] for row in rows)
+
+
 def _ratio_of_means_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     am, bm = float(a.mean()), float(b.mean())
     if bm == 0.0:
@@ -339,34 +348,27 @@ def run_experiment(
     return tuple(rows)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def emit_figure_data(rows: Sequence[MetricsRow], path: str | Path) -> None:
-    """Write the rows as long-format CSV: scenario, procedure, metric, value, mc_se.
+    """Write the rows as long-format CSV with ``write_csv``: scenario, procedure, metric, value, mc_se.
 
     Five metric rows per MetricsRow: fdr, corrected_fdr, rel_power,
-    log_mse_m0 (natural log), mean_lambda.  Values carry 12 significant
-    digits.
+    log_mse_m0 (natural log), mean_lambda.
     """
     if not rows:
         raise ValueError("no metrics rows, nothing to emit")
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scenario", "procedure", "metric", "value", "mc_se"])
-        for row in rows:
-            if row.mse_m0 > 0.0:
-                log_mse = math.log(row.mse_m0)
-                log_mse_se = row.mse_m0_se / row.mse_m0
-            else:
-                log_mse, log_mse_se = float("-inf"), float("nan")
-            metrics = [
-                ("fdr", row.realized_fdr, row.fdr_se),
-                ("corrected_fdr", row.corrected_fdr, row.corrected_fdr_se),
-                ("rel_power", row.relative_power, row.relative_power_se),
-                ("log_mse_m0", log_mse, log_mse_se),
-                ("mean_lambda", row.mean_lambda, row.mean_lambda_se),
-            ]
-            for name, value, se in metrics:
-                writer.writerow([row.scenario, row.procedure, name, _fmt(value), _fmt(se)])
+    out = []
+    for row in rows:
+        if row.mse_m0 > 0.0:
+            log_mse = math.log(row.mse_m0)
+            log_mse_se = row.mse_m0_se / row.mse_m0
+        else:
+            log_mse, log_mse_se = float("-inf"), float("nan")
+        metrics = [
+            ("fdr", row.realized_fdr, row.fdr_se),
+            ("corrected_fdr", row.corrected_fdr, row.corrected_fdr_se),
+            ("rel_power", row.relative_power, row.relative_power_se),
+            ("log_mse_m0", log_mse, log_mse_se),
+            ("mean_lambda", row.mean_lambda, row.mean_lambda_se),
+        ]
+        out += [(row.scenario, row.procedure, name, value, se) for name, value, se in metrics]
+    write_csv(path, ("scenario", "procedure", "metric", "value", "mc_se"), out)

@@ -11,7 +11,6 @@ and fails hard on any violation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from .procedures import DEFAULT_PROCEDURES
 from .pvalues import check_integer, check_number
 from .selection import TWENTY_BIN_GRID
-from .simulate import ScenarioConfig, mean_se, replications
+from .simulate import ScenarioConfig, mean_se, replications, write_csv
 
 __all__ = [
     "CheckResult",
@@ -254,19 +253,6 @@ def format_report(results: Sequence[CheckResult]) -> str:
 
 
 def write_report_csv(results: Sequence[CheckResult], path: str | Path) -> None:
-    """Machine-readable report: check, statistic, bound, tolerance, pass."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["check", "statistic", "bound", "tolerance", "pass", "detail"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.check,
-                    f"{r.statistic:.12g}",
-                    f"{r.bound:.12g}",
-                    f"{r.tolerance:.12g}",
-                    "pass" if r.passed else "fail",
-                    r.detail,
-                ]
-            )
+    """Machine-readable report, written by ``simulate.write_csv``: check, statistic, bound, tolerance, pass, detail."""
+    rows = [(r.check, r.statistic, r.bound, r.tolerance, "pass" if r.passed else "fail", r.detail) for r in results]
+    write_csv(path, ("check", "statistic", "bound", "tolerance", "pass", "detail"), rows)

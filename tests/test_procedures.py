@@ -18,10 +18,12 @@ from dynfdr import (
     pi0_storey_plus,
     procedures,
     run_procedure,
+    selection,
     sort_pvalues,
     threshold_functional,
 )
 
+import test_properties
 from conftest import (
     bootstrap_lambda_threshold,
     brute_force_threshold,
@@ -392,3 +394,37 @@ def test_adaptive_rules_lose_control_under_a_common_factor():
     mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
     within = dict(zip(specs, mean <= alpha + 3.0 * se))
     assert within == {"bh": True, "orc": True, "lsl": True, "rb20": False, "fixed:0.5": False}, (mean, se)
+
+
+# ------------------------------------------ mutants of the scan and the region
+
+
+_FIRST_STOP = selection._first_stop
+
+
+def _non_strict_first_stop(candidates, estimates, kappa, strict):
+    """``selection._first_stop`` with lsl's strict comparison made non-strict (rb's already is)."""
+    return _FIRST_STOP(candidates, estimates, kappa, strict=False)
+
+
+def _no_kappa_shortcut(proc, pi0_star, alpha, kappa):
+    """``procedures.threshold_functional`` without its kappa shortcut: always the step-up scan inside [0, kappa]."""
+    return procedures._step_up(proc.ordered[: proc.count_R(kappa)], proc.m, pi0_star, alpha)
+
+
+# as CUT_MUTANTS: each mutant, the module attribute it replaces, and the check that catches it
+# (and passes the real code), whose oracle the patch leaves alone: full_lowest_slope never calls
+# _first_stop, and the run_procedure check's oracle is kappa itself
+SCAN_MUTANTS = {
+    "lsl non-strict": (selection, "_first_stop", _non_strict_first_stop, test_properties.test_trimmed_scans_equal_the_full_scans),
+    "no kappa shortcut": (procedures, "threshold_functional", _no_kappa_shortcut, test_run_procedure_runs_a_lambda_rule_at_its_own_kappa),
+}
+
+
+@pytest.mark.parametrize("mutant", SCAN_MUTANTS)
+def test_each_mutant_of_the_scan_fails_its_check(mutant, monkeypatch):
+    module, name, replacement, check = SCAN_MUTANTS[mutant]
+    check()
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(AssertionError):
+        check()

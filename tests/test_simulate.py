@@ -18,6 +18,7 @@ from scipy import special, stats
 from dynfdr import simulate
 from dynfdr import (
     BlockAR,
+    MetricsRow,
     ScenarioConfig,
     emit_figure_data,
     generate_statistics,
@@ -402,6 +403,22 @@ def test_emit_schema_and_roundtrip(tmp_path):
     # spot-check one value against the table
     fdr_field = next(r for r in body if r[1] == "rb20" and r[2] == "fdr")[3]
     assert float(fdr_field) == float(f"{row(table, 'rb20').realized_fdr:.12g}")
+
+
+def test_emit_writes_exact_bytes(tmp_path):
+    # mse_m0 = 0 gives the -inf / nan log cells; every number at 12 significant digits, LF line ends
+    label = "m=20;pi0=1;mu=1;dep=indep"
+    metrics = MetricsRow(label, "lsl", 1 / 3, np.float64(0.01), 0.05, 0.0, math.nan, math.nan, 0.0, 0.0, 0.5, 1e-13)
+    out = tmp_path / "metrics.csv"
+    emit_figure_data([metrics], out)
+    assert out.read_bytes() == (
+        b"scenario,procedure,metric,value,mc_se\n"
+        b"m=20;pi0=1;mu=1;dep=indep,lsl,fdr,0.333333333333,0.01\n"
+        b"m=20;pi0=1;mu=1;dep=indep,lsl,corrected_fdr,0.05,0\n"
+        b"m=20;pi0=1;mu=1;dep=indep,lsl,rel_power,nan,nan\n"
+        b"m=20;pi0=1;mu=1;dep=indep,lsl,log_mse_m0,-inf,nan\n"
+        b"m=20;pi0=1;mu=1;dep=indep,lsl,mean_lambda,0.5,1e-13\n"
+    )
 
 
 def test_emit_rejects_empty_table(tmp_path):

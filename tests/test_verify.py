@@ -351,6 +351,7 @@ def test_report_formatting_and_csv(tmp_path):
         CheckResult("demo-pass", 0.1, 0.2, 0.01, True),
         CheckResult("demo-fail", 0.5, 0.2, 0.01, False, detail="oops"),
         CheckResult("demo-skip", float("nan"), 0.2, float("nan"), True, detail="skipped: thin"),
+        CheckResult('demo, "quoted"', np.float64(1e-13), float("inf"), 1 / 3, True, detail='a, "b", κ'),
     ]
     text = format_report(results)
     assert "PASS demo-pass" in text
@@ -365,3 +366,11 @@ def test_report_formatting_and_csv(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["check", "statistic", "bound", "tolerance", "pass", "detail"]
     assert rows[1][4] == "pass" and rows[2][4] == "fail"
+    # UTF-8, LF line ends, numbers at 12 significant digits, csv quoting of commas and double quotes
+    assert out.read_bytes() == (
+        b"check,statistic,bound,tolerance,pass,detail\n"
+        b"demo-pass,0.1,0.2,0.01,pass,\n"
+        b"demo-fail,0.5,0.2,0.01,fail,oops\n"
+        b"demo-skip,nan,0.2,nan,pass,skipped: thin\n"
+        + '"demo, ""quoted""",1e-13,inf,0.333333333333,pass,"a, ""b"", κ"\n'.encode("utf-8")
+    )
