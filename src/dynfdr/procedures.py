@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import Pi0Estimate, fdr_estimate
 from .pvalues import EmpiricalProcesses, MissingTruthLabels, check_number
-from .selection import BH, ORACLE, LambdaRule, StepUpRule
+from .selection import LambdaRule, StepUpRule
 
 __all__ = [
     "ProcedureResult",
@@ -50,9 +50,21 @@ class ProcedureResult:
         return int(self.rejected.size)
 
 
+# (alpha, alpha * k for k = 1..n): the last alpha's step-up bounds, rebuilt only for a new alpha
+# or a longer cut, so they hold no more values than one call has needed; the pair is replaced
+# whole, never written in place, so concurrent callers each read a consistent one
+_bounds = (float("nan"), np.empty(0))
+
+
 def _step_up(ordered: np.ndarray, m: int, pi0: float, alpha: float) -> float:
     """The step-up cut: the largest p_(k) of ``ordered`` with m * pi0 * p_(k) <= alpha * k, else 0.0."""
-    (hits,) = (m * pi0 * ordered <= alpha * np.arange(1, ordered.size + 1)).nonzero()
+    global _bounds
+    n = ordered.size
+    last_alpha, bounds = _bounds
+    if last_alpha != alpha or bounds.size < n:
+        bounds = alpha * np.arange(1, n + 1)
+        _bounds = alpha, bounds
+    (hits,) = (m * pi0 * ordered <= bounds[:n]).nonzero()
     return float(ordered[hits[-1]]) if hits.size else 0.0
 
 
@@ -105,16 +117,16 @@ def run_procedure(
     given explicitly or derived from truth labels); every lambda rule is
     fed to the dynamic adaptive pipeline at its own kappa.
     """
-    if rule == BH:
+    if not isinstance(rule, StepUpRule):
+        return dynamic_adaptive(proc, rule, alpha)
+    if not rule.oracle:
         return bh_step_up(proc, alpha)
-    if rule == ORACLE:
-        if pi0 is None:
-            if proc.truth is None:
-                raise MissingTruthLabels(
-                    "orc needs the true null proportion: pass pi0 or supply truth labels"
-                )
-            pi0 = float(np.count_nonzero(proc.truth)) / proc.m
-            if pi0 == 0.0:
-                raise ValueError("orc needs at least one true null, and the truth labels have none")
-        return bh_step_up(proc, alpha, pi0)
-    return dynamic_adaptive(proc, rule, alpha)
+    if pi0 is None:
+        if proc.truth is None:
+            raise MissingTruthLabels(
+                "orc needs the true null proportion: pass pi0 or supply truth labels"
+            )
+        pi0 = float(np.count_nonzero(proc.truth)) / proc.m
+        if pi0 == 0.0:
+            raise ValueError("orc needs at least one true null, and the truth labels have none")
+    return bh_step_up(proc, alpha, pi0)

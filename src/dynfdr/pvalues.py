@@ -108,9 +108,9 @@ def sort_pvalues(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("p-value sample must be a nonempty 1-d sequence")
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
+    ordered = np.sort(values)
+    if not (ordered[0] >= 0.0 and ordered[-1] <= 1.0):  # the sorted ends decide it: a nan sorts last
+        i = int(((values >= 0.0) & (values <= 1.0)).argmin())
         raise ValueError(f"p-value at index {i} is {values[i]!r}, outside [0, 1]")
     if truth is not None:
         truth = np.asarray(truth, dtype=bool)
@@ -118,7 +118,6 @@ def sort_pvalues(
             raise ValueError(f"truth labels have length {truth.size}, expected {values.size}")
         truth = _read_only(truth.copy())
     values = _read_only(values.copy())
-    ordered = np.sort(values)
     if ordered[0] == 0.0:
         zeros = values[values == 0.0]
         ordered[: zeros.size] = zeros

@@ -204,7 +204,22 @@ def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> 
     If the scan never stops the last boundary wins.  The reported value
     is the plus-one estimate at the chosen boundary.
     """
-    return _right_boundary_scan(proc, rule.grid, rule.kappa)
+    return _right_boundary_scan(proc, _with_zero(rule.grid), rule.kappa)
+
+
+@lru_cache(maxsize=64)
+def _with_zero(grid: tuple[float, ...]) -> np.ndarray:
+    """The right-boundary candidates of a checked grid: 0, then the grid, as a read-only array."""
+    candidates = np.array((0.0, *grid))
+    candidates.flags.writeable = False
+    return candidates
+
+
+def _rows(candidates: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """The scan trace's rows (candidate, estimate) as an (n, 2) float array, without np.column_stack's overhead."""
+    rows = np.empty((candidates.size, 2))
+    rows[:, 0], rows[:, 1] = candidates, estimates
+    return rows
 
 
 def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, strict: bool) -> int:
@@ -221,9 +236,10 @@ def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, str
     return i + 1 if stop[i] else -1
 
 
-def _right_boundary_scan(proc: EmpiricalProcesses, grid, kappa: float, flags: tuple[str, ...] = ()) -> Pi0Estimate:
-    """select_right_boundary's scan over a checked grid; ``flags`` lead the result's flags."""
-    candidates = np.concatenate(([0.0], grid))
+def _right_boundary_scan(
+    proc: EmpiricalProcesses, candidates: np.ndarray, kappa: float, flags: tuple[str, ...] = ()
+) -> Pi0Estimate:
+    """select_right_boundary's scan over ``candidates``, 0 and then a checked grid; ``flags`` lead the result's flags."""
     est = tail_estimate(proc.m, proc.ordered.searchsorted(candidates, side="right"), candidates)
     last = _first_stop(candidates, est, kappa, strict=False)
     n = last + 1 if last > 0 else candidates.size  # no stop: the last grid point
@@ -232,7 +248,7 @@ def _right_boundary_scan(proc: EmpiricalProcesses, grid, kappa: float, flags: tu
         # whole grid sits below the rejection region; keep lambda admissible
         chosen = kappa
         flags += ("grid-below-kappa",)
-    return _estimate(proc, chosen, np.column_stack((candidates, est))[:n], flags)
+    return _estimate(proc, chosen, _rows(candidates[:n], est[:n]), flags)
 
 
 # order statistics the lowest-slope scan scores first; each further pass scores 4x as many
@@ -255,7 +271,8 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
     n = min(_LSL_FIRST_PREFIX, m)
     while True:
         head = p[:n]
-        est = tail_estimate(m, p.searchsorted(head, side="right") - 1, np.where(head < 1.0, head, np.nan))  # nan at p = 1
+        lam = head if head[-1] < 1.0 else np.where(head < 1.0, head, np.nan)  # nan at p = 1
+        est = tail_estimate(m, p.searchsorted(head, side="right") - 1, lam)
         first = _first_stop(head, est, kappa, strict=True)
         if first > 0 or n == m:
             break
@@ -275,7 +292,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
             chosen = kappa
             flags = ("fallback-kappa",)
 
-    return _estimate(proc, chosen, np.column_stack((p[:n], est[:n])), flags)
+    return _estimate(proc, chosen, _rows(p[:n], est[:n]), flags)
 
 
 def select_right_boundary_quantile(
@@ -298,7 +315,7 @@ def select_right_boundary_quantile(
     grid = quantiles[keep]
     if not grid.size:
         return _estimate(proc, kappa, flags=("empty-grid-fallback",) + flags)
-    return _right_boundary_scan(proc, grid, kappa, flags)
+    return _right_boundary_scan(proc, np.concatenate(([0.0], grid)), kappa, flags)
 
 
 @lru_cache(maxsize=64)

@@ -66,21 +66,24 @@ def _polevl(x, coef):
 def _normal_cdf(a):
     """Standard normal distribution function (vectorized), bit for bit scipy.special.ndtr.
 
-    A numpy port of Cephes ndtr, erf and erfc in their operation order; exp is libm's
-    (``math.exp``), as in the compiled original, since ``np.exp`` can differ in the last bit.
+    A numpy port of Cephes ndtr, erf and erfc in their operation order.  exp is libm's, as
+    in the compiled original: numpy's complex exp is libm exp(re) * cos(im), and cos(0) is
+    exactly 1, whereas the real ``np.exp`` takes a SIMD path that can differ in the last bit.
     """
     a = np.asarray(a, dtype=float)
     x = a.reshape(-1) * _SQRT1_2
     z = np.abs(x)
-    w = np.minimum(z, 1.0)  # erf's T/U branch serves |x| <= 1 only
+    in_tail = z >= 1.0
+    near, tail = np.flatnonzero(~in_tail), np.flatnonzero(in_tail)  # erf's T/U branch serves |x| < 1 and nan
+    w = z[near]
     ww = w * w
     erf_w = w * _polevl(ww, _T) / _polevl(ww, _U)
+    y = np.empty_like(z)
     # 0.5 + 0.5 erf(x) below 1/sqrt(2), else 0.5 erfc(|x|) with erfc = 1 - erf below 1
-    y = np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf_w, x), 0.5 * (1.0 - erf_w))
-    tail = np.flatnonzero(z >= 1.0)
+    y[near] = np.where(w < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf_w, x[near]), 0.5 * (1.0 - erf_w))
     zt = np.minimum(z[tail], 27.0)  # keeps z^2 finite; erfc underflows to 0 past z^2 = MAXLOG either way
     zz = zt * zt
-    e = np.fromiter(map(math.exp, (-zz).tolist()), float, tail.size)
+    e = np.exp(-zz + 0j).real
     e[zz > _MAXLOG] = 0.0
     erfc = e * _polevl(zt, _P) / _polevl(zt, _Q)
     far = zt >= 8.0

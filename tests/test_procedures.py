@@ -334,6 +334,40 @@ def test_run_procedure_records_the_pi0_used():
     assert res.pi0.lam == 0.5
 
 
+_EVERY_RULE_KIND = ("bh", "orc", "fixed:0.5", "rb20", "rb:0.1,0.3", "lsl", "kq:median", "kq:2", "rb20q", "rbq:0.5:0.1:0.9")
+
+
+@pytest.mark.parametrize("spec", _EVERY_RULE_KIND)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+def test_run_procedure_checks_alpha_for_every_rule_kind(spec, alpha):
+    proc = sort_pvalues([0.01, 0.02, 0.3, 0.6, 0.9], truth=[False, False, True, True, True])
+    with pytest.raises(ValueError, match=rf"^alpha={alpha} outside \(0, 1\)$"):
+        run_procedure(rule(spec), proc, alpha)
+
+
+def test_fresh_step_up_rules_run_as_bh_and_orc():
+    # run_procedure dispatches on the rule's type and flag, not on the identity of BH and ORACLE
+    proc = sort_pvalues([0.001, 0.01, 0.02, 0.3, 0.6, 0.9], truth=[False, False, True, True, True, True])
+    for fresh, spec in ((selection.StepUpRule(), "bh"), (selection.StepUpRule(oracle=True), "orc")):
+        assert fresh is not rule(spec)
+        for pi0 in (None, 0.5) if spec == "orc" else (None,):
+            got, want = run_procedure(fresh, proc, 0.05, pi0), run_procedure(rule(spec), proc, 0.05, pi0)
+            assert got.threshold == want.threshold and np.array_equal(got.rejected, want.rejected)
+            assert got.pi0.value == want.pi0.value and np.isnan(got.pi0.lam)
+    assert run_procedure(selection.StepUpRule(oracle=True), proc, 0.05).pi0.value == 4 / 6
+
+
+def test_right_boundary_grids_scan_their_own_candidates():
+    # two grids in one process, each run twice: a candidate cache with the wrong key would mix them
+    proc = sort_pvalues(np.linspace(0.0005, 0.9995, 1000) ** 2)
+    grids = {"rb:0.1,0.3,0.6": (0.0, 0.1, 0.3, 0.6), "rb:0.2:0.2:0.8": (0.0, 0.2, 0.4, 0.6, 0.8)}
+    for _ in range(2):
+        for spec, candidates in grids.items():
+            trace = rule(spec).select(proc).trace
+            assert trace[:, 0].tolist() == list(candidates[: len(trace)])
+            assert len(trace) >= 2 and not trace.flags.writeable and trace.dtype == np.float64
+
+
 def test_run_procedure_unknown_spec():
     # specs are parsed where they enter the program, so an unknown one never reaches run_procedure
     with pytest.raises(ValueError, match="unknown rule spec"):

@@ -54,6 +54,20 @@ def test_validation_names_offending_index():
         sort_pvalues([0.1, float("nan")])
 
 
+def test_validation_names_the_first_value_outside_the_unit_interval():
+    # the check reads the sorted ends, so a bad value anywhere, nan included, must still name the first one
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        values = rng.uniform(size=int(rng.integers(1, 40)))
+        bad = rng.choice(values.size, size=int(rng.integers(1, min(4, values.size) + 1)), replace=False)
+        values[bad] = rng.choice([math.nan, math.inf, -math.inf, -5e-324, np.nextafter(1.0, 2.0), 2.0], size=bad.size)
+        i = int(bad.min())
+        with pytest.raises(ValueError) as err:
+            sort_pvalues(values)
+        assert str(err.value) == f"p-value at index {i} is {values[i]!r}, outside [0, 1]"
+    assert sort_pvalues([-0.0, 1.0, 0.0]).m == 3  # the ends themselves are inside
+
+
 def test_empty_sample_rejected():
     with pytest.raises(ValueError, match="nonempty 1-d"):
         sort_pvalues([])

@@ -207,6 +207,19 @@ def test_cdf_keeps_the_input_shape():
     assert isinstance(_normal_cdf(0.3), np.float64)
 
 
+def test_complex_exp_is_libm_exp_bit_for_bit():
+    # _normal_cdf takes libm's exp as np.exp(x + 0j).real: numpy's complex exp is exp(re) * cos(im) and
+    # cos(0) == 1 exactly, whereas the real np.exp may differ from math.exp in the last bit.  No scipy here.
+    x = np.linspace(-745.2, 0.0, 400_001)  # past the last subnormal result, exp(-745.13...), down to 0
+    x = np.concatenate([x, [0.0, -0.0, -5e-324]])
+    for point in (simulate._MAXLOG, 708.4, 745.13, 745.1332191019412):  # Cephes's cut, the subnormal range, underflow
+        x = np.concatenate([x, -np.array(_neighbours(point, 50))])
+    got = np.exp(x + 0j).real
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.any((want > 0.0) & (want < np.finfo(float).tiny)) and np.any(want == 0.0)  # the grid reaches both
+
+
 def test_cdf_matches_independent_reference():
     xs = np.arange(-8.0, 8.0001, 0.004)
     worst = max(abs(float(_normal_cdf(x)) - reference_normal_cdf(float(x))) for x in xs)
