@@ -18,8 +18,8 @@ results = lemma2_exact_check()
 worst = min(r.bound - r.statistic for r in results)
 print(f"   {len(results)} pairs hold; tightest margin = {worst:.3e}\n")
 
-print("2) supermartingale inequality, conditional on the count at time s")
-results = supermartingale_check(m0=50, s=0.2, t=0.6, draws=100_000, seed=7)
+print("2) supermartingale inequality, conditional on the count at time s, over the suite's m0 and (s, t)")
+results = supermartingale_check(seed=7)
 checked = sum(1 for r in results if not r.detail.startswith("skipped"))
 print(f"   {checked} strata checked, all pass: {all_passed(results)}\n")
 

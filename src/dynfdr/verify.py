@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .procedures import DEFAULT_PROCEDURES
-from .pvalues import check_integer, check_number
+from .pvalues import check_integer
 from .selection import TWENTY_BIN_GRID
 from .simulate import ScenarioConfig, mean_se, replications, write_csv
 
@@ -41,6 +41,10 @@ __all__ = [
 DEFAULT_RULES = tuple(s for s in DEFAULT_PROCEDURES if s not in ("bh", "orc"))
 SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
 
+# the supermartingale suite's table: each m0 is drawn once and checked at every (s, t)
+_SUPERMARTINGALE_M0 = (10, 50)
+_SUPERMARTINGALE_TIMES = ((0.2, 0.6), (0.5, 0.9))
+_SUPERMARTINGALE_DRAWS = 100_000
 # uniforms (values, not rows) drawn at a time by supermartingale_check: 256 KB, or one row when m0 is larger
 _DRAW_BLOCK = 2**15
 
@@ -57,19 +61,17 @@ class CheckResult:
     detail: str = ""
 
 
-def _three_se_check(
-    check: str, x: np.ndarray, bound: float, detail: str, side: str = "upper", slack: float = 0.0
-) -> CheckResult:
+def _three_se_check(check: str, x: np.ndarray, bound: float, detail: str, side: str = "upper") -> CheckResult:
     """Mean of ``x`` against ``bound`` at a 3-standard-error tolerance.
 
-    ``side`` "upper" asserts mean <= bound + 3 SE (+ ``slack``), "lower"
-    mean >= bound - 3 SE, "both" |mean - bound| <= 3 SE.  With one draw
-    the SE is nan and the check fails.
+    ``side`` "upper" asserts mean <= bound + 3 SE, "lower" mean >=
+    bound - 3 SE, "both" |mean - bound| <= 3 SE.  With one draw the SE
+    is nan and the check fails.
     """
     mean, se = mean_se(x)
     tol = 3.0 * se
     if side == "upper":
-        passed = mean <= bound + tol + slack
+        passed = mean <= bound + tol
     elif side == "lower":
         passed = mean >= bound - tol
     else:
@@ -104,67 +106,57 @@ def lemma2_exact_check() -> list[CheckResult]:
     return results
 
 
-def supermartingale_check(
-    m0: int, s: float, t: float, draws: int = 100_000, seed: int = 0
-) -> list[CheckResult]:
+def supermartingale_check(seed: int = 0) -> list[CheckResult]:
     """Monte Carlo check that M(u) = (1-u)/(m0 - V(u) + 1) shrinks in mean.
 
-    Simulates m0 uniform nulls per draw and, within each stratum of the
-    observed V(s), compares the stratum mean of M(t) against M(s) plus
-    three stratum standard errors.  Strata with fewer than 30 draws are
-    skipped but reported.  The terminal value M(1) = 0 is reported first.
+    For each m0 in ``_SUPERMARTINGALE_M0`` simulates ``_SUPERMARTINGALE_DRAWS``
+    rows of m0 uniform nulls once, seeded by ``[seed, m0]``, and counts V at
+    every s and t of ``_SUPERMARTINGALE_TIMES``.  Then per (s, t), in that
+    order, it reports the terminal value M(1) = 0 and, within each stratum
+    of the observed V(s), compares the stratum mean of M(t) against M(s)
+    plus three stratum standard errors.  Strata with fewer than 30 draws
+    are skipped but reported.
 
     The uniforms are drawn in blocks of whole rows holding at most
     ``_DRAW_BLOCK`` values (at least one row), and each block is reduced
-    to its counts V(s), V(t) at once.  The counts take the smallest
-    unsigned type that holds m0 (one byte below 256, two below 65,536),
-    and M(t) is formed one stratum at a time, so memory is
-    O(max(_DRAW_BLOCK, m0) + draws) bytes rather than O(draws * m0).
-    The blocks are the rows of one (draws, m0) draw, so the results do
-    not depend on the block size.
+    to its counts at once.  The counts take the smallest unsigned type
+    that holds m0 (one byte below 256, two below 65,536), and M(t) is
+    formed one stratum at a time, so memory is O(max(_DRAW_BLOCK, m0) +
+    draws) bytes rather than O(draws * m0).  The blocks are the rows of
+    one (draws, m0) draw, so the results do not depend on the block size.
     """
-    m0 = check_integer("m0", m0, 1)
-    draws = check_integer("draws", draws, 1)
     seed = check_integer("seed", seed, 0)
-    s, t = check_number("s", s), check_number("t", t)
-    if not 0.0 <= s <= t <= 1.0:
-        raise ValueError(f"need 0 <= s <= t <= 1, got s={s}, t={t}")
-    rng = np.random.default_rng([seed, m0])
-    rows = max(1, _DRAW_BLOCK // m0)
-    v_s = np.empty(draws, dtype=np.min_scalar_type(m0))
-    v_t = np.empty_like(v_s)
-    for start in range(0, draws, rows):
-        # the generator fills rows in order, so the blocks are the rows of one (draws, m0) draw
-        u = rng.random((min(rows, draws - start), m0))
-        stop = start + u.shape[0]
-        # with out given the sum runs in the counts' type, which holds every count <= m0
-        np.sum(u <= s, axis=1, out=v_s[start:stop])
-        np.sum(u <= t, axis=1, out=v_t[start:stop])
-
-    label = f"supermartingale(m0={m0},s={s:g},t={t:g})"
-    # M(1) = (1 - 1) / (m0 - V(1) + 1) has a zero numerator, so it is 0 whatever V(1) is
-    results = [CheckResult(f"{label}[terminal]", 0.0, 0.0, 0.0, True, "M(1) = 0 exactly")]
-    for v in np.unique(v_s):
-        sel = v_s == v
-        n = int(sel.sum())
-        m_s = (1.0 - s) / (m0 - int(v) + 1.0)
-        name = f"{label}[V(s)={int(v)}]"
-        if n < 30:
-            results.append(
-                CheckResult(
-                    check=name,
-                    statistic=float("nan"),
-                    bound=m_s,
-                    tolerance=float("nan"),
-                    passed=True,
-                    detail=f"skipped: only {n} draws",
-                )
-            )
-            continue
-        # M(t) of this stratum's draws only; m0 - V(t) is an exact integer in any count type
-        m_t = (1.0 - t) / (m0 - v_t[sel] + 1.0)
-        # 1e-12 absorbs accumulation rounding in the degenerate s == t case
-        results.append(_three_se_check(name, m_t, m_s, f"{n} draws", slack=1e-12))
+    draws = _SUPERMARTINGALE_DRAWS
+    points = sorted({u for pair in _SUPERMARTINGALE_TIMES for u in pair})  # each time counted once
+    results = []
+    for m0 in _SUPERMARTINGALE_M0:
+        rng = np.random.default_rng([seed, m0])
+        rows = max(1, _DRAW_BLOCK // m0)
+        counts = {x: np.empty(draws, dtype=np.min_scalar_type(m0)) for x in points}
+        for start in range(0, draws, rows):
+            # the generator fills rows in order, so the blocks are the rows of one (draws, m0) draw
+            u = rng.random((min(rows, draws - start), m0))
+            stop = start + u.shape[0]
+            for x, v in counts.items():
+                # with out given the sum runs in the counts' type, which holds every count <= m0
+                np.sum(u <= x, axis=1, out=v[start:stop])
+        for s, t in _SUPERMARTINGALE_TIMES:
+            v_s, v_t = counts[s], counts[t]
+            label = f"supermartingale(m0={m0},s={s:g},t={t:g})"
+            # M(1) = (1 - 1) / (m0 - V(1) + 1) has a zero numerator, so it is 0 whatever V(1) is
+            results.append(CheckResult(f"{label}[terminal]", 0.0, 0.0, 0.0, True, "M(1) = 0 exactly"))
+            for v in np.unique(v_s):
+                sel = v_s == v
+                n = int(sel.sum())
+                m_s = (1.0 - s) / (m0 - int(v) + 1.0)
+                name = f"{label}[V(s)={int(v)}]"
+                if n < 30:
+                    nan = float("nan")
+                    results.append(CheckResult(name, nan, m_s, nan, True, f"skipped: only {n} draws"))
+                else:
+                    # M(t) of this stratum's draws only; m0 - V(t) is an exact integer in any count type
+                    m_t = (1.0 - t) / (m0 - v_t[sel] + 1.0)
+                    results.append(_three_se_check(name, m_t, m_s, f"{n} draws"))
     return results
 
 
@@ -225,7 +217,7 @@ def run_suite(name: str, seed: int, reps: int) -> list[CheckResult]:
     if name == "lemma2":
         return lemma2_exact_check()
     if name == "supermartingale":
-        return [r for m0 in (10, 50) for s, t in ((0.2, 0.6), (0.5, 0.9)) for r in supermartingale_check(m0, s, t, seed=seed)]
+        return supermartingale_check(seed)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; one of {', '.join(SUITES)}")
     cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0 if name == "fdr-control" else 1.0, n_reps=reps, seed=seed)

@@ -310,7 +310,7 @@ def one_shot_supermartingale_check(m0, s, t, draws, seed):
             nan = float("nan")
             results.append(CheckResult(name, nan, m_s, nan, True, f"skipped: only {n} draws"))
         else:
-            results.append(_three_se_check(name, m_t[sel], m_s, f"{n} draws", slack=1e-12))
+            results.append(_three_se_check(name, m_t[sel], m_s, f"{n} draws"))
     return results
 
 

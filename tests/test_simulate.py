@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
 
 from dynfdr import simulate
 from dynfdr import (
@@ -148,6 +147,7 @@ _CEPHES_BRANCH_POINTS = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.
 
 def assert_is_scipy_ndtr(a):
     """``_normal_cdf(a)`` equals ``scipy.special.ndtr(a)`` bit for bit: values, nan positions and sign bits."""
+    special = pytest.importorskip("scipy.special")
     got, want = _normal_cdf(a), special.ndtr(a)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want, equal_nan=True)
@@ -227,6 +227,7 @@ def test_cdf_matches_independent_reference():
 
 
 def test_null_pvalues_are_uniform():
+    stats = pytest.importorskip("scipy.stats")
     cfg = ScenarioConfig(m=1000, pi0=1.0, mu=0.0, n_reps=100, seed=99)
     pooled = np.concatenate([generate_statistics(cfg, j).values for j in range(cfg.n_reps)])
     assert pooled.size >= 100_000
@@ -260,6 +261,7 @@ def test_substream_is_pure_function_of_seed_and_replication():
 
 
 def test_block_ar_marginals_and_adjacent_correlation():
+    stats = pytest.importorskip("scipy.stats")
     cfg = ScenarioConfig(
         m=1000, pi0=1.0, mu=0.0, n_reps=110, seed=77, dependence=BlockAR(50, -0.9)
     )

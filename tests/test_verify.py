@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -98,73 +99,86 @@ def test_lemma2_sum_is_the_closed_form_exactly():
 # --------------------------------------------------------- supermartingale
 
 
-def test_supermartingale_terminal_value():
-    results = supermartingale_check(m0=10, s=0.3, t=1.0, draws=2000, seed=1)
-    terminal = [r for r in results if "terminal" in r.check]
-    assert terminal and terminal[0].statistic == 0.0
-    assert all_passed(results)
+# the suite's table, written out here so that a change to it fails a test
+TABLE = [(m0, s, t) for m0 in (10, 50) for s, t in ((0.2, 0.6), (0.5, 0.9))]
 
 
-def test_supermartingale_s_equals_t_is_identity():
-    results = supermartingale_check(m0=10, s=0.4, t=0.4, draws=5000, seed=2)
-    for r in results:
-        if "V(s)=" in r.check and not r.detail.startswith("skipped"):
-            assert r.statistic == pytest.approx(r.bound)
-        assert r.passed
+@pytest.fixture(scope="module")
+def suite_at_seed_1():
+    return supermartingale_check(seed=1)
+
+
+def test_supermartingale_terminal_value(suite_at_seed_1):
+    terminal = [r for r in suite_at_seed_1 if r.check.endswith("[terminal]")]
+    assert [r.check for r in terminal] == [f"supermartingale(m0={m0},s={s:g},t={t:g})[terminal]" for m0, s, t in TABLE]
+    assert all(r.statistic == 0.0 and r.passed for r in terminal)
+    assert all_passed(suite_at_seed_1)
 
 
 def test_supermartingale_monte_carlo_case():
-    results = supermartingale_check(m0=50, s=0.2, t=0.6, draws=100_000, seed=3)
+    results = supermartingale_check(seed=3)
     assert all_passed(results)
-    checked = [r for r in results if not r.detail.startswith("skipped") and "V(s)=" in r.check]
+    label = "supermartingale(m0=50,s=0.2,t=0.6)[V(s)="
+    checked = [r for r in results if r.check.startswith(label) and not r.detail.startswith("skipped")]
     assert len(checked) >= 5
 
 
-def test_supermartingale_reports_thin_strata():
-    results = supermartingale_check(m0=50, s=0.5, t=0.9, draws=2000, seed=4)
-    skipped = [r for r in results if r.detail.startswith("skipped")]
-    assert skipped  # the binomial tails are too thin at 2000 draws
+def test_supermartingale_reports_thin_strata(suite_at_seed_1):
+    skipped = [r for r in suite_at_seed_1 if r.detail.startswith("skipped")]
+    assert skipped  # the binomial tails are too thin even at 100,000 draws
     assert all(r.passed for r in skipped)
+    assert sum(line.startswith("SKIP ") for line in format_report(suite_at_seed_1).splitlines()) == len(skipped)
 
 
-def test_supermartingale_input_validation():
-    with pytest.raises(ValueError):
-        supermartingale_check(m0=0, s=0.2, t=0.6)
-    with pytest.raises(ValueError):
-        supermartingale_check(m0=5, s=0.7, t=0.6)
-
-
-@pytest.mark.parametrize("field, value", [("s", "0.2"), ("s", True), ("t", "0.6"), ("t", True)])
-def test_supermartingale_times_must_be_numbers(field, value):
-    args = {"m0": 10, "s": 0.2, "t": 0.6, "draws": 100, field: value}
-    with pytest.raises(ValueError, match=f"{field}={value!r} is not a number"):
-        supermartingale_check(**args)
-
-
-@pytest.mark.parametrize(
-    "field, value", [("m0", 10.5), ("m0", True), ("m0", "10"), ("draws", 2.5), ("draws", False), ("draws", np.float64(100))]
-)
-def test_supermartingale_sizes_must_be_integers(field, value):
-    args = {"m0": 10, "s": 0.2, "t": 0.6, "draws": 100, "seed": 1, field: value}
-    with pytest.raises(ValueError, match=f"{field}=.* is not an integer"):
-        supermartingale_check(**args)
+@pytest.mark.parametrize("seed", [1, 90])
+def test_supermartingale_suite_equals_the_one_shot_oracle(seed):
+    # repr compares every float bit for bit and treats the skipped strata's nan as equal; seed 90 FAILs one stratum
+    results = supermartingale_check(seed=seed)
+    oracle = [r for m0, s, t in TABLE for r in one_shot_supermartingale_check(m0, s, t, 100_000, seed)]
+    assert repr(results) == repr(oracle)
+    assert all_passed(results) == (seed != 90)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, np.float64(1), "1"])
 def test_supermartingale_seed_must_be_an_integer(seed):
     with pytest.raises(ValueError, match="seed=.* is not an integer"):
-        supermartingale_check(m0=10, s=0.2, t=0.6, draws=100, seed=seed)
+        supermartingale_check(seed=seed)
 
 
 def test_supermartingale_seed_must_not_be_negative():
     with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
-        supermartingale_check(m0=10, s=0.2, t=0.6, draws=100, seed=-1)
+        supermartingale_check(seed=-1)
 
 
-def test_supermartingale_accepts_numpy_integer_sizes():
-    plain = supermartingale_check(m0=10, s=0.2, t=0.6, draws=500, seed=1)
-    numpy = supermartingale_check(m0=np.int32(10), s=0.2, t=0.6, draws=np.int64(500), seed=np.uint8(1))
-    assert repr(numpy) == repr(plain)
+def test_supermartingale_accepts_a_numpy_integer_seed(suite_at_seed_1):
+    assert repr(supermartingale_check(seed=np.uint8(1))) == repr(suite_at_seed_1)
+
+
+@pytest.mark.parametrize("block", [1, 37, 4_830])
+def test_supermartingale_results_do_not_depend_on_the_block_size(monkeypatch, suite_at_seed_1, block):
+    # one row per block; fewer values than one row of 50; 483 and 96 rows a block, neither of which divides 100,000
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", block)
+    assert repr(supermartingale_check(seed=1)) == repr(suite_at_seed_1)
+
+
+def test_supermartingale_draws_each_m0_once(monkeypatch):
+    seeds, drawn = [], []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            seeds.append(seed)
+            self._rng = default_rng(seed)
+
+        def random(self, size):
+            out = self._rng.random(size)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    run_suite("supermartingale", seed=1, reps=2)
+    assert seeds == [[1, 10], [1, 50]]
+    assert sum(drawn) == 100_000 * (10 + 50)
 
 
 def _blocked_draw_cases():
@@ -179,48 +193,47 @@ def _blocked_draw_cases():
 
 
 @pytest.mark.parametrize("draws, m0", _blocked_draw_cases())
-def test_blocked_draw_equals_one_shot_draw(m0, draws):
-    # repr compares every float bit for bit and treats the skipped strata's nan as equal
-    blocked = supermartingale_check(m0, 0.2, 0.5, draws=draws, seed=11)
-    assert repr(blocked) == repr(one_shot_supermartingale_check(m0, 0.2, 0.5, draws, seed=11))
+def test_blocked_draw_equals_one_shot_draw(monkeypatch, m0, draws):
+    # the blocked loop at a one-m0 table of any size, against the whole (draws, m0) matrix
+    monkeypatch.setattr(verify, "_SUPERMARTINGALE_M0", (m0,))
+    monkeypatch.setattr(verify, "_SUPERMARTINGALE_DRAWS", draws)
+    oracle = [r for s, t in ((0.2, 0.6), (0.5, 0.9)) for r in one_shot_supermartingale_check(m0, s, t, draws, seed=11)]
+    assert repr(supermartingale_check(seed=11)) == repr(oracle)
 
 
-def _traced_peak(*args, **kwargs):
-    # a warm-up call first: np.unique imports numpy.ma (~1.5 MB) on its first call in a process
-    supermartingale_check(2, 0.2, 0.6, draws=2)
+def _traced_peak():
+    # on their first call in a process np.unique imports numpy.ma (~1.5 MB) and a seed sequence secrets (~0.7 MB)
+    np.unique(np.zeros(1, np.uint8))
+    np.random.default_rng([0, 1])
     tracemalloc.start()
     try:
-        supermartingale_check(*args, **kwargs)
+        supermartingale_check(seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_supermartingale_memory_does_not_grow_with_draws_times_m0():
-    # the one-shot (100_000, 50) float matrix alone is 40 MB; a 256 KB block, two uint8 count
-    # arrays and one stratum's M(t) come to ~0.8 MB
-    assert _traced_peak(50, 0.2, 0.5, draws=100_000) < 1.5 * 2**20
+    # the one-shot (100_000, 50) float matrix alone is 40 MB; a 256 KB block, four uint8 count
+    # arrays and one stratum's M(t) come to ~1.3 MB
+    assert _traced_peak() < 2 * 2**20
 
 
-def test_supermartingale_memory_does_not_grow_with_m0():
+def test_supermartingale_memory_does_not_grow_with_m0(monkeypatch):
     # 4,096 rows of 2,000 uniforms would be a 65 MB block; the block stays at 256 KB
-    assert _traced_peak(2_000, 0.2, 0.6, draws=5_000, seed=0) < 2 * 2**20
+    monkeypatch.setattr(verify, "_SUPERMARTINGALE_M0", (2_000,))
+    monkeypatch.setattr(verify, "_SUPERMARTINGALE_DRAWS", 5_000)
+    assert _traced_peak() < 2 * 2**20
 
 
-def test_supermartingale_suite_means_equal_the_closed_form(monkeypatch):
+def test_supermartingale_suite_means_equal_the_closed_form(suite_at_seed_1):
     # given V(s) = v, each of the n = m0 - v nulls above s lies at or below t with probability
     # q = (t - s) / (1 - s), so E[M(t) | V(s) = v] = M(s) (1 - q^(n+1)) <= M(s), exactly
-    table = []
-
-    def record(m0, s, t, seed):
-        table.append((m0, s, t))
-        return []
-
-    monkeypatch.setattr(verify, "supermartingale_check", record)
-    assert run_suite("supermartingale", seed=0, reps=2) == []
+    labels = [r.check for r in suite_at_seed_1 if r.check.endswith("[terminal]")]
+    table = [re.fullmatch(r"supermartingale\(m0=(\d+),s=(.+),t=(.+)\)\[terminal\]", c).groups() for c in labels]
     strata = 0
     for m0, s, t in table:
-        s, t = Fraction(s), Fraction(t)
+        m0, s, t = int(m0), Fraction(s), Fraction(t)
         q = (t - s) / (1 - s)
         for n in range(m0 + 1):  # n = m0 - v over every v in 0..m0
             m_s = (1 - s) / (n + 1)
