@@ -24,14 +24,14 @@ __all__ = [
 ]
 
 
-def scan_trace(rows) -> np.ndarray:
-    """``rows`` of (candidate, estimate) pairs as a read-only (n, 2) float array."""
-    trace = np.asarray(rows, dtype=float).reshape(-1, 2)
+def scan_trace(candidates, estimates) -> np.ndarray:
+    """The rows (candidate, estimate) of a scan as a read-only (n, 2) float array; two scalars give the one row."""
+    trace = np.array((candidates, estimates), dtype=float).reshape(2, -1).T
     trace.flags.writeable = False
     return trace
 
 
-_NO_TRACE = scan_trace(())
+_NO_TRACE = scan_trace((), ())
 
 
 def tail_estimate(m, r, lam):

@@ -111,7 +111,7 @@ def sort_pvalues(
     ordered = np.sort(values)
     if not (ordered[0] >= 0.0 and ordered[-1] <= 1.0):  # the sorted ends decide it: a nan sorts last
         i = int(((values >= 0.0) & (values <= 1.0)).argmin())
-        raise ValueError(f"p-value at index {i} is {values[i]!r}, outside [0, 1]")
+        raise ValueError(f"p-value at index {i} is {float(values[i])!r}, outside [0, 1]")
     if truth is not None:
         truth = np.asarray(truth, dtype=bool)
         if truth.shape != values.shape:

@@ -18,7 +18,8 @@ select no lambda but parse through the same function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -46,16 +47,19 @@ _MAX_GRID_POINTS = 10**5
 
 
 def evenly_spaced_grid(start: float, step: float, stop: float) -> tuple[float, ...]:
-    """Ascending grid start, start+step, ... up to stop, never past it, with exact decimal points; at most 10**5 points."""
+    """Every point round(start + i * step, 12) <= stop, i = 0, 1, ..., and always the first; at most 10**5 points.
+
+    i runs at most to the quotient (stop - start) / step rounded to the nearest integer.  That bound
+    cuts a grid short only when step is below the 12-decimal rounding, where the points repeat.
+    """
     start, stop = check_number("grid start", start, "(-inf, inf)"), check_number("grid stop", stop, "(-inf, inf)")
     step = check_number("grid step", step, "(0, inf)")
     if stop < start:
         raise ValueError(f"bad grid spec {start}:{step}:{stop}")
-    n = int(min((stop - start) / step, _MAX_GRID_POINTS) + 1e-9) + 1  # down, 1e-9 for float error; the quotient can be inf
+    last = round(min((stop - start) / step, _MAX_GRID_POINTS))  # the quotient can be inf
+    n = max(1, bisect_right(range(last + 1), stop, key=lambda i: round(start + i * step, 12)))  # the points ascend
     if n > _MAX_GRID_POINTS:
         raise ValueError(f"grid spec {start}:{step}:{stop} has more than {_MAX_GRID_POINTS} points")
-    while n > 1 and round(start + (n - 1) * step, 12) > stop:  # the 1e-9 can admit a point just past stop
-        n -= 1
     return tuple(round(start + i * step, 12) for i in range(n))
 
 
@@ -102,10 +106,15 @@ class RightBoundaryRule:
 
     grid: tuple[float, ...]
     kappa: float
+    # what the scan reads: 0, then the grid, as a read-only array
+    candidates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _check_grid(self.grid, "candidate grid"))
         object.__setattr__(self, "kappa", check_number("kappa", self.kappa, "(0, 1)"))
+        candidates = np.array((0.0, *self.grid))
+        candidates.flags.writeable = False
+        object.__setattr__(self, "candidates", candidates)
 
     def select(self, proc: EmpiricalProcesses) -> Pi0Estimate:
         return select_right_boundary(proc, self)
@@ -184,11 +193,11 @@ class StepUpRule:
 BH, ORACLE = StepUpRule(oracle=False), StepUpRule(oracle=True)
 
 
-def _estimate(proc: EmpiricalProcesses, lam: float, trace=None, flags: tuple[str, ...] = ()) -> Pi0Estimate:
+def _estimate(proc: EmpiricalProcesses, lam: float, scanned=None, flags: tuple[str, ...] = ()) -> Pi0Estimate:
     """The one builder of a rule's Pi0Estimate: ``value`` is the plus-one estimate at the chosen ``lam``;
-    ``trace``, the scanned (candidate, estimate) rows, is None for a one-candidate rule: the row (lam, value)."""
+    ``scanned``, the (candidates, estimates) a scan compared, is None for a one-candidate rule: the row (lam, value)."""
     value = pi0_storey_plus(proc, lam)
-    return Pi0Estimate(lam, value, scan_trace((lam, value) if trace is None else trace), flags)
+    return Pi0Estimate(lam, value, scan_trace(*((lam, value) if scanned is None else scanned)), flags)
 
 
 def select_fixed(proc: EmpiricalProcesses, rule: FixedRule) -> Pi0Estimate:
@@ -204,22 +213,7 @@ def select_right_boundary(proc: EmpiricalProcesses, rule: RightBoundaryRule) -> 
     If the scan never stops the last boundary wins.  The reported value
     is the plus-one estimate at the chosen boundary.
     """
-    return _right_boundary_scan(proc, _with_zero(rule.grid), rule.kappa)
-
-
-@lru_cache(maxsize=64)
-def _with_zero(grid: tuple[float, ...]) -> np.ndarray:
-    """The right-boundary candidates of a checked grid: 0, then the grid, as a read-only array."""
-    candidates = np.array((0.0, *grid))
-    candidates.flags.writeable = False
-    return candidates
-
-
-def _rows(candidates: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    """The scan trace's rows (candidate, estimate) as an (n, 2) float array, without np.column_stack's overhead."""
-    rows = np.empty((candidates.size, 2))
-    rows[:, 0], rows[:, 1] = candidates, estimates
-    return rows
+    return _right_boundary_scan(proc, rule.candidates, rule.kappa)
 
 
 def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, strict: bool) -> int:
@@ -248,7 +242,7 @@ def _right_boundary_scan(
         # whole grid sits below the rejection region; keep lambda admissible
         chosen = kappa
         flags += ("grid-below-kappa",)
-    return _estimate(proc, chosen, _rows(candidates[:n], est[:n]), flags)
+    return _estimate(proc, chosen, (candidates[:n], est[:n]), flags)
 
 
 # order statistics the lowest-slope scan scores first; each further pass scores 4x as many
@@ -292,7 +286,7 @@ def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0E
             chosen = kappa
             flags = ("fallback-kappa",)
 
-    return _estimate(proc, chosen, _rows(p[:n], est[:n]), flags)
+    return _estimate(proc, chosen, (p[:n], est[:n]), flags)
 
 
 def select_right_boundary_quantile(

@@ -64,8 +64,13 @@ def test_validation_names_the_first_value_outside_the_unit_interval():
         i = int(bad.min())
         with pytest.raises(ValueError) as err:
             sort_pvalues(values)
-        assert str(err.value) == f"p-value at index {i} is {values[i]!r}, outside [0, 1]"
+        assert str(err.value) == f"p-value at index {i} is {float(values[i])!r}, outside [0, 1]"
     assert sort_pvalues([-0.0, 1.0, 0.0]).m == 3  # the ends themselves are inside
+    # a 0 or a 1 before the bad value is no bad value; the value prints as a plain float
+    for values, i, bad in (([0.0, 1.5], 1, "1.5"), ([1.0, 0.5, -0.25], 2, "-0.25"), ([0.0, 1.0, math.nan], 2, "nan")):
+        with pytest.raises(ValueError) as err:
+            sort_pvalues(values)
+        assert str(err.value) == f"p-value at index {i} is {bad}, outside [0, 1]"
 
 
 def test_empty_sample_rejected():
@@ -118,6 +123,10 @@ def test_count_V_S_examples():
     proc = sort_pvalues([0.2, 0.4, 0.6], truth=[True, True, True])
     assert proc.count_V(0.5) == 2
     assert proc.count_V(0.0) == 0
+
+    proc = sort_pvalues([0.25, 0.5, 0.5], truth=[True, True, False])
+    assert proc.count_V(0.25) == 1
+    assert proc.count_V(0.5) == 2  # p <= t: the null at 0.5 counts, the false null there does not
 
 
 def test_counts_need_labels():

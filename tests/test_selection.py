@@ -41,6 +41,8 @@ def test_fixed_rejects_lambda_outside_range():
         FixedRule(lam=0.02, kappa=0.05)
     with pytest.raises(ValueError):
         FixedRule(lam=1.0, kappa=0.05)
+    with pytest.raises(ValueError, match=r"fixed lambda=1.0 outside \[kappa=0.05, 1\)"):
+        parse_rule_spec("fixed:1", 0.05)
     with pytest.raises(ValueError, match="lam='0.5' is not a number"):
         FixedRule(lam="0.5", kappa=0.05)
 
@@ -136,10 +138,11 @@ def test_lowest_slope_fallback_largest_order_statistic():
 
 
 def test_lowest_slope_fallback_kappa():
-    proc = sort_pvalues([0.01, 0.02, 0.03])
-    est = LowestSlopeRule(0.05).select(proc)
-    assert est.lam == 0.05
-    assert est.flags == ("fallback-kappa",)
+    # every order statistic below 1 lies below kappa; or there is none below 1
+    for values in ([0.01, 0.02, 0.03], [1.0, 1.0, 1.0]):
+        est = LowestSlopeRule(0.05).select(sort_pvalues(values))
+        assert est.lam == 0.05
+        assert est.flags == ("fallback-kappa",)
 
 
 def test_lowest_slope_needs_two_pvalues():
@@ -161,6 +164,14 @@ def test_k_quantile_median_recommendation():
     proc = sort_pvalues([0.9, 0.4, 0.05, 0.6, 0.1, 0.7, 0.8])  # p_(3) = 0.4, k = floor(7/2)
     est = KQuantileRule(None, 0.05).select(proc)
     assert est.lam == 0.4
+    for values in ([0.3], [0.5, 0.3], [0.6, 0.3, 0.45]):  # floor(m / 2) <= 1 for m <= 3, and the rank is at least 1
+        assert KQuantileRule(None, 0.05).select(sort_pvalues(values)).lam == 0.3
+
+
+@pytest.mark.parametrize("values, lam", [([0.4, 0.2, 0.9], 0.2), ([0.4, 0.01, 0.9], 0.05)])
+def test_k_quantile_first_order_statistic(values, lam):
+    # kq:1 is lambda = max(p_(1), kappa)
+    assert parse_rule_spec("kq:1", 0.05).select(sort_pvalues(values)).lam == lam
 
 
 def test_k_quantile_clamps_to_kappa():
@@ -373,8 +384,9 @@ def test_evenly_spaced_grid():
     [
         ("rb:0.2:0.25:0.6", RightBoundaryRule((0.2, 0.45), 0.05)),  # 0.7 lies past stop
         ("rb:0.1:0.3:0.9", RightBoundaryRule((0.1, 0.4, 0.7), 0.05)),  # 1.0 lies past stop
-        ("rb:0.1:0.1:0.29999999999", RightBoundaryRule((0.1, 0.2), 0.05)),  # 0.3 is within 1e-9 steps of stop, yet past it
+        ("rb:0.1:0.1:0.29999999999", RightBoundaryRule((0.1, 0.2), 0.05)),  # 0.3 lies a hair past stop
         ("rbq:0.2:0.25:0.6", RightBoundaryQuantileRule((0.2, 0.45), 0.05)),
+        ("rb:0.1:0.1:0.19999999999", RightBoundaryRule((0.1,), 0.05)),  # 0.2 lies a hair past stop
     ],
 )
 def test_a_grid_spec_never_passes_its_stop(spec, rule):
@@ -382,9 +394,22 @@ def test_a_grid_spec_never_passes_its_stop(spec, rule):
 
 
 def test_a_grid_that_reaches_its_stop_keeps_it():
-    # 0.05 to 0.95 is 17.999999999999996 steps of 0.05 in floats; the tolerance keeps 0.95
+    # 0.05 to 0.95 is 17.999999999999996 steps of 0.05 in floats, yet point 18 rounds to 0.95
     assert TWENTY_BIN_GRID == tuple(k / 20 for k in range(1, 20))
     assert parse_rule_spec("rbq:0.5:0.1:0.9", 0.05) == RightBoundaryQuantileRule((0.5, 0.6, 0.7, 0.8, 0.9), 0.05)
+
+
+def test_a_grid_keeps_its_first_point():
+    # rounding to 12 decimals lifts this start past the equal stop
+    assert evenly_spaced_grid(0.1234567890126, 0.1, 0.1234567890126) == (0.123456789013,)
+    # a step below that rounding: start + step rounds onto stop, yet start == stop is one point
+    assert evenly_spaced_grid(0.5, 1e-320, 0.5) == (0.5,)
+
+
+def test_a_grid_of_at_most_ten_to_the_five_points_is_built():
+    assert evenly_spaced_grid(0.0, 1.0, 99_999.0) == tuple(float(i) for i in range(10**5))
+    with pytest.raises(ValueError, match="grid spec 0.0:1.0:100000.0 has more than 100000 points"):
+        evenly_spaced_grid(0.0, 1.0, 100_000.0)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
