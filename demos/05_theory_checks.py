@@ -3,7 +3,6 @@
 the exact binomial bound, the supermartingale inequality, finite-sample
 FDR control, and conservative pi0 estimation."""
 
-from dynfdr import ScenarioConfig
 from dynfdr.verify import (
     all_passed,
     conservative_estimation_check,
@@ -23,12 +22,10 @@ results = supermartingale_check(seed=7)
 checked = sum(1 for r in results if not r.detail.startswith("skipped"))
 print(f"   {checked} strata checked, all pass: {all_passed(results)}\n")
 
-print("3) finite-sample FDR control at desk scale (J = 600, m = 500)")
-cfg = ScenarioConfig(m=500, pi0=0.8, mu=2.0, n_reps=600, seed=7)
-results = fdr_control_check(cfg)
+print("3) finite-sample FDR control, over the suite's m = 1000, pi0 = 0.8, mu = 2 at J = 600")
+results = fdr_control_check(seed=7, reps=600)
 print("\n".join("   " + line for line in format_report(results).splitlines()))
 
-print("\n4) conservative pi0 estimation under a weak signal")
-cfg = ScenarioConfig(m=500, pi0=0.8, mu=1.0, n_reps=600, seed=8)
-results = conservative_estimation_check(cfg)
+print("\n4) conservative pi0 estimation under the suite's weak signal, mu = 1, at J = 600")
+results = conservative_estimation_check(seed=8, reps=600)
 print("\n".join("   " + line for line in format_report(results).splitlines()))

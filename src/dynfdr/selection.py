@@ -71,9 +71,9 @@ def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
     vals = tuple(check_number(f"{what} entry", g, "(0, 1)") for g in grid)
     if not vals:
         raise ValueError(f"{what} is empty")
-    for a, b in zip(vals, vals[1:]):
+    for i, (a, b) in enumerate(zip(vals, vals[1:]), start=1):
         if not a < b:
-            raise ValueError(f"{what} must be strictly ascending, got {vals}")
+            raise ValueError(f"{what} must be strictly ascending, got {a!r} then {b!r} at entries {i} and {i + 1}")
     return vals
 
 

@@ -32,14 +32,15 @@ __all__ = [
     "all_passed",
     "format_report",
     "write_report_csv",
-    "DEFAULT_RULES",
     "SUITES",
     "run_suite",
 ]
 
-# the dynamic procedures of the simulation study: all but the step-up baselines
-DEFAULT_RULES = tuple(s for s in DEFAULT_PROCEDURES if s not in ("bh", "orc"))
 SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
+
+# the rules of the fdr-control and conservative suites: the simulation study's dynamic procedures,
+# all but the step-up baselines
+_DYNAMIC_RULES = tuple(s for s in DEFAULT_PROCEDURES if s not in ("bh", "orc"))
 
 # the supermartingale suite's table: each m0 is drawn once and checked at every (s, t)
 _SUPERMARTINGALE_M0 = (10, 50)
@@ -160,19 +161,19 @@ def supermartingale_check(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def fdr_control_check(
-    cfg: ScenarioConfig, rules: Sequence[str] = DEFAULT_RULES
-) -> list[CheckResult]:
+def fdr_control_check(seed: int, reps: int) -> list[CheckResult]:
     """Realized FDR of the dynamic procedures against the nominal level.
 
-    For each rule asserts mean FDP <= alpha + 3 SE, and additionally that
-    mean FDP stays below the bound (alpha/kappa) E[V(kappa)/(m pi0*)],
-    estimated on the same replications (paired SE).  Under independent
-    noise the baselines are calibrated two-sided: the plain step-up
-    procedure at (m0 / m) * alpha and the oracle at alpha.
+    Runs ``reps`` replications seeded by ``seed`` at m = 1000, pi0 = 0.8,
+    mu = 2 under independent noise.  For each rule asserts mean FDP <=
+    alpha + 3 SE, and additionally that mean FDP stays below the bound
+    (alpha/kappa) E[V(kappa)/(m pi0*)], estimated on the same replications
+    (paired SE).  The baselines are calibrated two-sided: the plain
+    step-up procedure at (m0 / m) * alpha and the oracle at alpha.
     """
+    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0, n_reps=reps, seed=seed)
     alpha, kappa = cfg.alpha, cfg.kappa
-    specs = list(dict.fromkeys([*rules, "bh", "orc"]))
+    specs = [*_DYNAMIC_RULES, "bh", "orc"]
     v_kappa, recs = [], []
     for proc, rec in replications(cfg, specs):
         v_kappa.append(proc.count_V(kappa))
@@ -182,33 +183,28 @@ def fdr_control_check(
     bound_rhs = dict(zip(specs, (alpha / kappa) * np.array(v_kappa) / (cfg.m * pi0v)))
 
     results = []
-    for s in rules:
+    for s in _DYNAMIC_RULES:
         results.append(_three_se_check(f"fdr-control[{s}]", fdp[s], alpha, f"J={cfg.n_reps}"))
         detail = "mean FDP minus (alpha/kappa) E[V(kappa)/(m pi0*)]"
         results.append(_three_se_check(f"fdr-bound[{s}]", fdp[s] - bound_rhs[s], 0.0, detail))
     for s, target, target_desc in (("bh", cfg.m0 / cfg.m * alpha, "pi0 * alpha"), ("orc", alpha, "alpha")):
-        if cfg.dependence is None:
-            detail = f"two-sided at {target_desc}"
-            results.append(_three_se_check(f"fdr-calibration[{s}]", fdp[s], target, detail, side="both"))
-        else:
-            detail = "dependent noise: one-sided only"
-            results.append(_three_se_check(f"fdr-control[{s}]", fdp[s], alpha, detail))
+        detail = f"two-sided at {target_desc}"
+        results.append(_three_se_check(f"fdr-calibration[{s}]", fdp[s], target, detail, side="both"))
     return results
 
 
-def conservative_estimation_check(
-    cfg: ScenarioConfig, rules: Sequence[str] = DEFAULT_RULES
-) -> list[CheckResult]:
+def conservative_estimation_check(seed: int, reps: int) -> list[CheckResult]:
     """Mean selected pi0 estimate must not undershoot the truth.
 
-    For each rule asserts mean pi0*(lambda) >= m0 / m - 3 SE over
-    cfg.n_reps replications.
+    Runs ``reps`` replications seeded by ``seed`` at m = 1000, pi0 = 0.8,
+    mu = 1 under independent noise, and for each rule asserts mean
+    pi0*(lambda) >= m0 / m - 3 SE.
     """
-    specs = list(dict.fromkeys(rules))
-    pi0s = dict(zip(specs, np.stack([rec[3] for _, rec in replications(cfg, specs)], axis=-1)))
+    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=1.0, n_reps=reps, seed=seed)
+    pi0s = np.stack([rec[3] for _, rec in replications(cfg, _DYNAMIC_RULES)], axis=-1)
     return [
-        _three_se_check(f"conservative-pi0[{s}]", pi0s[s], cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
-        for s in rules
+        _three_se_check(f"conservative-pi0[{s}]", x, cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
+        for s, x in zip(_DYNAMIC_RULES, pi0s)
     ]
 
 
@@ -218,10 +214,11 @@ def run_suite(name: str, seed: int, reps: int) -> list[CheckResult]:
         return lemma2_exact_check()
     if name == "supermartingale":
         return supermartingale_check(seed)
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; one of {', '.join(SUITES)}")
-    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0 if name == "fdr-control" else 1.0, n_reps=reps, seed=seed)
-    return fdr_control_check(cfg) if name == "fdr-control" else conservative_estimation_check(cfg)
+    if name == "fdr-control":
+        return fdr_control_check(seed, reps)
+    if name == "conservative":
+        return conservative_estimation_check(seed, reps)
+    raise ValueError(f"unknown suite {name!r}; one of {', '.join(SUITES)}")
 
 
 def all_passed(results: Sequence[CheckResult]) -> bool:

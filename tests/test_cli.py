@@ -125,10 +125,13 @@ def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spe
 @pytest.mark.parametrize(
     "spec, reason",
     [
-        ("rb:0.5,0.2", "candidate grid must be strictly ascending, got (0.5, 0.2)"),
-        ("rb:0.5,0.5", "candidate grid must be strictly ascending, got (0.5, 0.5)"),
-        ("rbq:0.5,0.2", "quantile levels must be strictly ascending, got (0.5, 0.2)"),
+        ("rb:0.5,0.2", "candidate grid must be strictly ascending, got 0.5 then 0.2 at entries 1 and 2"),
+        ("rb:0.5,0.5", "candidate grid must be strictly ascending, got 0.5 then 0.5 at entries 1 and 2"),
+        ("rbq:0.5,0.2", "quantile levels must be strictly ascending, got 0.5 then 0.2 at entries 1 and 2"),
         ("rb:0.9:0.1:0.1", "bad grid in rule spec 'rb:0.9:0.1:0.1': bad grid spec 0.9:0.1:0.1"),  # stop < start
+        # a step below the 12-decimal rounding repeats its first point; the error names the first repeat,
+        # not the whole grid of ~10,000 points
+        ("rb:0.5:1e-13:0.500000001", "candidate grid must be strictly ascending, got 0.5 then 0.5 at entries 1 and 2"),
     ],
 )
 def test_analyze_grid_that_does_not_ascend_is_usage_error(four_pvalues, capsys, spec, reason):
@@ -136,6 +139,7 @@ def test_analyze_grid_that_does_not_ascend_is_usage_error(four_pvalues, capsys, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("error:") == 1
+    assert len(err) < 1000  # the usage line and one error line
     assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: {reason}"
 
 

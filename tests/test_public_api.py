@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import dynfdr
@@ -36,18 +37,23 @@ def test_package_exports_exactly_the_pinned_names():
 
 
 VERIFY_PUBLIC = [
-    "CheckResult", "DEFAULT_RULES", "SUITES", "run_suite",
+    "CheckResult", "SUITES", "run_suite",
     "lemma2_exact_check", "supermartingale_check", "fdr_control_check", "conservative_estimation_check",
     "all_passed", "format_report", "write_report_csv",
 ]
 
 
 def test_verify_exports_exactly_the_pinned_names():
+    assert len(VERIFY_PUBLIC) == 10
     assert sorted(verify.__all__) == sorted(VERIFY_PUBLIC)
     assert len(verify.__all__) == len(set(verify.__all__))
     for name in VERIFY_PUBLIC:
         assert hasattr(verify, name), name
     assert verify.SUITES == ("lemma2", "supermartingale", "fdr-control", "conservative")  # the report order
+    # each suite's check owns its table or scenario: a seed and a replication count are all it is given
+    for check in (verify.lemma2_exact_check, verify.supermartingale_check, verify.fdr_control_check,
+                  verify.conservative_estimation_check):
+        assert set(inspect.signature(check).parameters) <= {"seed", "reps"}, check.__name__
 
 
 def test_verify_does_not_export_the_test_oracle():

@@ -47,7 +47,7 @@ def test_kernel_records_equal_oracle_loop_bit_for_bit(name):
 def test_aggregates_equal_oracle_derived_numbers(name):
     cfg = CONFIGS[name]
     rules = ("fixed:0.5", "rb20", "lsl")
-    records, v_kappa = replication_records(cfg, (*rules, "bh", "orc"))
+    records, _ = replication_records(cfg, (*rules, "bh", "orc"))
     fdp = {s: r[:, 0] for s, r in records.items()}
     power = {s: r[:, 1] for s, r in records.items()}
 
@@ -63,7 +63,21 @@ def test_aggregates_equal_oracle_derived_numbers(name):
         if s != "bh":
             assert (got.mean_lambda, got.mean_lambda_se) == close(mean_se(records[s][:, 2]))
 
-    checks = {r.check: r for r in fdr_control_check(cfg, rules)}
+
+def test_suite_checks_equal_oracle_derived_numbers():
+    # the fdr-control and conservative suites at their own scenario (m = 1000, pi0 = 0.8, mu = 2 and 1), few reps
+    seed, reps = 405, 50
+    rules = ("fixed:0.5", "rb20", "lsl", "rb20q")  # the simulation study's dynamic procedures, in its order
+    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=2.0, n_reps=reps, seed=seed)
+    records, v_kappa = replication_records(cfg, (*rules, "bh", "orc"))
+    fdp = {s: r[:, 0] for s, r in records.items()}
+    checks = fdr_control_check(seed, reps)
+    assert [r.check for r in checks] == [
+        *(f"{kind}[{s}]" for s in rules for kind in ("fdr-control", "fdr-bound")),
+        "fdr-calibration[bh]",
+        "fdr-calibration[orc]",
+    ]
+    checks = {r.check: r for r in checks}
     for s in rules:
         mean, se = mean_se(fdp[s])
         got = checks[f"fdr-control[{s}]"]
@@ -72,15 +86,18 @@ def test_aggregates_equal_oracle_derived_numbers(name):
         mean, se = mean_se(fdp[s] - bound_rhs)
         got = checks[f"fdr-bound[{s}]"]
         assert (got.statistic, got.tolerance) == close((mean, 3 * se))
-    kind = "fdr-calibration" if cfg.dependence is None else "fdr-control"
-    for s in ("bh", "orc"):
+    for s, target in (("bh", 0.8 * cfg.alpha), ("orc", cfg.alpha)):
         mean, se = mean_se(fdp[s])
-        got = checks[f"{kind}[{s}]"]
+        got = checks[f"fdr-calibration[{s}]"]
         assert (got.statistic, got.tolerance) == close((mean, 3 * se))
+        assert got.bound == pytest.approx(target, rel=1e-15)
 
-    for got, s in zip(conservative_estimation_check(cfg, rules), rules):
+    cfg = ScenarioConfig(m=1000, pi0=0.8, mu=1.0, n_reps=reps, seed=seed)
+    records, _ = replication_records(cfg, rules)
+    checks = conservative_estimation_check(seed, reps)
+    assert [r.check for r in checks] == [f"conservative-pi0[{s}]" for s in rules]
+    for got, s in zip(checks, rules):
         mean, se = mean_se(records[s][:, 3])
-        assert got.check == f"conservative-pi0[{s}]"
         assert (got.statistic, got.tolerance) == close((mean, 3 * se))
         assert got.passed == (mean >= cfg.pi0 - 3 * se)
 
@@ -107,8 +124,8 @@ def test_one_replication_gives_nan_standard_errors_without_warning():
     cfg = ScenarioConfig(m=100, pi0=0.8, mu=2.0, n_reps=1, seed=404)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fdr = fdr_control_check(cfg, ("rb20",))
-        conservative = conservative_estimation_check(cfg, ("rb20",))
+        fdr = fdr_control_check(seed=404, reps=1)
+        conservative = conservative_estimation_check(seed=404, reps=1)
         rb20 = row(run_experiment(cfg, ("rb20",)), "rb20")
     for r in fdr + conservative:
         assert math.isnan(r.tolerance) and not r.passed

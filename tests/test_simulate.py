@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -24,7 +23,6 @@ from dynfdr import (
     run_experiment,
 )
 from dynfdr.simulate import _normal_cdf
-from dynfdr.verify import fdr_control_check
 
 from conftest import column_loop_noise, one_row_statistics, reference_normal_cdf, row
 
@@ -383,14 +381,10 @@ def test_oracle_rows_are_anchored():
 
 @pytest.mark.parametrize("m, pi0, m0", [(10, 0.95, 10), (5, 0.5, 2)])
 def test_oracle_runs_at_the_realised_null_proportion(m, pi0, m0):
-    # m * pi0 is not an integer: orc and the calibration targets use m0 / m, not the requested pi0
-    cfg = ScenarioConfig(m=m, pi0=pi0, mu=2.0, n_reps=4000, seed=7)
+    # m * pi0 is not an integer: orc uses m0 / m, not the requested pi0
+    cfg = ScenarioConfig(m=m, pi0=pi0, mu=2.0, n_reps=200, seed=7)
     assert cfg.m0 == m0
-    assert row(run_experiment(dataclasses.replace(cfg, n_reps=200), ("bh",)), "orc").mse_m0 == 0.0
-    checks = {r.check: r for r in fdr_control_check(cfg)}
-    assert checks["fdr-calibration[bh]"].bound == m0 / m * cfg.alpha
-    assert checks["fdr-calibration[orc]"].bound == cfg.alpha
-    assert checks["fdr-calibration[bh]"].passed and checks["fdr-calibration[orc]"].passed
+    assert row(run_experiment(cfg, ("bh",)), "orc").mse_m0 == 0.0
 
 
 def test_oracle_always_included():
