@@ -14,11 +14,10 @@ from dynfdr import (
     LowestSlopeRule,
     RightBoundaryQuantileRule,
     RightBoundaryRule,
-    generate_statistics,
-    ScenarioConfig,
     sort_pvalues,
     TWENTY_BIN_GRID,
 )
+from dynfdr.simulate import ScenarioConfig, generate_statistics
 
 KAPPA = 0.05
 

@@ -4,13 +4,8 @@ compare their rejection sets against the ground truth."""
 
 import numpy as np
 
-from dynfdr import (
-    DEFAULT_PROCEDURES,
-    ScenarioConfig,
-    generate_statistics,
-    parse_rule_spec,
-    run_procedure,
-)
+from dynfdr import DEFAULT_PROCEDURES, parse_rule_spec, run_procedure
+from dynfdr.simulate import ScenarioConfig, generate_statistics
 
 cfg = ScenarioConfig(m=5000, pi0=0.8, mu=2.0, n_reps=1, seed=20301)
 proc = generate_statistics(cfg, 0)

@@ -11,7 +11,7 @@ Full-scale settings are a config choice, not a code change.
 import time
 from pathlib import Path
 
-from dynfdr import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
+from dynfdr.simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 SEED = 905
 M, J = 1000, 500  # desk scale; raise J for publication-quality error bars

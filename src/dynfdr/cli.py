@@ -33,6 +33,13 @@ _CONFIG_KEYS = {
 }
 # dependence type: its fields besides 'type', all required
 _DEPENDENCE_FIELDS = {"block_ar": ("block_size", "rho"), "independent": ()}
+# verify suite, in report order: its checks from (seed, reps), each looked up on verify_mod when called
+_SUITES = {
+    "lemma2": lambda seed, reps: verify_mod.lemma2_exact_check(),
+    "supermartingale": lambda seed, reps: verify_mod.supermartingale_check(seed),
+    "fdr-control": lambda seed, reps: verify_mod.fdr_control_check(seed, reps),
+    "conservative": lambda seed, reps: verify_mod.conservative_estimation_check(seed, reps),
+}
 
 
 class CliError(Exception):
@@ -272,8 +279,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.out:
         _probe_out(args.out)  # before the suites, not after them
-    suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
-    results = [r for suite in suites for r in verify_mod.run_suite(suite, args.seed, args.reps)]
+    suites = _SUITES if args.suite == "all" else (args.suite,)
+    results = [r for suite in suites for r in _SUITES[suite](args.seed, args.reps)]
     print(verify_mod.format_report(results))
     if args.out:
         _write_out(args.out, lambda path: verify_mod.write_report_csv(results, path))
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_ver = sub.add_parser("verify", help="run the theory-check suites")
-    p_ver.add_argument("suite", choices=(*verify_mod.SUITES, "all"), help="which suite to run")
+    p_ver.add_argument("suite", choices=(*_SUITES, "all"), help="which suite to run")
     p_ver.add_argument("--seed", type=_flag_type("seed", int, check_integer, 0), default=20260808, help="Monte Carlo seed (>= 0)")
     # a 3-SE check needs a standard error, so at least two replications
     p_ver.add_argument("--reps", type=_flag_type("reps", int, check_integer, 2), default=1000, help="replications for the simulation-backed suites (>= 2)")

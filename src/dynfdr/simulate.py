@@ -173,10 +173,10 @@ def _standard_noise(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) ->
     # (lag, row, block): one contiguous slice per lag, holding that lag of every block of every row
     z = z.transpose(2, 0, 1).copy()
     z[1:] *= math.sqrt(1.0 - dep.rho * dep.rho)
-    lags = list(z)
+    lags, scaled = list(z), np.empty_like(z[0])  # one buffer for rho * prev at every lag
     for prev, cur in zip(lags, lags[1:]):
         # stationary AR(1) recursion in place: unit marginal variance at every lag
-        cur += dep.rho * prev
+        cur += np.multiply(prev, dep.rho, out=scaled)
     return z.transpose(1, 2, 0).reshape(len(rngs), -1)[:, : cfg.m]
 
 

@@ -32,11 +32,7 @@ __all__ = [
     "all_passed",
     "format_report",
     "write_report_csv",
-    "SUITES",
-    "run_suite",
 ]
-
-SUITES = ("lemma2", "supermartingale", "fdr-control", "conservative")
 
 # the rules of the fdr-control and conservative suites: the simulation study's dynamic procedures,
 # all but the step-up baselines
@@ -107,7 +103,7 @@ def lemma2_exact_check() -> list[CheckResult]:
     return results
 
 
-def supermartingale_check(seed: int = 0) -> list[CheckResult]:
+def supermartingale_check(seed: int) -> list[CheckResult]:
     """Monte Carlo check that M(u) = (1-u)/(m0 - V(u) + 1) shrinks in mean.
 
     For each m0 in ``_SUPERMARTINGALE_M0`` simulates ``_SUPERMARTINGALE_DRAWS``
@@ -206,19 +202,6 @@ def conservative_estimation_check(seed: int, reps: int) -> list[CheckResult]:
         _three_se_check(f"conservative-pi0[{s}]", x, cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
         for s, x in zip(_DYNAMIC_RULES, pi0s)
     ]
-
-
-def run_suite(name: str, seed: int, reps: int) -> list[CheckResult]:
-    """The checks of suite ``name``, one of ``SUITES`` (in report order); ``seed`` seeds its draws, ``reps`` sizes its replications."""
-    if name == "lemma2":
-        return lemma2_exact_check()
-    if name == "supermartingale":
-        return supermartingale_check(seed)
-    if name == "fdr-control":
-        return fdr_control_check(seed, reps)
-    if name == "conservative":
-        return conservative_estimation_check(seed, reps)
-    raise ValueError(f"unknown suite {name!r}; one of {', '.join(SUITES)}")
 
 
 def all_passed(results: Sequence[CheckResult]) -> bool:

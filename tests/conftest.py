@@ -146,7 +146,8 @@ def replication_records(cfg, specs):
     (FDP, power, lambda, pi0) per replication for spec ``s``, ``v_kappa``
     the naive count of true nulls at or below kappa per replication.
     """
-    from dynfdr import generate_statistics, parse_rule_spec, run_procedure
+    from dynfdr import parse_rule_spec, run_procedure
+    from dynfdr.simulate import generate_statistics
 
     rules = {s: parse_rule_spec(s, cfg.kappa) for s in specs}
     records = {s: np.empty((cfg.n_reps, 4)) for s in specs}

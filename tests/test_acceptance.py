@@ -13,16 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from dynfdr import (
-    BlockAR,
-    ScenarioConfig,
-    cli,
-    run_experiment,
-    sort_pvalues,
-    threshold_functional,
-)
-from dynfdr.simulate import mean_se, replications
-from dynfdr.verify import lemma2_exact_check, run_suite
+from dynfdr import cli, sort_pvalues, threshold_functional
+from dynfdr.simulate import BlockAR, ScenarioConfig, mean_se, replications, run_experiment
+from dynfdr.verify import lemma2_exact_check, supermartingale_check
 
 from conftest import brute_force_threshold, naive_rejection_set, row
 
@@ -164,7 +157,7 @@ def test_criterion_07_binomial_bound_exact():
 
 
 def test_criterion_08_supermartingale():
-    results = run_suite("supermartingale", SEED, reps=2)  # reps sizes only the replicating suites
+    results = supermartingale_check(SEED)
     checked = [r for r in results if not r.detail.startswith("skipped")]
     ok = all(r.passed for r in checked)
     report("criterion 8 (supermartingale inequality per stratum)", ok, f"{len(checked)} strata checked")
@@ -265,3 +258,19 @@ def test_criterion_13_fdr_control_under_mild_dependence(power_runs):
             ok = ok and mean <= ALPHA + 3.0 * se
             detail.append(f"{s}@{dep},mu={mu:g}:{(mean - ALPHA) / se:+.1f}SE")
     report("criterion 13 (FDR <= alpha + 3 SE under block-AR(50, 0.5 and 0.9))", ok, " ".join(detail))
+
+
+def test_criterion_14_right_boundary_out_powers_at_half_nulls():
+    # the power map's strongest independent cell: pi0 = 0.5, mu = 2, where rb20 also beats kq:median
+    specs = ("fixed:0.5", "rb20", "lsl", "kq:median", "rb20q")
+    cfg = ScenarioConfig(m=1000, pi0=0.5, mu=2.0, n_reps=200, seed=SEED + 14)
+    fdp, power, _, _ = np.stack([rec for _, rec in replications(cfg, specs)], axis=-1)
+    fdp, power = dict(zip(specs, fdp)), dict(zip(specs, power))
+    z = {s: _paired_z(power, "rb20", s) for s in ("lsl", "kq:median")}
+    ok = all(v >= 3.0 for v in z.values())
+    detail = [f"rb20-{s} {v:+.1f} SE" for s, v in z.items()]
+    for s in specs:
+        mean, se = mean_se(fdp[s])
+        ok = ok and mean <= ALPHA + 3.0 * se
+        detail.append(f"{s} FDR {(mean - ALPHA) / se:+.1f}SE")
+    report("criterion 14 (rb20 out-powers lsl and kq:median by 3 paired SE at pi0=0.5, mu=2)", ok, "; ".join(detail))

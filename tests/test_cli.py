@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynfdr import DEFAULT_PROCEDURES, BlockAR, ScenarioConfig, cli, emit_figure_data, run_experiment
+from dynfdr import DEFAULT_PROCEDURES, cli
+from dynfdr.simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 
 def run_cli(args):
@@ -629,7 +630,10 @@ def test_verify_bad_reps_or_seed_is_usage_error_naming_the_flag(capsys, args, me
 def test_verify_unknown_suite(capsys):
     code = run_cli(["verify", "nonsense"])
     assert code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("dynfdr verify: error: argument suite: invalid choice: 'nonsense'"), last
+    # the choices list the suites in report order, then all
+    assert re.search(r"lemma2\W+supermartingale\W+fdr-control\W+conservative\W+all\W*\)$", last), last
 
 
 # field: (valid values, invalid ones); a --reps above 3 is never drawn, as a valid 10**15 would run for ever
@@ -685,7 +689,7 @@ def test_import_cli_does_not_load_scipy():
     code = (
         "import sys, dynfdr.cli\n"
         "assert 'scipy' not in sys.modules, 'import dynfdr.cli loaded scipy'\n"
-        "from dynfdr import BlockAR, ScenarioConfig, generate_statistics, run_experiment\n"
+        "from dynfdr.simulate import BlockAR, ScenarioConfig, generate_statistics, run_experiment\n"
         "cfg = ScenarioConfig(m=200, pi0=0.8, mu=2.0, n_reps=3, seed=1, dependence=BlockAR(50, -0.9))\n"
         "generate_statistics(cfg, 0)\n"
         "run_experiment(cfg)\n"

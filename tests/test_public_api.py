@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import dynfdr
-from dynfdr import verify
+from dynfdr import simulate, verify
 
 PUBLIC = [
     "__version__",
@@ -21,13 +23,13 @@ PUBLIC = [
     # selection
     "TWENTY_BIN_GRID", "FixedRule", "RightBoundaryRule", "LowestSlopeRule", "KQuantileRule",
     "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "parse_rule_spec",
-    # simulate
-    "BlockAR", "ScenarioConfig", "MetricsRow", "generate_statistics", "run_experiment", "emit_figure_data",
 ]
+# the harnesses are reached through their modules, dynfdr.simulate and dynfdr.verify
+SIMULATE_PUBLIC = ["BlockAR", "ScenarioConfig", "MetricsRow", "generate_statistics", "run_experiment", "emit_figure_data"]
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 24
     assert sorted(dynfdr.__all__) == sorted(PUBLIC)
     assert len(dynfdr.__all__) == len(set(dynfdr.__all__))  # no name exported twice
     for name in PUBLIC:
@@ -36,24 +38,53 @@ def test_package_exports_exactly_the_pinned_names():
     assert not hasattr(dynfdr.selection, "select_k_quantile")  # rule.select(proc) runs a rule
 
 
+def test_simulate_exports_exactly_the_pinned_names():
+    assert sorted(simulate.__all__) == sorted(SIMULATE_PUBLIC)
+    for name in SIMULATE_PUBLIC:
+        assert hasattr(simulate, name), name
+        assert not hasattr(dynfdr, name), name  # one way to reach each harness name
+
+
 VERIFY_PUBLIC = [
-    "CheckResult", "SUITES", "run_suite",
+    "CheckResult",
     "lemma2_exact_check", "supermartingale_check", "fdr_control_check", "conservative_estimation_check",
     "all_passed", "format_report", "write_report_csv",
 ]
 
 
 def test_verify_exports_exactly_the_pinned_names():
-    assert len(VERIFY_PUBLIC) == 10
+    assert len(VERIFY_PUBLIC) == 8
     assert sorted(verify.__all__) == sorted(VERIFY_PUBLIC)
     assert len(verify.__all__) == len(set(verify.__all__))
     for name in VERIFY_PUBLIC:
         assert hasattr(verify, name), name
-    assert verify.SUITES == ("lemma2", "supermartingale", "fdr-control", "conservative")  # the report order
-    # each suite's check owns its table or scenario: a seed and a replication count are all it is given
+    # each suite's check owns its table or scenario: a seed and a replication count are all it is
+    # given, and the caller always gives them
     for check in (verify.lemma2_exact_check, verify.supermartingale_check, verify.fdr_control_check,
                   verify.conservative_estimation_check):
-        assert set(inspect.signature(check).parameters) <= {"seed", "reps"}, check.__name__
+        params = inspect.signature(check).parameters
+        assert set(params) <= {"seed", "reps"}, check.__name__
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), check.__name__
+
+
+def test_import_dynfdr_leaves_the_harnesses_out_and_import_cli_loads_every_traced_module():
+    # bench/layers.py wraps each span in its home module as sys.modules holds it after `import dynfdr.cli`;
+    # it is read here without writing bytecode next to it (-B)
+    src = Path(dynfdr.__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, sys\n"
+        "import dynfdr\n"
+        "loaded = sorted({'dynfdr.simulate', 'dynfdr.verify'} & set(sys.modules))\n"
+        "assert not loaded, f'import dynfdr loaded {loaded}'\n"
+        "import dynfdr.cli\n"
+        f"spec = importlib.util.spec_from_file_location('bench_layers', {str(src.parent / 'bench' / 'layers.py')!r})\n"
+        "layers = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(layers)\n"
+        "missing = sorted({home for _, home in layers.SPANS} - set(sys.modules))\n"
+        "assert not missing, f'import dynfdr.cli left out {missing}'\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=src, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_does_not_export_the_test_oracle():

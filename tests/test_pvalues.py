@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from dynfdr import (
-    BlockAR,
     LowestSlopeRule,
     MissingTruthLabels,
     RightBoundaryRule,
-    ScenarioConfig,
     bh_step_up,
     cli,
     fdr_hat_star,
@@ -22,6 +20,7 @@ from dynfdr import (
     sort_pvalues,
     threshold_functional,
 )
+from dynfdr.simulate import BlockAR, ScenarioConfig
 
 from conftest import naive_count
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import replication_records, row
-from dynfdr import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
-from dynfdr.simulate import replications
+from dynfdr.simulate import BlockAR, ScenarioConfig, emit_figure_data, replications, run_experiment
 from dynfdr.verify import conservative_estimation_check, fdr_control_check
 
 SPECS = ("bh", "orc", "fixed:0.5", "rb20", "lsl", "rb20q")

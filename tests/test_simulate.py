@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynfdr import simulate
-from dynfdr import (
+from dynfdr.simulate import (
     BlockAR,
     MetricsRow,
     ScenarioConfig,
+    _normal_cdf,
     emit_figure_data,
     generate_statistics,
     run_experiment,
 )
-from dynfdr.simulate import _normal_cdf
 
 from conftest import column_loop_noise, one_row_statistics, reference_normal_cdf, row
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dynfdr import TWENTY_BIN_GRID, ScenarioConfig, parse_rule_spec, sort_pvalues, verify
-from dynfdr.simulate import mean_se, replications
+from dynfdr import TWENTY_BIN_GRID, parse_rule_spec, sort_pvalues, verify
+from dynfdr.simulate import ScenarioConfig, mean_se, replications
 from dynfdr.verify import (
     _DRAW_BLOCK,
     CheckResult,
@@ -21,7 +21,6 @@ from dynfdr.verify import (
     fdr_control_check,
     format_report,
     lemma2_exact_check,
-    run_suite,
     supermartingale_check,
     write_report_csv,
 )
@@ -180,7 +179,7 @@ def test_supermartingale_draws_each_m0_once(monkeypatch):
             return out
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    run_suite("supermartingale", seed=1, reps=2)
+    supermartingale_check(seed=1)
     assert seeds == [[1, 10], [1, 50]]
     assert sum(drawn) == 100_000 * (10 + 50)
 
@@ -284,11 +283,6 @@ def test_pi0_estimates_in_sanity_band_under_strong_signal():
     for s, (mean, se) in _mean_pi0(cfg, ("fixed:0.5", "rb20", "lsl", "rb20q")).items():
         assert mean >= cfg.pi0 - 3.0 * se, s
         assert mean <= 1.2, f"{s} drifted high: {mean}"
-
-
-def test_run_suite_rejects_an_unknown_name_listing_the_suites():
-    with pytest.raises(ValueError, match="unknown suite 'all'; one of lemma2, supermartingale, fdr-control, conservative"):
-        run_suite("all", seed=0, reps=2)
 
 
 # ------------------------------- the proof's middle step, exact under Dirac-uniform
