@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -46,11 +45,6 @@ class CliError(Exception):
     """Fatal input problem; message goes to stderr, exit code 1."""
 
 
-def _fields(line: str) -> list[str]:
-    """The fields of one line of a p-value file: split at commas and whitespace."""
-    return re.split(r"[,\s]+", line.strip())
-
-
 def _read_one_column(path: str) -> np.ndarray | None:
     """The values of a one-column p-value file in one ``np.loadtxt`` pass; None when the line parser must decide.
 
@@ -68,8 +62,8 @@ def _read_one_column(path: str) -> np.ndarray | None:
             return None
         skip = 0
         try:
-            float(_fields(first)[0])
-        except ValueError:
+            float(first.split()[0])
+        except (IndexError, ValueError):  # a blank line 1 has no field
             skip = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt only warns when there is no data
@@ -92,36 +86,24 @@ def _parse_pvalue_lines(path: str) -> EmpiricalProcesses:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
-    labels: list[bool] = []
-    has_labels: bool | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = _fields(line)
         try:
             p = float(fields[0])
         except ValueError:
-            if lineno == 1 and not values:
+            if lineno == 1:
                 continue  # header line
             raise CliError(f"line {lineno}: cannot parse p-value from {raw!r}") from None
+        if len(fields) > 1:
+            raise CliError(f"line {lineno}: expected one p-value per line, got {len(fields)} fields")
         if not 0.0 <= p <= 1.0:
             raise CliError(f"line {lineno}: p-value {p} outside [0, 1]")
-        if len(fields) > 2:
-            raise CliError(f"line {lineno}: expected at most 2 columns, got {len(fields)}")
-        row_has_label = len(fields) == 2
-        if has_labels is None:
-            has_labels = row_has_label
-        elif has_labels != row_has_label:
-            raise CliError(f"line {lineno}: inconsistent column count (truth labels must be all-or-none)")
-        if row_has_label:
-            if fields[1] not in ("0", "1"):
-                raise CliError(f"line {lineno}: truth label must be 0 or 1, got {fields[1]!r}")
-            labels.append(fields[1] == "1")
         values.append(p)
     if not values:
         raise CliError(f"no p-values found in {path}")
-    return sort_pvalues(values, labels if has_labels else None)
+    return sort_pvalues(values)
 
 
 def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> list:
@@ -172,6 +154,8 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     (rule,) = _check_specs([args.procedure], kappa, parser)
     if args.pi0 is not None and rule != ORACLE:
         parser.error(f"--pi0 applies only to --procedure orc, not {args.procedure!r}")
+    if args.pi0 is None and rule == ORACLE:
+        parser.error("--procedure orc needs --pi0, the true null proportion")
     proc = _read_pvalue_file(args.input)
     try:
         res = run_procedure(rule, proc, args.alpha, pi0=args.pi0)
@@ -183,8 +167,8 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     lines = [
         f"procedure: {args.procedure}",
         f"m: {proc.m}",
-        f"alpha: {args.alpha:g}",
-        f"kappa: {kappa:g}",
+        f"alpha: {args.alpha:.12g}",
+        f"kappa: {kappa:.12g}",
         f"lambda: {lam:g}",
         f"pi0_star: {pi0_star:.12g}",
         f"m0_hat: {pi0_star * proc.m:.12g}",
@@ -242,14 +226,11 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error("config field 'mu' is an empty list")
         if "kappa" in cfg and cfg["kappa"] is None:  # ScenarioConfig reads kappa=None as "kappa = alpha"
             raise ValueError("kappa=None is not a number")
-        if args.procedures is not None:
-            where, procedures = "argument --procedures", args.procedures.split(",")
-        else:
-            where, procedures = "config field 'procedures'", cfg.get("procedures", list(DEFAULT_PROCEDURES))
+        procedures = cfg.get("procedures", list(DEFAULT_PROCEDURES))
         strings = isinstance(procedures, list) and all(isinstance(s, str) for s in procedures)
-        procedures = [s.strip() for s in procedures if s.strip()] if strings else procedures  # alike from either place
+        procedures = [s.strip() for s in procedures if s.strip()] if strings else procedures
         if not (strings and procedures):
-            parser.error(f"{where} must be a nonempty list of procedure specs, got {procedures!r}")
+            parser.error(f"config field 'procedures' must be a nonempty list of procedure specs, got {procedures!r}")
         # a key the config leaves out keeps ScenarioConfig's default
         fields = {field: cfg[key] for key, field in _CONFIG_KEYS.items() if field and key in cfg}
         first = ScenarioConfig(mu=mus[0], dependence=_parse_dependence(cfg.get("dependence")), **fields)
@@ -296,17 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="run one procedure on a p-value file")
-    p_an.add_argument("input", help="text file: one p-value per line, optional 0/1 truth column (1 = true null)")
+    p_an.add_argument("input", help="text file: one p-value per line, optional header line")
     p_an.add_argument("--procedure", default="rb20", help=f"procedure spec (default rb20); one of: {SPEC_HELP}")
     p_an.add_argument("--alpha", type=_flag_type("alpha", float, check_number, "(0, 1)"), default=0.05, help="target FDR level (default 0.05)")
     p_an.add_argument("--kappa", type=_flag_type("kappa", float, check_number, "(0, 1)"), default=None, help="rejection-region bound (default: alpha)")
-    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion, for --procedure orc only")
+    p_an.add_argument("--pi0", type=_flag_type("pi0", float, check_number, "(0, 1]"), default=None, help="true null proportion; --procedure orc needs it, and no other procedure takes it")
     p_an.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_an.set_defaults(func=_cmd_analyze, parser=p_an)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo study from a JSON config")
     p_sim.add_argument("config", help="JSON config: m, pi0, mu (scalar or list), J, seed; optional alpha, kappa, dependence, signal_placement, procedures")
-    p_sim.add_argument("--procedures", default=None, help="comma list of procedure specs (overrides config)")
     p_sim.add_argument("--out", default="metrics.csv", help="output CSV path (default metrics.csv)")
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +26,9 @@ def read_pvalue_lines(path):
     """The p-value file reader, one line at a time: the oracle of ``cli._read_pvalue_file``.
 
     Lines are ``str.splitlines`` of the UTF-8 text less a leading byte
-    order mark; a first line whose first field is not a float is a
-    header; each line holds a p-value in [0, 1] and, in every line or in
-    none, a 0/1 truth label (1 = true null); fields split at commas and
-    whitespace.
+    order mark; fields are ``str.split`` of a line; a first line whose
+    first field is not a float is a header; every other nonblank line
+    holds one field, a p-value in [0, 1].
     """
     from dynfdr import sort_pvalues
     from dynfdr.cli import CliError
@@ -39,35 +37,25 @@ def read_pvalue_lines(path):
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    values, labels, has_labels = [], [], None
+    values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = re.split(r"[,\s]+", line)
         try:
             p = float(fields[0])
         except ValueError:
-            if lineno == 1 and not values:
+            if lineno == 1:
                 continue
             raise CliError(f"line {lineno}: cannot parse p-value from {raw!r}") from None
+        if len(fields) > 1:
+            raise CliError(f"line {lineno}: expected one p-value per line, got {len(fields)} fields")
         if not 0.0 <= p <= 1.0:
             raise CliError(f"line {lineno}: p-value {p} outside [0, 1]")
-        if len(fields) > 2:
-            raise CliError(f"line {lineno}: expected at most 2 columns, got {len(fields)}")
-        row_has_label = len(fields) == 2
-        if has_labels is None:
-            has_labels = row_has_label
-        elif has_labels != row_has_label:
-            raise CliError(f"line {lineno}: inconsistent column count (truth labels must be all-or-none)")
-        if row_has_label:
-            if fields[1] not in ("0", "1"):
-                raise CliError(f"line {lineno}: truth label must be 0 or 1, got {fields[1]!r}")
-            labels.append(fields[1] == "1")
         values.append(p)
     if not values:
         raise CliError(f"no p-values found in {path}")
-    return sort_pvalues(values, labels if has_labels else None)
+    return sort_pvalues(values)
 
 
 def row(rows, procedure, scenario=None):

@@ -145,18 +145,25 @@ def test_analyze_grid_that_does_not_ascend_is_usage_error(four_pvalues, capsys, 
 
 
 def test_analyze_header_and_labels(tmp_path, capsys):
+    # the header is skipped; a truth label column is no p-value file, and orc takes its pi0 from --pi0 alone
     path = tmp_path / "pvals.txt"
     path.write_text("pvalue truth\n0.001 0\n0.02 1\n0.5 1\n0.9 1\n")
-    code = run_cli(["analyze", str(path), "--procedure", "orc"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "pi0_star: 0.75" in out
-
-
-def test_analyze_orc_without_pi0(four_pvalues, capsys):
-    code = run_cli(["analyze", str(four_pvalues), "--procedure", "orc"])
+    code = run_cli(["analyze", str(path), "--procedure", "orc", "--pi0", "0.75"])
     assert code == 1
-    assert "pi0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: line 2: expected one p-value per line, got 2 fields\n"
+    path.write_text("pvalue\n0.001\n0.02\n0.5\n0.9\n")
+    assert run_cli(["analyze", str(path), "--procedure", "orc", "--pi0", "0.75"]) == 0
+    assert "m: 4\n" in capsys.readouterr().out
+
+
+def test_analyze_orc_without_pi0(four_pvalues, tmp_path, capsys):
+    # a usage error, found before the file is read
+    for path in (four_pvalues, tmp_path / "missing.txt"):
+        code = run_cli(["analyze", str(path), "--procedure", "orc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == "dynfdr analyze: error: --procedure orc needs --pi0, the true null proportion"
     assert run_cli(["analyze", str(four_pvalues), "--procedure", "orc", "--pi0", "0.8"]) == 0
 
 
@@ -171,16 +178,22 @@ def test_analyze_pi0_without_orc_is_usage_error(four_pvalues, capsys, procedure)
     assert err.splitlines()[-1] == f"dynfdr analyze: error: --pi0 applies only to --procedure orc, not {spec!r}"
 
 
-def test_analyze_reports_the_pi0_each_baseline_used(tmp_path, capsys):
-    path = tmp_path / "pvals.txt"
-    path.write_text("0.001 0\n0.02 1\n0.5 1\n0.9 1\n")
-    assert run_cli(["analyze", str(path), "--procedure", "bh"]) == 0
+def test_analyze_reports_the_pi0_each_baseline_used(four_pvalues, capsys):
+    assert run_cli(["analyze", str(four_pvalues), "--procedure", "bh"]) == 0
     out = capsys.readouterr().out
     assert "lambda: nan\npi0_star: 1\nm0_hat: 4\n" in out
-    assert run_cli(["analyze", str(path), "--procedure", "orc"]) == 0
-    assert "pi0_star: 0.75\nm0_hat: 3\n" in capsys.readouterr().out
-    assert run_cli(["analyze", str(path), "--procedure", "orc", "--pi0", "0.5"]) == 0
-    assert "pi0_star: 0.5\nm0_hat: 2\n" in capsys.readouterr().out
+    for pi0, m0 in (("0.75", "3"), ("0.5", "2")):
+        assert run_cli(["analyze", str(four_pvalues), "--procedure", "orc", "--pi0", pi0]) == 0
+        assert f"pi0_star: {pi0}\nm0_hat: {m0}\n" in capsys.readouterr().out
+
+
+def test_analyze_prints_alpha_and_kappa_to_twelve_digits(four_pvalues, capsys):
+    # :g printed alpha: 0.05 for an --alpha of 0.0500000001
+    args = ["analyze", str(four_pvalues), "--alpha", "0.0500000001", "--kappa", "0.123456789012345"]
+    assert run_cli(args) == 0
+    assert "alpha: 0.0500000001\nkappa: 0.123456789012\n" in capsys.readouterr().out
+    assert run_cli(["analyze", str(four_pvalues)]) == 0
+    assert "alpha: 0.05\nkappa: 0.05\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -216,11 +229,17 @@ def test_analyze_too_few_pvalues_for_rule(tmp_path, capsys, pvalues, spec, reaso
 
 
 def test_analyze_inconsistent_labels(tmp_path, capsys):
+    # a second field is refused on the first line that has one, labelled or not
     path = tmp_path / "pvals.txt"
-    path.write_text("0.01 1\n0.5\n")
-    code = run_cli(["analyze", str(path)])
-    assert code == 1
-    assert "line 2" in capsys.readouterr().err
+    for text, error in (
+        ("0.01 1\n0.5\n", "line 1: expected one p-value per line, got 2 fields"),
+        ("0.01\n0.5 1 0\n", "line 2: expected one p-value per line, got 3 fields"),
+        ("0.01\n1.5 1\n", "line 2: expected one p-value per line, got 2 fields"),
+        ("0.01\n0.5,1\n", "line 2: cannot parse p-value from '0.5,1'"),  # a comma separates no fields
+    ):
+        path.write_text(text)
+        assert run_cli(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_analyze_writes_out_file(four_pvalues, tmp_path):
@@ -235,7 +254,7 @@ def test_analyze_writes_out_file(four_pvalues, tmp_path):
     [
         ["analyze", "{pvalues}", "--procedure", "bh"],
         ["verify", "lemma2"],
-        ["simulate", "{config}", "--procedures", "bh"],
+        ["simulate", "{config}"],
     ],
     ids=["analyze", "verify", "simulate"],
 )
@@ -383,11 +402,16 @@ def test_simulate_procedures_must_be_a_list_of_specs(tmp_path, capsys, procedure
     assert not (tmp_path / "m.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [",", " , ", ""])
-def test_simulate_procedures_flag_needs_a_spec(sim_config, tmp_path, capsys, flag):
-    code = run_cli(["simulate", str(sim_config), "--procedures", flag, "--out", str(tmp_path / "m.csv")])
-    assert code == 2
-    message = "argument --procedures must be a nonempty list of procedure specs, got []"
+def test_simulate_takes_its_procedures_from_the_config_alone(sim_config, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert "--procedures" not in capsys.readouterr().out
+    assert run_cli(["simulate", str(sim_config), "--procedures", "bh", "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "dynfdr: error: unrecognized arguments: --procedures bh"
+    # specs that strip to nothing leave no procedure to run
+    sim_config.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": [" ", ""]}))
+    assert run_cli(["simulate", str(sim_config), "--out", str(tmp_path / "m.csv")]) == 2
+    message = "config field 'procedures' must be a nonempty list of procedure specs, got []"
     assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: {message}"
     assert not (tmp_path / "m.csv").exists()
 

@@ -359,6 +359,7 @@ def _read(reader, path):
 @example(b"p\n")
 @example(b"")
 @example(b"0.5 1\n")
+@example(b"0.5\n0.3,1\n")  # a comma joins no fields: one field that is no float
 @example(b"0.5\n\xff0.3\n")  # not UTF-8
 @example(b"0.5\n\xef\xbb\xbf0.3\n")  # a byte order mark after the first line is no whitespace
 @example(b"\n p\n0.5\n")  # a blank line 1, so the header on line 2 is an error
@@ -369,10 +370,15 @@ def test_reader_equals_the_line_parser(pvalue_path, data):
 
 @pytest.mark.parametrize("body", [b"0.001\n0.2\n0.5\n", b"p\n0.001\n0.2\n0.5\n", b"0.001 0\n0.2 1\n0.5 1\n"])
 def test_a_byte_order_mark_is_neither_a_header_nor_data(tmp_path, body):
+    # a line of two fields is refused; at line 1, so the mark made no header of it
     path = tmp_path / "pvalues.txt"
     path.write_bytes(b"\xef\xbb\xbf" + body)
     for reader in (cli._read_pvalue_file, cli._parse_pvalue_lines, read_pvalue_lines):
-        assert reader(str(path)).values.tolist() == [0.001, 0.2, 0.5], reader
+        if b" " in body:
+            with pytest.raises(cli.CliError, match="^line 1: expected one p-value per line, got 2 fields$"):
+                reader(str(path))
+        else:
+            assert reader(str(path)).values.tolist() == [0.001, 0.2, 0.5], reader
 
 
 def test_one_column_file_skips_the_line_parser(tmp_path, monkeypatch):
