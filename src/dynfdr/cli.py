@@ -30,8 +30,6 @@ _CONFIG_KEYS = {
     "m": "m", "pi0": "pi0", "mu": None, "J": "n_reps", "seed": "seed", "alpha": "alpha", "kappa": "kappa",
     "dependence": None, "signal_placement": "signal_placement", "procedures": None,
 }
-# dependence type: its fields besides 'type', all required
-_DEPENDENCE_FIELDS = {"block_ar": ("block_size", "rho"), "independent": ()}
 # verify suite, in report order: its checks from (seed, reps), each looked up on verify_mod when called
 _SUITES = {
     "lemma2": lambda seed, reps: verify_mod.lemma2_exact_check(),
@@ -196,16 +194,16 @@ def _check_keys(obj: dict, allowed, required, prefix: str = "") -> None:
 
 
 def _parse_dependence(dep) -> BlockAR | None:
-    """The ``dependence`` of a simulate config: None (independent) or a BlockAR; ValueError on any other shape."""
+    """The ``dependence`` of a simulate config: left out or null is independent noise (None), else
+    ``{"type": "block_ar", "block_size": ..., "rho": ...}``, a BlockAR; ValueError on any other shape."""
     if dep is None:
         return None
     if not isinstance(dep, dict) or "type" not in dep:
         raise ValueError(f"dependence={dep!r} is not an object with a 'type'")
-    kind = dep["type"]
-    if not isinstance(kind, str) or kind not in _DEPENDENCE_FIELDS:
-        raise ValueError(f"dependence type {kind!r} is not {' or '.join(map(repr, _DEPENDENCE_FIELDS))}")
-    _check_keys(dep, ("type", *_DEPENDENCE_FIELDS[kind]), _DEPENDENCE_FIELDS[kind], "dependence.")
-    return BlockAR(dep["block_size"], dep["rho"]) if kind == "block_ar" else None
+    if dep["type"] != "block_ar":
+        raise ValueError(f"dependence type {dep['type']!r} is not 'block_ar'")
+    _check_keys(dep, ("type", "block_size", "rho"), ("block_size", "rho"), "dependence.")
+    return BlockAR(dep["block_size"], dep["rho"])
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Pi0Estimate, fdr_estimate
-from .pvalues import EmpiricalProcesses, MissingTruthLabels, check_number
+from .pvalues import EmpiricalProcesses, check_number
 from .selection import LambdaRule, StepUpRule
 
 __all__ = [
@@ -113,20 +113,14 @@ def run_procedure(
 ) -> ProcedureResult:
     """Run a procedure given as a rule that parse_rule_spec returned.
 
-    ``bh`` and ``orc`` are the step-up baselines (``orc`` needs pi0, either
-    given explicitly or derived from truth labels); every lambda rule is
-    fed to the dynamic adaptive pipeline at its own kappa.
+    ``bh`` and ``orc`` are the step-up baselines, and ``orc`` runs at the
+    caller's ``pi0``, the true null proportion, which no other rule takes;
+    every lambda rule is fed to the dynamic adaptive pipeline at its own kappa.
     """
     if not isinstance(rule, StepUpRule):
         return dynamic_adaptive(proc, rule, alpha)
     if not rule.oracle:
         return bh_step_up(proc, alpha)
     if pi0 is None:
-        if proc.truth is None:
-            raise MissingTruthLabels(
-                "orc needs the true null proportion: pass pi0 or supply truth labels"
-            )
-        pi0 = float(np.count_nonzero(proc.truth)) / proc.m
-        if pi0 == 0.0:
-            raise ValueError("orc needs at least one true null, and the truth labels have none")
+        raise ValueError("orc needs pi0, the true null proportion")
     return bh_step_up(proc, alpha, pi0)

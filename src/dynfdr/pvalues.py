@@ -1,8 +1,9 @@
 """P-value samples and the empirical counting processes built from them.
 
 Everything downstream (estimation, selection, thresholding) consumes a
-sample only through R(t) = #{p_i <= t}; when ground-truth labels are
-available, V(t) counts the true nulls among them.
+sample only through R(t) = #{p_i <= t}.  Ground-truth labels, which only
+a simulation has, give V(t), the count of true nulls among them; no
+procedure reads them.
 """
 
 from __future__ import annotations
@@ -15,14 +16,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "MissingTruthLabels",
     "EmpiricalProcesses",
     "sort_pvalues",
 ]
-
-
-class MissingTruthLabels(ValueError):
-    """Raised when an operation needs null/alternative labels the sample lacks."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -30,11 +26,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_integer(name: str, value, low: int | None = None) -> int:
+def check_integer(name: str, value, low: int) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is a Python or numpy integer (a bool is not) >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value!r} is not an integer")
-    if low is not None and value < low:
+    if value < low:
         raise ValueError(f"{name}={value} must be >= {low}")
     return int(value)
 
@@ -70,7 +66,8 @@ class EmpiricalProcesses:
     when it is a false null; labels exist only in simulations, so real
     data leaves ``truth`` None.  R(t) counts all p-values at or below t
     by binary search on the sorted values; V(t) counts the true-null
-    subset and needs truth labels.  Built by ``sort_pvalues``, whose
+    subset and needs truth labels, which no procedure reads (``orc``
+    takes its pi0 from the caller).  Built by ``sort_pvalues``, whose
     arrays are read-only, so any number of concurrent readers is safe.
     """
 
@@ -91,7 +88,7 @@ class EmpiricalProcesses:
         """#{true-null p_i <= t}; requires truth labels."""
         t = check_number("threshold t", t, "[0, 1]")
         if self.truth is None:
-            raise MissingTruthLabels("V(t) needs truth labels, sample has none")
+            raise ValueError("V(t) needs truth labels, sample has none")
         return int(np.count_nonzero(self.values[self.truth] <= t))
 
 

@@ -183,8 +183,7 @@ class StepUpRule:
     """No lambda to select: the linear step-up at alpha / pi0 over all of [0, 1].
 
     ``bh`` takes pi0 = 1; ``orc`` (``oracle=True``) takes the true null
-    proportion, which the caller supplies (run_procedure's ``pi0`` or the
-    sample's truth labels).
+    proportion, which the caller supplies as run_procedure's ``pi0``.
     """
 
     oracle: bool = False
@@ -330,13 +329,11 @@ SPEC_HELP = (
 
 def _parse_grid(arg: str, spec: str) -> tuple[float, ...]:
     try:
-        if "," in arg:
-            return tuple(float(v) for v in arg.split(","))
         parts = arg.split(":")
+        if "," in arg or len(parts) == 1:  # one value is a comma list of one
+            return tuple(float(v) for v in arg.split(","))
         if len(parts) == 3:
             return evenly_spaced_grid(float(parts[0]), float(parts[1]), float(parts[2]))
-        if len(parts) == 1:
-            return (float(parts[0]),)
     except ValueError as exc:
         raise ValueError(f"bad grid in rule spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad grid in rule spec {spec!r}; expected start:step:stop or a comma list")

@@ -285,19 +285,19 @@ def replications(cfg: ScenarioConfig, specs: Sequence[str]):
     """The one replication loop behind ``run_experiment`` and the Monte Carlo checks.
 
     Parses each spec once, then per replication j, in order: draw the
-    sorted sample, run every rule once.  Yields that replication's
-    EmpiricalProcesses and a (4, len(specs)) array whose
+    sorted sample, run every rule once (``orc`` at pi0 = m0 / m).  Yields
+    that replication's EmpiricalProcesses and a (4, len(specs)) array whose
     rows are FDP = V/(R v 1), power = S/m1 (0 when m1 = 0), the chosen
     lambda and the pi0 used.  ``np.stack(..., axis=-1)`` of the arrays
     gives each quantity as one contiguous series per spec.
     """
-    m1 = cfg.m1
+    m1, pi0 = cfg.m1, cfg.m0 / cfg.m
     rules = [parse_rule_spec(s, cfg.kappa) for s in specs]
     for j in range(cfg.n_reps):
         proc = generate_statistics(cfg, j)
         rec = []
         for rule in rules:
-            res = run_procedure(rule, proc, cfg.alpha)  # orc at the realised m0 / m
+            res = run_procedure(rule, proc, cfg.alpha, pi0)
             n_rej = res.n_rejected
             v = int(np.count_nonzero(proc.truth[res.rejected]))
             power = (n_rej - v) / m1 if m1 > 0 else 0.0

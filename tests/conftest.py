@@ -143,8 +143,9 @@ def replication_records(cfg, specs):
     for j in range(cfg.n_reps):
         proc = generate_statistics(cfg, j)
         v_kappa[j] = naive_count(proc.values[proc.truth], cfg.kappa)
+        pi0 = np.count_nonzero(proc.truth) / cfg.m  # orc at the labels' share of true nulls, not cfg.m0 / cfg.m
         for s in specs:
-            res = run_procedure(rules[s], proc, cfg.alpha)  # orc from the truth labels: m0 / m
+            res = run_procedure(rules[s], proc, cfg.alpha, pi0=pi0)
             v = sum(1 for i in res.rejected if proc.truth[i])
             r = len(res.rejected)
             power = (r - v) / cfg.m1 if cfg.m1 > 0 else 0.0

@@ -362,7 +362,7 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
     [
         ({"dependence": 5}, "dependence=5 is not an object with a 'type'"),
         ({"dependence": {"rho": 0.5}}, "dependence={'rho': 0.5} is not an object with a 'type'"),
-        ({"dependence": {"type": "garch"}}, "dependence type 'garch' is not 'block_ar' or 'independent'"),
+        ({"dependence": {"type": "garch"}}, "dependence type 'garch' is not 'block_ar'"),
         ({"dependence": {"type": "block_ar", "rho": 0.5}}, "missing field 'dependence.block_size'"),
         ({"dependence": {"type": "block_ar", "block_size": 10}}, "missing field 'dependence.rho'"),
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 1.0}}, "rho=1.0 outside (-1, 1)"),
@@ -370,13 +370,17 @@ def test_simulate_integer_fields_must_be_json_integers(tmp_path, capsys, field, 
         ({"kappa": None}, "kappa=None is not a number"),  # null is no number, though ScenarioConfig(kappa=None) means alpha
         ({"dependance": {"type": "block_ar", "block_size": 10, "rho": 0.5}}, "unknown field 'dependance'"),
         ({"dependence": {"type": "block_ar", "block_size": 10, "rho": 0.5, "size": 3}}, "unknown field 'dependence.size'"),
-        ({"dependence": {"type": "indep"}}, "dependence type 'indep' is not 'block_ar' or 'independent'"),
-        ({"dependence": {"type": "ar", "block_size": 10, "rho": 0.5}}, "dependence type 'ar' is not 'block_ar' or 'independent'"),
-        ({"dependence": {"type": "independent", "block_size": -4, "rho": "x"}}, "unknown field 'dependence.block_size'"),
+        ({"dependence": {"type": "indep"}}, "dependence type 'indep' is not 'block_ar'"),
+        ({"dependence": {"type": "ar", "block_size": 10, "rho": 0.5}}, "dependence type 'ar' is not 'block_ar'"),
+        ({"dependence": {"type": "independent", "block_size": -4, "rho": "x"}}, "dependence type 'independent' is not 'block_ar'"),
+        # independent noise is spelt one way: leave dependence out, or null
+        ({"dependence": {"type": "independent"}}, "dependence type 'independent' is not 'block_ar'"),
+        ({"dependence": {"type": ["block_ar"], "block_size": 10, "rho": 0.5}}, "dependence type ['block_ar'] is not 'block_ar'"),
     ],
     ids=[
         "not-object", "no-type", "unknown-type", "no-block-size", "no-rho", "rho-1", "block-size-0", "kappa-null",
-        "misspelt-key", "unknown-dependence-key", "alias-indep", "alias-ar", "independent-with-fields",
+        "misspelt-key", "unknown-dependence-key", "alias-indep", "alias-ar", "independent-with-fields", "independent",
+        "type-not-a-string",
     ],
 )
 def test_simulate_rejects_a_bad_dependence_or_kappa(tmp_path, capsys, change, message):
@@ -558,7 +562,7 @@ CONFIG_FIELDS = {
     "kappa": ([MISSING, 0.2], [None, "0.05", 0.0, 1]),
     "signal_placement": ([MISSING, "head", "random"], [None, 1, "middle"]),
     "procedures": ([MISSING, ["bh"], ["lsl", "rb20q", "kq:median"]], [None, "bh", [1], [], ["zz"]]),
-    "dependence": ([MISSING, None, {"type": "independent"}], [5, "block_ar", [], {"type": "independent", "block_size": 10}]),
+    "dependence": ([MISSING, None], [5, "block_ar", [], {"type": "independent"}, {"type": "independent", "block_size": 10}]),
 }
 DEPENDENCE_FIELDS = {
     "type": (["block_ar"], [MISSING, None, 5, "garch", "blockar"]),
@@ -591,7 +595,7 @@ def simulate_configs(draw):
 def _expected_csv(cfg, path):
     """The CSV the library writes for a valid config, built without the CLI."""
     dep = cfg.get("dependence")
-    block = BlockAR(dep["block_size"], dep["rho"]) if dep and dep["type"] == "block_ar" else None
+    block = BlockAR(dep["block_size"], dep["rho"]) if dep else None
     rows = []
     for i, mu in enumerate(cfg["mu"] if isinstance(cfg["mu"], list) else [cfg["mu"]]):
         scenario = ScenarioConfig(

@@ -8,7 +8,6 @@ import pytest
 from dynfdr import (
     FixedRule,
     LowestSlopeRule,
-    MissingTruthLabels,
     RightBoundaryRule,
     TWENTY_BIN_GRID,
     bh_step_up,
@@ -295,11 +294,13 @@ def test_run_procedure_runs_a_lambda_rule_at_its_own_kappa():
 
 
 def test_run_procedure_orc_needs_pi0():
-    proc = sort_pvalues([0.01, 0.5])
-    with pytest.raises(MissingTruthLabels):
-        run_procedure(rule("orc"), proc, 0.05)
-    res = run_procedure(rule("orc"), proc, 0.05, pi0=0.5)
-    assert res.pi0.value == 0.5
+    # orc takes pi0 from the caller alone: truth labels, even with a true null among them, give none
+    for truth in (None, [False, True], [False, False]):
+        proc = sort_pvalues([0.01, 0.5], truth=truth)
+        with pytest.raises(ValueError, match=r"^orc needs pi0, the true null proportion$"):
+            run_procedure(rule("orc"), proc, 0.05)
+        res = run_procedure(rule("orc"), proc, 0.05, pi0=0.5)
+        assert res.pi0.value == 0.5
 
 
 def test_a_bool_pi0_is_not_a_number():
@@ -311,22 +312,9 @@ def test_a_bool_pi0_is_not_a_number():
         run_procedure(rule("orc"), proc, 0.05, pi0=True)
 
 
-def test_run_procedure_orc_from_labels():
-    proc = sort_pvalues([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
-    res = run_procedure(rule("orc"), proc, 0.05)  # pi0 = 3/4 from the labels
-    expected = bh_step_up(proc, 0.05, pi0_target=0.75)
-    assert res.threshold == expected.threshold
-
-
-def test_run_procedure_orc_needs_a_true_null_among_the_labels():
-    proc = sort_pvalues([0.01, 0.5], truth=[False, False])
-    with pytest.raises(ValueError, match="orc needs at least one true null, and the truth labels have none"):
-        run_procedure(rule("orc"), proc, 0.05)
-
-
 def test_run_procedure_records_the_pi0_used():
     proc = sort_pvalues([0.01, 0.5, 0.6, 0.9], truth=[False, True, True, True])
-    cases = [("bh", None, 1.0), ("orc", None, 0.75), ("orc", 0.5, 0.5)]
+    cases = [("bh", None, 1.0), ("orc", 0.75, 0.75), ("orc", 0.5, 0.5)]
     for spec, pi0, expected in cases:
         res = run_procedure(rule(spec), proc, 0.05, pi0=pi0)
         assert np.isnan(res.pi0.lam) and res.pi0.value == expected
@@ -340,9 +328,10 @@ _EVERY_RULE_KIND = ("bh", "orc", "fixed:0.5", "rb20", "rb:0.1,0.3", "lsl", "kq:m
 @pytest.mark.parametrize("spec", _EVERY_RULE_KIND)
 @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
 def test_run_procedure_checks_alpha_for_every_rule_kind(spec, alpha):
+    # orc runs at the given pi0, and every other rule ignores it
     proc = sort_pvalues([0.01, 0.02, 0.3, 0.6, 0.9], truth=[False, False, True, True, True])
     with pytest.raises(ValueError, match=rf"^alpha={alpha} outside \(0, 1\)$"):
-        run_procedure(rule(spec), proc, alpha)
+        run_procedure(rule(spec), proc, alpha, pi0=0.6)
 
 
 def test_fresh_step_up_rules_run_as_bh_and_orc():
@@ -350,11 +339,12 @@ def test_fresh_step_up_rules_run_as_bh_and_orc():
     proc = sort_pvalues([0.001, 0.01, 0.02, 0.3, 0.6, 0.9], truth=[False, False, True, True, True, True])
     for fresh, spec in ((selection.StepUpRule(), "bh"), (selection.StepUpRule(oracle=True), "orc")):
         assert fresh is not rule(spec)
-        for pi0 in (None, 0.5) if spec == "orc" else (None,):
+        for pi0 in (4 / 6, 0.5) if spec == "orc" else (None,):
             got, want = run_procedure(fresh, proc, 0.05, pi0), run_procedure(rule(spec), proc, 0.05, pi0)
             assert got.threshold == want.threshold and np.array_equal(got.rejected, want.rejected)
             assert got.pi0.value == want.pi0.value and np.isnan(got.pi0.lam)
-    assert run_procedure(selection.StepUpRule(oracle=True), proc, 0.05).pi0.value == 4 / 6
+    with pytest.raises(ValueError, match=r"^orc needs pi0, the true null proportion$"):
+        run_procedure(selection.StepUpRule(oracle=True), proc, 0.05)
 
 
 def test_right_boundary_grids_scan_their_own_candidates():
@@ -423,7 +413,7 @@ def test_adaptive_rules_lose_control_under_a_common_factor():
     for j in range(n_reps):
         proc = equicorrelated_statistics(m, m1, mu, rho, np.random.default_rng([99, j]))
         for i, r in enumerate(rules):
-            rejected = run_procedure(r, proc, alpha).rejected
+            rejected = run_procedure(r, proc, alpha, (m - m1) / m).rejected  # orc's pi0; the rest ignore it
             fdp[i, j] = np.count_nonzero(proc.truth[rejected]) / max(rejected.size, 1)
     mean, se = fdp.mean(axis=1), fdp.std(axis=1, ddof=1) / np.sqrt(n_reps)
     within = dict(zip(specs, mean <= alpha + 3.0 * se))

@@ -56,6 +56,8 @@ from conftest import (
 GRID = 64
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 SPECS = ("bh", "orc", "fixed:0.5", "rb20", "lsl", "kq:median", "rb20q")
+# orc's pi0, the caller's to give: any value in (0, 1], whatever the labels say
+ORC_PI0 = st.floats(0.0, 1.0, exclude_min=True)
 
 
 @st.composite
@@ -95,20 +97,18 @@ def labelled_samples(draw):
     value = st.one_of(st.integers(0, GRID).map(lambda k: k / GRID), st.floats(0.0, 1.0))
     pvals = draw(st.lists(value, min_size=m, max_size=m))
     truth = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    return np.array(pvals), np.array(truth), np.array(draw(st.permutations(range(m))))
+    return np.array(pvals), np.array(truth), np.array(draw(st.permutations(range(m)))), draw(ORC_PI0)
 
 
 @SETTINGS
 @given(labelled_samples())
 def test_rejection_set_does_not_depend_on_input_order(case):
-    pvals, truth, perm = case
-    if not truth.any():
-        truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
+    pvals, truth, perm, pi0 = case
     proc, permuted_proc = sort_pvalues(pvals, truth), sort_pvalues(pvals[perm], truth[perm])
     for spec in SPECS:
         rule = parse_rule_spec(spec, 0.05)
-        res = run_procedure(rule, proc, 0.05)
-        permuted = run_procedure(rule, permuted_proc, 0.05)
+        res = run_procedure(rule, proc, 0.05, pi0)
+        permuted = run_procedure(rule, permuted_proc, 0.05, pi0)
         # index i of the permuted input is index perm[i] of the original
         assert sorted(perm[permuted.rejected].tolist()) == res.rejected.tolist(), spec
         assert permuted.threshold == res.threshold, spec
@@ -125,14 +125,13 @@ def samples_with_signed_zeros(draw):
     )
     pvals = np.array(draw(st.lists(value, min_size=m, max_size=m)))
     truth = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
-    truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
-    return pvals, truth, kappa
+    return pvals, truth, kappa, draw(ORC_PI0)
 
 
 @SETTINGS
 @given(samples_with_signed_zeros())
 def test_value_sort_equals_the_stable_index_sort(case):
-    pvals, truth, kappa = case
+    pvals, truth, kappa, pi0 = case
     stable_order = np.argsort(pvals, kind="stable")
     stable_ordered = pvals[stable_order]
     proc = sort_pvalues(pvals, truth)
@@ -140,14 +139,14 @@ def test_value_sort_equals_the_stable_index_sort(case):
     for spec in DEFAULT_PROCEDURES:
         if spec == "lsl" and proc.m < 2:
             continue
-        res = run_procedure(parse_rule_spec(spec, kappa), proc, 0.05)
+        res = run_procedure(parse_rule_spec(spec, kappa), proc, 0.05, pi0)
         n = int(np.searchsorted(stable_ordered, res.threshold, side="right"))
         np.testing.assert_array_equal(res.rejected, np.sort(stable_order[:n]), err_msg=spec)
 
 
 @st.composite
 def rounded_mixtures(draw):
-    """Mixtures rounded to 2-4 decimals, with ties at 0, at kappa and at 1, truth labels with a true null, and alpha."""
+    """Mixtures rounded to 2-4 decimals, with ties at 0, at kappa and at 1, truth labels, alpha and orc's pi0."""
     m = draw(st.integers(2, 200))
     kappa = draw(st.sampled_from((0.05, 0.25)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -156,17 +155,16 @@ def rounded_mixtures(draw):
         if draw(st.booleans()):
             pvals[rng.choice(m, draw(st.integers(1, max(1, m // 8))), replace=False)] = value
     truth = rng.random(m) < 0.7
-    truth[0] = True  # orc derives pi0 from the labels, so it needs a true null
-    return pvals, truth, kappa, draw(st.sampled_from((0.05, 0.2)))
+    return pvals, truth, kappa, draw(st.sampled_from((0.05, 0.2))), draw(ORC_PI0)
 
 
 @SETTINGS
 @given(rounded_mixtures())
 def test_every_result_is_the_rejection_set_and_fdr_estimate_at_its_threshold(case):
-    pvals, truth, kappa, alpha = case
+    pvals, truth, kappa, alpha, pi0 = case
     proc, m = sort_pvalues(pvals, truth), len(pvals)
     for spec in (*DEFAULT_PROCEDURES, "kq:median", "rb:0.2,0.5,0.8"):
-        res = run_procedure(parse_rule_spec(spec, kappa), proc, alpha)
+        res = run_procedure(parse_rule_spec(spec, kappa), proc, alpha, pi0)
         t = res.threshold
         assert set(res.rejected.tolist()) == naive_rejection_set(pvals, t), spec
         if spec in ("bh", "orc"):
@@ -178,9 +176,9 @@ def test_every_result_is_the_rejection_set_and_fdr_estimate_at_its_threshold(cas
 
 @SETTINGS
 @given(rounded_mixtures())
-@example((np.full(19, 0.05), np.ones(19, dtype=bool), 0.05, 0.05))  # every p-value exactly alpha
+@example((np.full(19, 0.05), np.ones(19, dtype=bool), 0.05, 0.05, 1.0))  # every p-value exactly alpha
 def test_bh_is_the_functional_at_unit_pi0_inside_the_region(case):
-    pvals, _, kappa, alpha = case
+    pvals, _, kappa, alpha, _ = case
     proc = sort_pvalues(pvals)
     bh = bh_step_up(proc, alpha)
     if bh.threshold <= kappa:

@@ -19,7 +19,7 @@ PUBLIC = [
     "ProcedureResult", "bh_step_up", "threshold_functional", "dynamic_adaptive", "run_procedure",
     "DEFAULT_PROCEDURES",
     # pvalues
-    "MissingTruthLabels", "EmpiricalProcesses", "sort_pvalues",
+    "EmpiricalProcesses", "sort_pvalues",
     # selection
     "TWENTY_BIN_GRID", "FixedRule", "RightBoundaryRule", "LowestSlopeRule", "KQuantileRule",
     "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "parse_rule_spec",
@@ -29,12 +29,13 @@ SIMULATE_PUBLIC = ["BlockAR", "ScenarioConfig", "MetricsRow", "generate_statisti
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 24
+    assert len(PUBLIC) == 23
     assert sorted(dynfdr.__all__) == sorted(PUBLIC)
     assert len(dynfdr.__all__) == len(set(dynfdr.__all__))  # no name exported twice
     for name in PUBLIC:
         assert hasattr(dynfdr, name), name
     assert not hasattr(dynfdr, "PValueSample")  # EmpiricalProcesses is the one sample type
+    assert not hasattr(dynfdr.pvalues, "MissingTruthLabels")  # count_V raises a plain ValueError
     assert not hasattr(dynfdr.selection, "select_k_quantile")  # rule.select(proc) runs a rule
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from dynfdr import (
     LowestSlopeRule,
-    MissingTruthLabels,
     RightBoundaryRule,
     bh_step_up,
     cli,
@@ -130,8 +129,9 @@ def test_count_V_S_examples():
 
 def test_counts_need_labels():
     proc = sort_pvalues([0.1, 0.9])
-    with pytest.raises(MissingTruthLabels):
+    with pytest.raises(ValueError, match=r"^V\(t\) needs truth labels, sample has none$") as raised:
         proc.count_V(0.5)
+    assert type(raised.value) is ValueError
 
 
 def test_count_R_matches_naive_scan():

@@ -18,6 +18,8 @@ CONFIGS = {
     "block-ar": ScenarioConfig(
         m=120, pi0=0.75, mu=2.0, n_reps=25, seed=402, dependence=BlockAR(40, -0.9)
     ),
+    # m0 = round(3.5) = 4 labels drawn at random places: orc runs at 4/7, the labels' share
+    "random-m7": ScenarioConfig(m=7, pi0=0.5, mu=2.0, n_reps=25, seed=406, signal_placement="random"),
 }
 
 

@@ -366,6 +366,21 @@ def test_parse_rule_spec_step_up_baselines():
         assert parse_rule_spec(spec, 0.2) == rule  # no lambda, so kappa plays no part
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("rb:abc", "bad grid in rule spec 'rb:abc': could not convert string to float: 'abc'"),
+        ("rb:0.1:0.2", "bad grid in rule spec 'rb:0.1:0.2'; expected start:step:stop or a comma list"),
+        ("rb:0.1,0.2:0.3", "bad grid in rule spec 'rb:0.1,0.2:0.3': could not convert string to float: '0.2:0.3'"),
+    ],
+)
+def test_parse_rule_spec_bad_grid_messages(spec, message):
+    # a one-value grid is a comma list of one, so a bad single value fails as a list entry does
+    with pytest.raises(ValueError) as raised:
+        parse_rule_spec(spec, 0.05)
+    assert str(raised.value) == message
+
+
 def test_parse_rule_spec_rejects_unknown():
     for bad in ("nope", "fixed:", "fixed:abc", "kq:1.5", "rb:0.5:0.1"):
         with pytest.raises(ValueError):
