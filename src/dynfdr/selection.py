@@ -11,14 +11,13 @@ carries a flag: a flagged fallback or clamp may depend on p-values
 above the chosen lambda.
 
 Rules are addressable by compact string specs (``fixed:0.5``, ``rb20``,
-``lsl``, ``kq:median``, ``rbq:0.05:0.05:0.95``, ...), which the CLI and
+``lsl``, ``kq:median``, ``rbq:0.25,0.5,0.75``, ...), which the CLI and
 the simulation harness consume.  The step-up baselines ``bh`` and ``orc``
 select no lambda but parse through the same function.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
@@ -37,34 +36,12 @@ __all__ = [
     "RightBoundaryQuantileRule",
     "LambdaRule",
     "StepUpRule",
-    "evenly_spaced_grid",
     "parse_rule_spec",
 ]
 
 
-# a grid spec of more points is refused before it is built (1e-9 steps over (0, 1) would take ~29 GB)
-_MAX_GRID_POINTS = 10**5
-
-
-def evenly_spaced_grid(start: float, step: float, stop: float) -> tuple[float, ...]:
-    """Every point round(start + i * step, 12) <= stop, i = 0, 1, ..., and always the first; at most 10**5 points.
-
-    i runs at most to the quotient (stop - start) / step rounded to the nearest integer.  That bound
-    cuts a grid short only when step is below the 12-decimal rounding, where the points repeat.
-    """
-    start, stop = check_number("grid start", start, "(-inf, inf)"), check_number("grid stop", stop, "(-inf, inf)")
-    step = check_number("grid step", step, "(0, inf)")
-    if stop < start:
-        raise ValueError(f"bad grid spec {start}:{step}:{stop}")
-    last = round(min((stop - start) / step, _MAX_GRID_POINTS))  # the quotient can be inf
-    n = max(1, bisect_right(range(last + 1), stop, key=lambda i: round(start + i * step, 12)))  # the points ascend
-    if n > _MAX_GRID_POINTS:
-        raise ValueError(f"grid spec {start}:{step}:{stop} has more than {_MAX_GRID_POINTS} points")
-    return tuple(round(start + i * step, 12) for i in range(n))
-
-
 # 19 interior boundaries, i.e. the equal-width 20-bin histogram of (0, 1].
-TWENTY_BIN_GRID = evenly_spaced_grid(0.05, 0.05, 0.95)
+TWENTY_BIN_GRID = tuple(k / 20 for k in range(1, 20))
 
 
 def _check_grid(grid: Sequence[float], what: str) -> tuple[float, ...]:
@@ -323,20 +300,17 @@ def _quantile_indices(levels: tuple[float, ...], m: int) -> np.ndarray:
 
 SPEC_HELP = (
     "bh, orc, fixed:<lambda>, rb:<grid>, rb20, lsl, kq:<k|median>, rbq:<levels>, rb20q "
-    "(grids are start:step:stop or comma-separated values)"
+    "(a grid is a comma list, e.g. rb:0.25,0.5,0.75)"
 )
 
 
 def _parse_grid(arg: str, spec: str) -> tuple[float, ...]:
+    if ":" in arg and "," not in arg:  # colons in place of commas, e.g. rb:0.05:0.05:0.95
+        raise ValueError(f"bad grid in rule spec {spec!r}; expected a comma list such as 0.25,0.5,0.75")
     try:
-        parts = arg.split(":")
-        if "," in arg or len(parts) == 1:  # one value is a comma list of one
-            return tuple(float(v) for v in arg.split(","))
-        if len(parts) == 3:
-            return evenly_spaced_grid(float(parts[0]), float(parts[1]), float(parts[2]))
+        return tuple(float(v) for v in arg.split(","))  # one value is a comma list of one
     except ValueError as exc:
         raise ValueError(f"bad grid in rule spec {spec!r}: {exc}") from exc
-    raise ValueError(f"bad grid in rule spec {spec!r}; expected start:step:stop or a comma list")
 
 
 def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:

@@ -76,7 +76,7 @@ def test_lowest_slope_trace_length_is_the_benchmarks_recount(workloads):
             assert len(rule.select(proc).trace) == workloads._lowest_slope_trace_len(proc.ordered), m
 
 
-@pytest.mark.parametrize("spec", DEFAULT_PROCEDURES + ("kq:median", "rbq:0.5:0.1:0.9"))
+@pytest.mark.parametrize("spec", DEFAULT_PROCEDURES + ("kq:median", "rbq:0.5,0.6,0.7,0.8,0.9"))
 def test_every_trace_is_a_read_only_float_array_of_pairs(spec):
     rng = np.random.default_rng(7)
     for pvals in (random_mixture_pvalues(rng, 300), [0.001, 0.002, 0.003], [0.5, 1.0, 1.0]):

@@ -322,7 +322,7 @@ def test_run_procedure_records_the_pi0_used():
     assert res.pi0.lam == 0.5
 
 
-_EVERY_RULE_KIND = ("bh", "orc", "fixed:0.5", "rb20", "rb:0.1,0.3", "lsl", "kq:median", "kq:2", "rb20q", "rbq:0.5:0.1:0.9")
+_EVERY_RULE_KIND = ("bh", "orc", "fixed:0.5", "rb20", "rb:0.1,0.3", "lsl", "kq:median", "kq:2", "rb20q", "rbq:0.5,0.6,0.7,0.8,0.9")
 
 
 @pytest.mark.parametrize("spec", _EVERY_RULE_KIND)
@@ -350,7 +350,7 @@ def test_fresh_step_up_rules_run_as_bh_and_orc():
 def test_right_boundary_grids_scan_their_own_candidates():
     # two grids in one process, each run twice: a candidate cache with the wrong key would mix them
     proc = sort_pvalues(np.linspace(0.0005, 0.9995, 1000) ** 2)
-    grids = {"rb:0.1,0.3,0.6": (0.0, 0.1, 0.3, 0.6), "rb:0.2:0.2:0.8": (0.0, 0.2, 0.4, 0.6, 0.8)}
+    grids = {"rb:0.1,0.3,0.6": (0.0, 0.1, 0.3, 0.6), "rb:0.2,0.4,0.6,0.8": (0.0, 0.2, 0.4, 0.6, 0.8)}
     for _ in range(2):
         for spec, candidates in grids.items():
             trace = rule(spec).select(proc).trace

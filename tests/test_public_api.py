@@ -22,14 +22,14 @@ PUBLIC = [
     "EmpiricalProcesses", "sort_pvalues",
     # selection
     "TWENTY_BIN_GRID", "FixedRule", "RightBoundaryRule", "LowestSlopeRule", "KQuantileRule",
-    "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "evenly_spaced_grid", "parse_rule_spec",
+    "RightBoundaryQuantileRule", "LambdaRule", "StepUpRule", "parse_rule_spec",
 ]
 # the harnesses are reached through their modules, dynfdr.simulate and dynfdr.verify
 SIMULATE_PUBLIC = ["BlockAR", "ScenarioConfig", "MetricsRow", "generate_statistics", "run_experiment", "emit_figure_data"]
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 23
+    assert len(PUBLIC) == 22
     assert sorted(dynfdr.__all__) == sorted(PUBLIC)
     assert len(dynfdr.__all__) == len(set(dynfdr.__all__))  # no name exported twice
     for name in PUBLIC:
@@ -37,6 +37,7 @@ def test_package_exports_exactly_the_pinned_names():
     assert not hasattr(dynfdr, "PValueSample")  # EmpiricalProcesses is the one sample type
     assert not hasattr(dynfdr.pvalues, "MissingTruthLabels")  # count_V raises a plain ValueError
     assert not hasattr(dynfdr.selection, "select_k_quantile")  # rule.select(proc) runs a rule
+    assert not hasattr(dynfdr.selection, "evenly_spaced_grid")  # a grid spec is a comma list
 
 
 def test_simulate_exports_exactly_the_pinned_names():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dynfdr import (
     FixedRule,
@@ -15,7 +13,6 @@ from dynfdr import (
     RightBoundaryRule,
     StepUpRule,
     TWENTY_BIN_GRID,
-    evenly_spaced_grid,
     parse_rule_spec,
     pi0_storey_plus,
     sort_pvalues,
@@ -370,7 +367,9 @@ def test_parse_rule_spec_step_up_baselines():
     "spec, message",
     [
         ("rb:abc", "bad grid in rule spec 'rb:abc': could not convert string to float: 'abc'"),
-        ("rb:0.1:0.2", "bad grid in rule spec 'rb:0.1:0.2'; expected start:step:stop or a comma list"),
+        ("rb:0.1:0.2", "bad grid in rule spec 'rb:0.1:0.2'; expected a comma list such as 0.25,0.5,0.75"),
+        ("rb:0.05:0.05:0.95", "bad grid in rule spec 'rb:0.05:0.05:0.95'; expected a comma list such as 0.25,0.5,0.75"),
+        ("rbq:0.2:0.25:0.6", "bad grid in rule spec 'rbq:0.2:0.25:0.6'; expected a comma list such as 0.25,0.5,0.75"),
         ("rb:0.1,0.2:0.3", "bad grid in rule spec 'rb:0.1,0.2:0.3': could not convert string to float: '0.2:0.3'"),
     ],
 )
@@ -387,50 +386,9 @@ def test_parse_rule_spec_rejects_unknown():
             parse_rule_spec(bad, 0.05)
 
 
-def test_evenly_spaced_grid():
-    grid = evenly_spaced_grid(0.05, 0.05, 0.95)
-    assert len(grid) == 19
-    assert grid[0] == 0.05 and grid[-1] == 0.95
-    assert grid[5] == 0.3  # no float drift
-
-
-@pytest.mark.parametrize(
-    "spec, rule",
-    [
-        ("rb:0.2:0.25:0.6", RightBoundaryRule((0.2, 0.45), 0.05)),  # 0.7 lies past stop
-        ("rb:0.1:0.3:0.9", RightBoundaryRule((0.1, 0.4, 0.7), 0.05)),  # 1.0 lies past stop
-        ("rb:0.1:0.1:0.29999999999", RightBoundaryRule((0.1, 0.2), 0.05)),  # 0.3 lies a hair past stop
-        ("rbq:0.2:0.25:0.6", RightBoundaryQuantileRule((0.2, 0.45), 0.05)),
-        ("rb:0.1:0.1:0.19999999999", RightBoundaryRule((0.1,), 0.05)),  # 0.2 lies a hair past stop
-    ],
-)
-def test_a_grid_spec_never_passes_its_stop(spec, rule):
-    assert parse_rule_spec(spec, 0.05) == rule
-
-
 def test_a_grid_that_reaches_its_stop_keeps_it():
-    # 0.05 to 0.95 is 17.999999999999996 steps of 0.05 in floats, yet point 18 rounds to 0.95
+    # the 20-bin grid ends at 0.95, and each point is the float nearest its decimal, with no drift
     assert TWENTY_BIN_GRID == tuple(k / 20 for k in range(1, 20))
-    assert parse_rule_spec("rbq:0.5:0.1:0.9", 0.05) == RightBoundaryQuantileRule((0.5, 0.6, 0.7, 0.8, 0.9), 0.05)
-
-
-def test_a_grid_keeps_its_first_point():
-    # rounding to 12 decimals lifts this start past the equal stop
-    assert evenly_spaced_grid(0.1234567890126, 0.1, 0.1234567890126) == (0.123456789013,)
-    # a step below that rounding: start + step rounds onto stop, yet start == stop is one point
-    assert evenly_spaced_grid(0.5, 1e-320, 0.5) == (0.5,)
-
-
-def test_a_grid_of_at_most_ten_to_the_five_points_is_built():
-    assert evenly_spaced_grid(0.0, 1.0, 99_999.0) == tuple(float(i) for i in range(10**5))
-    with pytest.raises(ValueError, match="grid spec 0.0:1.0:100000.0 has more than 100000 points"):
-        evenly_spaced_grid(0.0, 1.0, 100_000.0)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(st.integers(1, 999), st.integers(1, 999), st.integers(0, 998))
-def test_evenly_spaced_grid_is_every_point_up_to_stop(start, step, span):
-    # in thousandths: the points are the exact decimals start + i step for every i with start + i step <= stop
-    stop = min(start + span, 999)
-    grid = evenly_spaced_grid(start / 1000, step / 1000, stop / 1000)
-    assert grid == tuple((start + i * step) / 1000 for i in range((stop - start) // step + 1))
+    assert TWENTY_BIN_GRID == (
+        0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95
+    )
