@@ -4,7 +4,6 @@ the exact binomial bound, the supermartingale inequality, finite-sample
 FDR control, and conservative pi0 estimation."""
 
 from dynfdr.verify import (
-    all_passed,
     conservative_estimation_check,
     fdr_control_check,
     format_report,
@@ -20,7 +19,7 @@ print(f"   {len(results)} pairs hold; tightest margin = {worst:.3e}\n")
 print("2) supermartingale inequality, conditional on the count at time s, over the suite's m0 and (s, t)")
 results = supermartingale_check(seed=7)
 checked = sum(1 for r in results if not r.detail.startswith("skipped"))
-print(f"   {checked} strata checked, all pass: {all_passed(results)}\n")
+print(f"   {checked} strata checked, all pass: {all(r.passed for r in results)}\n")
 
 print("3) finite-sample FDR control, over the suite's m = 1000, pi0 = 0.8, mu = 2 at J = 600")
 results = fdr_control_check(seed=7, reps=600)

@@ -104,17 +104,6 @@ def _parse_pvalue_lines(path: str) -> EmpiricalProcesses:
     return sort_pvalues(values)
 
 
-def _check_specs(specs: list[str], kappa: float, parser: argparse.ArgumentParser) -> list:
-    """The rule of every spec; a spec that does not parse is a usage error."""
-    rules = []
-    for spec in specs:
-        try:
-            rules.append(parse_rule_spec(spec, kappa))
-        except ValueError as exc:
-            parser.error(f"invalid procedure spec {spec!r}: {exc}")
-    return rules
-
-
 def _write_out(path: str, write) -> None:
     """Call ``write(path)``; a file that cannot be written is an ``error:``, exit 1."""
     try:
@@ -149,7 +138,10 @@ def _flag_type(name: str, convert, check, *args):
 
 def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kappa = args.alpha if args.kappa is None else args.kappa
-    (rule,) = _check_specs([args.procedure], kappa, parser)
+    try:
+        rule = parse_rule_spec(args.procedure, kappa)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.pi0 is not None and rule != ORACLE:
         parser.error(f"--pi0 applies only to --procedure orc, not {args.procedure!r}")
     if args.pi0 is None and rule == ORACLE:
@@ -234,7 +226,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         first = ScenarioConfig(mu=mus[0], dependence=_parse_dependence(cfg.get("dependence")), **fields)
         # scenario i draws from seed + i, formed from the checked seed
         scenarios = [dataclasses.replace(first, mu=mu, seed=first.seed + i) for i, mu in enumerate(mus)]
-        _check_specs(procedures, first.kappa, parser)
+        for spec in procedures:  # a bad spec rejects the config before the study runs
+            parse_rule_spec(spec, first.kappa)
         _probe_out(args.out)  # before the study, not after it
         for scenario in scenarios:
             # a valid config can still imply data a procedure rejects (lsl at m = 1)
@@ -264,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.out:
         _write_out(args.out, lambda path: verify_mod.write_report_csv(results, path))
         print(f"wrote {args.out}")
-    return 0 if verify_mod.all_passed(results) else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

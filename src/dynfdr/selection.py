@@ -304,13 +304,13 @@ SPEC_HELP = (
 )
 
 
-def _parse_grid(arg: str, spec: str) -> tuple[float, ...]:
+def _parse_grid(arg: str) -> tuple[float, ...]:
     if ":" in arg and "," not in arg:  # colons in place of commas, e.g. rb:0.05:0.05:0.95
-        raise ValueError(f"bad grid in rule spec {spec!r}; expected a comma list such as 0.25,0.5,0.75")
+        raise ValueError("bad grid; expected a comma list such as 0.25,0.5,0.75")
     try:
         return tuple(float(v) for v in arg.split(","))  # one value is a comma list of one
     except ValueError as exc:
-        raise ValueError(f"bad grid in rule spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad grid: {exc}") from exc
 
 
 def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:
@@ -319,9 +319,17 @@ def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:
     Accepted forms: bh, orc, fixed:<lambda>, rb:<grid>, rb20, lsl,
     kq:<k|median>, rbq:<levels>, rb20q.  ``rb20``/``rb20q`` are shorthands
     for the equal-width 20-bin grid (and its quantile analogue).  ``bh``
-    and ``orc`` select no lambda, so they ignore kappa.
+    and ``orc`` select no lambda, so they ignore kappa.  Every ValueError, a
+    rule's field checks included, reads ``invalid procedure spec {spec!r}: <reason>``.
     """
-    s = spec.strip()
+    try:
+        return _rule(spec.strip(), kappa)
+    except ValueError as exc:
+        raise ValueError(f"invalid procedure spec {spec!r}: {exc}") from exc
+
+
+def _rule(s: str, kappa: float) -> LambdaRule | StepUpRule:
+    """parse_rule_spec's body, on the stripped spec; its errors give only the reason."""
     if s == "bh":
         return BH
     if s == "orc":
@@ -338,18 +346,18 @@ def parse_rule_spec(spec: str, kappa: float) -> LambdaRule | StepUpRule:
             try:
                 lam = float(arg)
             except ValueError as exc:
-                raise ValueError(f"bad lambda in rule spec {spec!r}") from exc
+                raise ValueError("bad lambda") from exc
             return FixedRule(lam=lam, kappa=kappa)
         if head == "rb":
-            return RightBoundaryRule(grid=_parse_grid(arg, spec), kappa=kappa)
+            return RightBoundaryRule(grid=_parse_grid(arg), kappa=kappa)
         if head == "rbq":
-            return RightBoundaryQuantileRule(levels=_parse_grid(arg, spec), kappa=kappa)
+            return RightBoundaryQuantileRule(levels=_parse_grid(arg), kappa=kappa)
         if head == "kq":
             if arg == "median":
                 return KQuantileRule(k=None, kappa=kappa)
             try:
                 k = int(arg)
             except ValueError as exc:
-                raise ValueError(f"bad quantile index in rule spec {spec!r}") from exc
+                raise ValueError("bad quantile index") from exc
             return KQuantileRule(k=k, kappa=kappa)
-    raise ValueError(f"unknown rule spec {spec!r}; valid specs: {SPEC_HELP}")
+    raise ValueError(f"unknown procedure; valid specs: {SPEC_HELP}")

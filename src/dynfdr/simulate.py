@@ -205,13 +205,12 @@ def _draw_block(cfg: ScenarioConfig, first: int) -> tuple[np.ndarray, np.ndarray
     rngs = [np.random.default_rng([cfg.seed, j]) for j in range(first, first + _block_rows(cfg))]
     x = _standard_noise(cfg, rngs)
     truth = np.ones(x.shape, dtype=bool)
-    if cfg.m1 > 0:
-        if cfg.signal_placement == "head":
-            positions = np.s_[:, : cfg.m1]
-        else:
-            positions = (np.arange(len(rngs))[:, None], np.array([rng.permutation(cfg.m)[: cfg.m1] for rng in rngs]))
-        x[positions] += cfg.mu
-        truth[positions] = False
+    if cfg.signal_placement == "head":
+        positions = np.s_[:, : cfg.m1]
+    else:
+        positions = (np.arange(len(rngs))[:, None], np.array([rng.permutation(cfg.m)[: cfg.m1] for rng in rngs]))
+    x[positions] += cfg.mu  # at m1 = 0 the positions are empty
+    truth[positions] = False
     pvals = _normal_cdf(-x)
     pvals.flags.writeable = truth.flags.writeable = False
     return pvals, truth

@@ -29,7 +29,6 @@ __all__ = [
     "supermartingale_check",
     "fdr_control_check",
     "conservative_estimation_check",
-    "all_passed",
     "format_report",
     "write_report_csv",
 ]
@@ -202,10 +201,6 @@ def conservative_estimation_check(seed: int, reps: int) -> list[CheckResult]:
         _three_se_check(f"conservative-pi0[{s}]", x, cfg.m0 / cfg.m, f"J={cfg.n_reps}", side="lower")
         for s, x in zip(_DYNAMIC_RULES, pi0s)
     ]
-
-
-def all_passed(results: Sequence[CheckResult]) -> bool:
-    return all(r.passed for r in results)
 
 
 def format_report(results: Sequence[CheckResult]) -> str:

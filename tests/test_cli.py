@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynfdr import DEFAULT_PROCEDURES, cli
+from dynfdr import DEFAULT_PROCEDURES, cli, parse_rule_spec
+from dynfdr.selection import SPEC_HELP
 from dynfdr.simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
 
@@ -112,7 +113,7 @@ def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spe
     assert code == 2
     assert err.count("dynfdr analyze: error: ") == 1
     reason = "expected a comma list such as 0.25,0.5,0.75"
-    assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: bad grid in rule spec {spec!r}; {reason}"
+    assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: bad grid; {reason}"
 
 
 @pytest.mark.parametrize(
@@ -130,6 +131,38 @@ def test_analyze_grid_that_does_not_ascend_is_usage_error(four_pvalues, capsys, 
     assert err.count("error:") == 1
     assert len(err) < 1000  # the usage line and one error line
     assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: {reason}"
+
+
+# every kind of bad spec, with the reason parse_rule_spec gives after naming the spec once (kappa = alpha = 0.05)
+BAD_SPECS = [
+    ("bogus", f"unknown procedure; valid specs: {SPEC_HELP}"),
+    ("fixed:a", "bad lambda"),
+    ("fixed:2", "fixed lambda=2.0 outside [kappa=0.05, 1)"),
+    ("rb:abc", "bad grid: could not convert string to float: 'abc'"),
+    ("rb:0.05:0.05:0.95", "bad grid; expected a comma list such as 0.25,0.5,0.75"),
+    ("rb:0.5,0.2", "candidate grid must be strictly ascending, got 0.5 then 0.2 at entries 1 and 2"),
+    ("rbq:0.5,0.2", "quantile levels must be strictly ascending, got 0.5 then 0.2 at entries 1 and 2"),
+    ("kq:x", "bad quantile index"),
+    ("kq:0", "k=0 must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("spec, reason", BAD_SPECS)
+def test_a_bad_spec_is_named_once_by_the_library_and_both_commands(four_pvalues, tmp_path, capsys, spec, reason):
+    message = f"invalid procedure spec {spec!r}: {reason}"
+    with pytest.raises(ValueError) as raised:
+        parse_rule_spec(spec, 0.05)
+    assert str(raised.value) == message
+    assert message.count(spec) == 1
+
+    assert run_cli(["analyze", str(four_pvalues), "--procedure", spec]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr analyze: error: {message}"
+
+    config, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    config.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bh", spec]}))
+    assert run_cli(["simulate", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr simulate: error: config rejected: {message}"
+    assert not out.exists()
 
 
 def test_analyze_header_and_labels(tmp_path, capsys):

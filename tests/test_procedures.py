@@ -360,7 +360,7 @@ def test_right_boundary_grids_scan_their_own_candidates():
 
 def test_run_procedure_unknown_spec():
     # specs are parsed where they enter the program, so an unknown one never reaches run_procedure
-    with pytest.raises(ValueError, match="unknown rule spec"):
+    with pytest.raises(ValueError, match="^invalid procedure spec 'bogus': unknown procedure; valid specs: "):
         rule("bogus")
 
 

@@ -50,12 +50,13 @@ def test_simulate_exports_exactly_the_pinned_names():
 VERIFY_PUBLIC = [
     "CheckResult",
     "lemma2_exact_check", "supermartingale_check", "fdr_control_check", "conservative_estimation_check",
-    "all_passed", "format_report", "write_report_csv",
+    "format_report", "write_report_csv",
 ]
 
 
 def test_verify_exports_exactly_the_pinned_names():
-    assert len(VERIFY_PUBLIC) == 8
+    assert len(VERIFY_PUBLIC) == 7
+    assert not hasattr(verify, "all_passed")  # a caller tests all(r.passed for r in results)
     assert sorted(verify.__all__) == sorted(VERIFY_PUBLIC)
     assert len(verify.__all__) == len(set(verify.__all__))
     for name in VERIFY_PUBLIC:

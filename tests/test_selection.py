@@ -366,18 +366,18 @@ def test_parse_rule_spec_step_up_baselines():
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("rb:abc", "bad grid in rule spec 'rb:abc': could not convert string to float: 'abc'"),
-        ("rb:0.1:0.2", "bad grid in rule spec 'rb:0.1:0.2'; expected a comma list such as 0.25,0.5,0.75"),
-        ("rb:0.05:0.05:0.95", "bad grid in rule spec 'rb:0.05:0.05:0.95'; expected a comma list such as 0.25,0.5,0.75"),
-        ("rbq:0.2:0.25:0.6", "bad grid in rule spec 'rbq:0.2:0.25:0.6'; expected a comma list such as 0.25,0.5,0.75"),
-        ("rb:0.1,0.2:0.3", "bad grid in rule spec 'rb:0.1,0.2:0.3': could not convert string to float: '0.2:0.3'"),
+        ("rb:abc", "bad grid: could not convert string to float: 'abc'"),
+        ("rb:0.1:0.2", "bad grid; expected a comma list such as 0.25,0.5,0.75"),
+        ("rb:0.05:0.05:0.95", "bad grid; expected a comma list such as 0.25,0.5,0.75"),
+        ("rbq:0.2:0.25:0.6", "bad grid; expected a comma list such as 0.25,0.5,0.75"),
+        ("rb:0.1,0.2:0.3", "bad grid: could not convert string to float: '0.2:0.3'"),
     ],
 )
 def test_parse_rule_spec_bad_grid_messages(spec, message):
     # a one-value grid is a comma list of one, so a bad single value fails as a list entry does
     with pytest.raises(ValueError) as raised:
         parse_rule_spec(spec, 0.05)
-    assert str(raised.value) == message
+    assert str(raised.value) == f"invalid procedure spec {spec!r}: {message}"
 
 
 def test_parse_rule_spec_rejects_unknown():

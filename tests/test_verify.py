@@ -16,7 +16,6 @@ from dynfdr.simulate import ScenarioConfig, mean_se, replications
 from dynfdr.verify import (
     _DRAW_BLOCK,
     CheckResult,
-    all_passed,
     conservative_estimation_check,
     fdr_control_check,
     format_report,
@@ -75,7 +74,7 @@ def test_lemma2_two_term_sums():
 def test_lemma2_full_grid_holds():
     results = lemma2_exact_check()
     assert len(results) == 60 * 19
-    assert all_passed(results)
+    assert all(r.passed for r in results)
 
 
 def test_lemma2_statistics_equal_the_closed_form():
@@ -112,12 +111,12 @@ def test_supermartingale_terminal_value(suite_at_seed_1):
     terminal = [r for r in suite_at_seed_1 if r.check.endswith("[terminal]")]
     assert [r.check for r in terminal] == [f"supermartingale(m0={m0},s={s:g},t={t:g})[terminal]" for m0, s, t in TABLE]
     assert all(r.statistic == 0.0 and r.passed for r in terminal)
-    assert all_passed(suite_at_seed_1)
+    assert all(r.passed for r in suite_at_seed_1)
 
 
 def test_supermartingale_monte_carlo_case():
     results = supermartingale_check(seed=3)
-    assert all_passed(results)
+    assert all(r.passed for r in results)
     label = "supermartingale(m0=50,s=0.2,t=0.6)[V(s)="
     checked = [r for r in results if r.check.startswith(label) and not r.detail.startswith("skipped")]
     assert len(checked) >= 5
@@ -136,7 +135,7 @@ def test_supermartingale_suite_equals_the_one_shot_oracle(seed):
     results = supermartingale_check(seed=seed)
     oracle = [r for m0, s, t in TABLE for r in one_shot_supermartingale_check(m0, s, t, 100_000, seed)]
     assert repr(results) == repr(oracle)
-    assert all_passed(results) == (seed != 90)
+    assert all(r.passed for r in results) == (seed != 90)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, np.float64(1), "1"])
@@ -251,7 +250,7 @@ def test_supermartingale_suite_means_equal_the_closed_form(suite_at_seed_1):
 
 def test_fdr_control_check_passes():
     results = fdr_control_check(seed=606, reps=200)
-    assert all_passed(results), format_report(results)
+    assert all(r.passed for r in results), format_report(results)
     names = {r.check for r in results}
     assert any(name.startswith("fdr-control[rb20]") for name in names)
     assert any(name.startswith("fdr-bound[") for name in names)
@@ -261,7 +260,7 @@ def test_fdr_control_check_passes():
 
 def test_conservative_estimation_check_passes():
     results = conservative_estimation_check(seed=606, reps=200)
-    assert all_passed(results), format_report(results)
+    assert all(r.passed for r in results), format_report(results)
     assert len(results) == 4
 
 
@@ -358,7 +357,7 @@ def test_report_formatting_and_csv(tmp_path):
     assert "FAIL demo-fail" in text
     assert "SKIP demo-skip" in text
     assert "1 failed" in text
-    assert not all_passed(results)
+    assert not all(r.passed for r in results)
 
     out = tmp_path / "report.csv"
     write_report_csv(results, out)
