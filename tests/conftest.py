@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from pathlib import Path
@@ -257,6 +258,29 @@ def dirac_uniform_enumerated_term(pi0_star, grid, m, m1, alpha, kappa):
         v_kappa = np.count_nonzero(nulls <= kappa)
         terms.append(weight * (alpha / kappa) * v_kappa / (m * pi0_star(proc)))
     return math.fsum(terms)
+
+
+def discrete_uniform_exact_fdr(cuts, m0, m1, K):
+    """The exact FDR of each cut: the m1 false nulls sit at p = 0, the m0 true nulls are iid uniform on {1/K, ..., 1}.
+
+    That is the law of a permutation p-value with K - 1 permutations: P(p <= t) = floor(K t) / K <= t,
+    with ties, and mass at p = 1.  ``cuts`` maps a name to a function of the sorted sample that returns
+    the rejection threshold.  The sum runs over the C(K + m0 - 1, m0) multisets of null values, each
+    with its multinomial weight, in ``math.fsum``; each multiset is sorted once and every cut reads it.
+    """
+    from dynfdr import sort_pvalues
+
+    grid = [k / K for k in range(1, K + 1)]
+    scale = math.factorial(m0) / K**m0
+    terms = {name: [] for name in cuts}
+    for cells in itertools.combinations_with_replacement(range(K), m0):
+        weight = scale / math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(cells))
+        nulls = [grid[c] for c in cells]  # ascending
+        proc = sort_pvalues([0.0] * m1 + nulls)
+        for name, cut in cuts.items():
+            v = bisect.bisect_right(nulls, cut(proc))  # the nulls at or below the threshold
+            terms[name].append(weight * v / (m1 + v) if v else 0.0)
+    return {name: math.fsum(t) for name, t in terms.items()}
 
 
 def equicorrelated_statistics(m, m1, mu, rho, rng):

@@ -114,6 +114,8 @@ def test_analyze_grid_spec_out_of_range_is_usage_error(four_pvalues, capsys, spe
     assert err.count("dynfdr analyze: error: ") == 1
     reason = "expected a comma list such as 0.25,0.5,0.75"
     assert err.splitlines()[-1] == f"dynfdr analyze: error: invalid procedure spec {spec!r}: bad grid; {reason}"
+    # the comma list the message suggests runs
+    assert run_cli(["analyze", str(four_pvalues), "--procedure", spec.split(":")[0] + ":0.25,0.5,0.75"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -156,7 +158,9 @@ def test_a_bad_spec_is_named_once_by_the_library_and_both_commands(four_pvalues,
     assert message.count(spec) == 1
 
     assert run_cli(["analyze", str(four_pvalues), "--procedure", spec]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"dynfdr analyze: error: {message}"
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"dynfdr analyze: error: {message}"
+    assert err.count(spec) == 1  # the usage line above it does not name the spec either
 
     config, out = tmp_path / "cfg.json", tmp_path / "m.csv"
     config.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bh", spec]}))
@@ -631,6 +635,7 @@ def _expected_csv(cfg, path):
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(simulate_configs())
 @example(({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["rb:0.1:0.1:0.9"]}, False))
+@example(({"m": 50, "pi0": 0.8, "mu": [1.0, 2.0, 4.0], "J": 3, "seed": 20260808, "dependence": None}, True))
 def test_simulate_config_error_contract(case):
     # every config ends in the CSV the library writes, or in one error line and no file; never a traceback
     cfg, valid = case
@@ -731,6 +736,22 @@ def test_verify_error_contract(case):
             assert stderr == "" and code == (1 if n_failed else 0)
             assert sum(line.startswith("FAIL ") for line in lines) == n_failed
             assert out is None or len(out.read_text().splitlines()) == 1 + n_checks
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["verify", "lemma2"], 0), (["verify", "nonsense"], 2), (["analyze", "missing.txt"], 1)]
+)
+def test_console_entry_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys, argv, code):
+    # the installed dynfdr script calls console_entry, which reads sys.argv
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["dynfdr", *argv])
+    with pytest.raises(SystemExit) as raised:
+        cli.console_entry()
+    assert raised.value.code == code
+    err = capsys.readouterr().err
+    assert err.count("error:") == (code != 0)
+    if code == 1:
+        assert err.startswith("error: cannot read missing.txt: ") and err.count("\n") == 1
 
 
 def test_import_cli_does_not_load_scipy():

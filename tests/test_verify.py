@@ -1,4 +1,4 @@
-"""Theory checks: exact binomial bound, supermartingale, control, conservativeness."""
+"""Theory checks: exact binomial bound, supermartingale, control, conservativeness, exact FDR by enumeration."""
 
 from __future__ import annotations
 
@@ -11,7 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dynfdr import TWENTY_BIN_GRID, parse_rule_spec, sort_pvalues, verify
+from dynfdr import (
+    TWENTY_BIN_GRID,
+    parse_rule_spec,
+    pi0_storey,
+    run_procedure,
+    sort_pvalues,
+    threshold_functional,
+    verify,
+)
 from dynfdr.simulate import ScenarioConfig, mean_se, replications
 from dynfdr.verify import (
     _DRAW_BLOCK,
@@ -28,6 +36,7 @@ from conftest import (
     dirac_uniform_enumerated_term,
     dirac_uniform_fixed_term,
     dirac_uniform_rb_term,
+    discrete_uniform_exact_fdr,
     one_shot_supermartingale_check,
     reference_normal_cdf,
 )
@@ -340,6 +349,55 @@ def test_the_chain_is_the_mean_of_the_library_rule_on_drawn_samples():
     ])
     mean, se = terms.mean(), terms.std(ddof=1) / math.sqrt(n_draws)
     assert abs(mean - dirac_uniform_rb_term(SMALL_GRID, m, m1, alpha, kappa)) <= 3.0 * se
+
+
+# -------------------------------- the theorem itself, exact under discrete-uniform nulls
+
+EXACT_SPECS = ("bh", "orc", "fixed:0.5", "rb20", "lsl", "rb20q", "kq:median")
+# each rule's exact FDR at (m0, m1, K, alpha = kappa) = (4, 2, 20, 0.2), to 6 digits; 8,855 multisets
+EXACT_FDR = {
+    "bh": 0.125413, "orc": 0.2, "fixed:0.5": 0.153260, "rb20": 0.161952, "lsl": 0.136452, "rb20q": 0.128902,
+    "kq:median": 0.161493,
+}
+
+
+def _rule_cuts(specs, m0, m1, alpha):
+    """Each spec's threshold as a function of the sample, at kappa = alpha; orc runs at the true pi0, m0 / m."""
+    rules = {s: parse_rule_spec(s, alpha) for s in specs}
+    return {s: lambda proc, r=r: run_procedure(r, proc, alpha, pi0=m0 / (m0 + m1)).threshold for s, r in rules.items()}
+
+
+@pytest.fixture(scope="module")
+def exact_fdr_at_4_2_20():
+    return discrete_uniform_exact_fdr(_rule_cuts(EXACT_SPECS, 4, 2, 0.2), 4, 2, 20)
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS)
+def test_every_rule_keeps_the_exact_fdr_at_or_below_alpha(exact_fdr_at_4_2_20, spec):
+    assert exact_fdr_at_4_2_20[spec] <= 0.2 + 1e-12
+    assert exact_fdr_at_4_2_20[spec] == pytest.approx(EXACT_FDR[spec], abs=5e-7, rel=0.0)
+
+
+def test_the_exact_fdr_of_bh_and_orc_is_their_closed_form(exact_fdr_at_4_2_20):
+    # bh is at m0 alpha / m when K alpha / m is an integer, orc at alpha when K alpha / m0 is one
+    bh = discrete_uniform_exact_fdr(_rule_cuts(["bh"], 3, 1, 0.2), 3, 1, 20)["bh"]
+    assert bh == pytest.approx(0.15, abs=1e-12, rel=0.0)
+    assert exact_fdr_at_4_2_20["orc"] == pytest.approx(0.2, abs=1e-12, rel=0.0)
+
+
+def test_the_plus_one_is_what_keeps_the_exact_fdr_at_or_below_alpha():
+    # plain Storey at lambda = 0.5 exceeds alpha where fixed:0.5, its plus-one estimate, does not; no Monte
+    # Carlo line at m >= 200 sees it.  A plain pi0 of 0 makes every cut admissible, so it cuts at kappa.
+    alpha = 0.1
+
+    def plain_storey(proc):
+        pi0 = pi0_storey(proc, 0.5)
+        return alpha if pi0 == 0 else threshold_functional(proc, pi0, alpha, alpha)
+
+    cuts = {"plain": plain_storey, **_rule_cuts(["fixed:0.5"], 3, 1, alpha)}
+    fdr = discrete_uniform_exact_fdr(cuts, 3, 1, 10)
+    assert fdr["plain"] == pytest.approx(0.10275, abs=1e-12, rel=0.0)
+    assert fdr["plain"] > alpha + 1e-12 and fdr["fixed:0.5"] <= alpha + 1e-12
 
 
 # ----------------------------------------------------------------- reports
