@@ -230,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parse_rule_spec(spec, first.kappa)
         _probe_out(args.out)  # before the study, not after it
         for scenario in scenarios:
-            # a valid config can still imply data a procedure rejects (lsl at m = 1)
+            # a valid config can still imply data a procedure rejects (kq:5 at m = 3)
             rows.extend(run_experiment(scenario, procedures))
     except ValueError as exc:
         parser.error(f"config rejected: {exc}")

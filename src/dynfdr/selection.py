@@ -197,13 +197,13 @@ def _first_stop(candidates: np.ndarray, estimates: np.ndarray, kappa: float, str
 
     That is the first i >= 1 with candidates[i] >= kappa whose estimate
     does not improve on the one at candidates[i - 1]: rises above it
-    (``strict``) or does not fall below it.  A comparison with a nan
-    estimate never stops the scan; the decision at i reads only i - 1 and i.
+    (``strict``) or does not fall below it.  A comparison with a nan estimate,
+    or a lone candidate, never stops the scan; the decision at i reads only i - 1 and i.
     """
     cur, prev = estimates[1:], estimates[:-1]
     stop = (candidates[1:] >= kappa) & ((cur > prev) if strict else (cur >= prev))
-    i = int(stop.argmax())
-    return i + 1 if stop[i] else -1
+    (hits,) = stop.nonzero()
+    return int(hits[0]) + 1 if hits.size else -1
 
 
 def _right_boundary_scan(
@@ -228,13 +228,11 @@ _LSL_FIRST_PREFIX = 256
 def select_lowest_slope(proc: EmpiricalProcesses, rule: LowestSlopeRule) -> Pi0Estimate:
     """``_first_stop``, strict, on the plus-one estimate at every order statistic.
 
-    If the scan never stops, falls back to the largest order statistic in
-    [kappa, 1); if even that fails, to kappa itself.  Both are flagged.
+    If the scan never stops, as on one p-value, falls back to the largest order
+    statistic in [kappa, 1); if even that fails, to kappa itself.  Both are flagged.
     """
     kappa = rule.kappa
     m = proc.m
-    if m < 2:
-        raise ValueError("lowest-slope selection needs at least 2 p-values")
     p = proc.ordered
     # whether the scan stops at p_(i) depends only on p_(i-1), p_(i) and their
     # counts, so score a growing prefix and stop at its first hit

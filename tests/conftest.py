@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -261,26 +263,36 @@ def dirac_uniform_enumerated_term(pi0_star, grid, m, m1, alpha, kappa):
 
 
 def discrete_uniform_exact_fdr(cuts, m0, m1, K):
-    """The exact FDR of each cut: the m1 false nulls sit at p = 0, the m0 true nulls are iid uniform on {1/K, ..., 1}.
+    """The exact FDR of each cut and the probability of each flag it raises, as ``Fraction``s.
 
-    That is the law of a permutation p-value with K - 1 permutations: P(p <= t) = floor(K t) / K <= t,
-    with ties, and mass at p = 1.  ``cuts`` maps a name to a function of the sorted sample that returns
-    the rejection threshold.  The sum runs over the C(K + m0 - 1, m0) multisets of null values, each
-    with its multinomial weight, in ``math.fsum``; each multiset is sorted once and every cut reads it.
+    The m1 false nulls sit at p = 0, the m0 true nulls are iid uniform on {1/K, ..., 1}: the law of a
+    permutation p-value with K - 1 permutations, P(p <= t) = floor(K t) / K <= t, with ties, and mass at
+    p = 1.  ``cuts`` maps a name to a function of the sorted sample that returns the rejection threshold
+    and the flags the rule raised.  The sum runs over the C(K + m0 - 1, m0) multisets of null values;
+    one whose values repeat c_1, c_2, ... times has probability m0! / (K^m0 prod c_i!).  Each multiset is
+    sorted once and every cut reads it.  Returns ({name: fdr}, {name: {flag: probability}}).
     """
     from dynfdr import sort_pvalues
 
     grid = [k / K for k in range(1, K + 1)]
-    scale = math.factorial(m0) / K**m0
-    terms = {name: [] for name in cuts}
+    # the integer weights m0! / prod c_i!, summed per count V of rejected nulls and per flag
+    by_v = {name: Counter() for name in cuts}
+    by_flag = {name: Counter() for name in cuts}
     for cells in itertools.combinations_with_replacement(range(K), m0):
-        weight = scale / math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(cells))
+        weight = math.factorial(m0) // math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(cells))
         nulls = [grid[c] for c in cells]  # ascending
         proc = sort_pvalues([0.0] * m1 + nulls)
         for name, cut in cuts.items():
-            v = bisect.bisect_right(nulls, cut(proc))  # the nulls at or below the threshold
-            terms[name].append(weight * v / (m1 + v) if v else 0.0)
-    return {name: math.fsum(t) for name, t in terms.items()}
+            threshold, flags = cut(proc)
+            by_v[name][bisect.bisect_right(nulls, threshold)] += weight  # the nulls at or below the threshold
+            by_flag[name].update(dict.fromkeys(flags, weight))
+    total = K**m0
+    fdr = {
+        name: sum((Fraction(w * v, (m1 + v) * total) for v, w in counts.items() if v), Fraction(0))
+        for name, counts in by_v.items()
+    }
+    flags = {name: {f: Fraction(w, total) for f, w in counts.items()} for name, counts in by_flag.items()}
+    return fdr, flags
 
 
 def equicorrelated_statistics(m, m1, mu, rho, rng):

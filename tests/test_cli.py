@@ -239,10 +239,7 @@ def test_analyze_bad_level_is_usage_error_naming_the_flag(four_pvalues, capsys, 
     assert "procedure spec" not in err
 
 
-@pytest.mark.parametrize(
-    "pvalues, spec, reason",
-    [("0.4\n", "lsl", "at least 2 p-values"), ("0.1\n0.2\n0.3\n", "kq:5", "k=5 outside 1..3")],
-)
+@pytest.mark.parametrize("pvalues, spec, reason", [("0.1\n0.2\n0.3\n", "kq:5", "k=5 outside 1..3")])
 def test_analyze_too_few_pvalues_for_rule(tmp_path, capsys, pvalues, spec, reason):
     path = tmp_path / "pvals.txt"
     path.write_text(pvalues)
@@ -251,6 +248,16 @@ def test_analyze_too_few_pvalues_for_rule(tmp_path, capsys, pvalues, spec, reaso
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_analyze_lsl_on_one_pvalue_falls_back(tmp_path, capsys):
+    path = tmp_path / "pvals.txt"
+    path.write_text("0.4\n")
+    assert run_cli(["analyze", str(path), "--procedure", "lsl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "flags: fallback-largest-order-statistic\n" in captured.out
+    assert "n_rejected: 0\n" in captured.out
 
 
 def test_analyze_inconsistent_labels(tmp_path, capsys):
@@ -329,13 +336,14 @@ def test_simulate_rejects_zero_replications(tmp_path, capsys):
     assert "n_reps" in capsys.readouterr().err
 
 
-def test_simulate_m_one_is_rejected_config(tmp_path, capsys):
-    # the default procedures include lsl, which needs two p-values
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"m": 1, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}))
-    code = run_cli(["simulate", str(path), "--out", str(tmp_path / "m.csv")])
-    assert code == 2
-    assert "config rejected: lowest-slope selection needs at least 2 p-values" in capsys.readouterr().err
+def test_simulate_m_one_writes_the_library_csv(tmp_path, capsys):
+    # every default procedure, lsl included, runs on one p-value
+    cfg = {"m": 1, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}
+    path, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["simulate", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == _expected_csv(cfg, tmp_path / "expected.csv")
 
 
 @pytest.mark.parametrize("mu, shown", [("NaN", "nan"), ("[1.0, Infinity]", "inf")])
@@ -475,14 +483,14 @@ def test_simulate_checks_out_before_the_study(sim_config, tmp_path, capsys, monk
 
 
 def test_simulate_leaves_no_out_file_when_the_study_fails(tmp_path, capsys):
-    # m = 1 passes the config checks, then lsl fails inside the study
+    # m = 3 passes the config checks, then kq:5 fails inside the study
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"m": 1, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1}))
+    path.write_text(json.dumps({"m": 3, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1, "procedures": ["kq:5"]}))
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("earlier results\n")
     for out in (new, old):
         assert run_cli(["simulate", str(path), "--out", str(out)]) == 2
-        assert "config rejected" in capsys.readouterr().err
+        assert "config rejected: quantile index k=5 outside 1..3" in capsys.readouterr().err
     assert not new.exists()
     assert old.read_text() == "earlier results\n"
 

@@ -272,6 +272,9 @@ def test_trimmed_scans_equal_the_full_scans():
     @given(scan_samples(), LEVELS, GRIDS, st.sampled_from(("as drawn", "below kappa", "through kappa")))
     @example((np.round(np.linspace(0.0, 1.0, 1000), 1), 0.05), TWENTY_BIN_GRID, TWENTY_BIN_GRID, "as drawn")  # a tie run across the first prefix
     @example((np.array([0.3, 1.0, 0.02, 1.0, 0.6]), 0.05), TWENTY_BIN_GRID, (0.5,), "as drawn")  # 1s in the first prefix
+    @example((np.array([0.01]), 0.05), TWENTY_BIN_GRID, TWENTY_BIN_GRID, "as drawn")  # one p-value: p < kappa
+    @example((np.array([0.4]), 0.05), TWENTY_BIN_GRID, (0.5,), "as drawn")  # kappa <= p < 1
+    @example((np.array([1.0]), 0.05), TWENTY_BIN_GRID, TWENTY_BIN_GRID, "as drawn")  # p = 1
     def check(case, levels, grid, where):
         pvals, kappa = case
         proc = sort_pvalues(pvals)

@@ -18,7 +18,7 @@ from dynfdr import (
     sort_pvalues,
 )
 
-from conftest import random_mixture_pvalues
+from conftest import full_lowest_slope, random_mixture_pvalues
 
 
 EIGHT_POINT = [0.01, 0.02, 0.03, 0.3, 0.4, 0.6, 0.8, 0.9]
@@ -142,9 +142,21 @@ def test_lowest_slope_fallback_kappa():
         assert est.flags == ("fallback-kappa",)
 
 
-def test_lowest_slope_needs_two_pvalues():
-    with pytest.raises(ValueError):
-        LowestSlopeRule(0.05).select(sort_pvalues([0.4]))
+def test_lowest_slope_on_one_pvalue_falls_back():
+    # one p-value makes no comparison, so the scan never stops and the flagged fallbacks decide
+    kappa = 0.05
+    for p, lam, value, trace_estimate, flag in (
+        (0.4, 0.4, 1 / (1 - 0.4), 1 / (1 - 0.4), "fallback-largest-order-statistic"),
+        (0.01, kappa, 1 / (1 - kappa), 1 / (1 - 0.01), "fallback-kappa"),
+        (1.0, kappa, 2 / (1 - kappa), np.nan, "fallback-kappa"),  # no estimate at p = 1
+    ):
+        proc = sort_pvalues([p])
+        est = LowestSlopeRule(kappa).select(proc)
+        assert (est.lam, est.value, est.flags) == (lam, value, (flag,))
+        np.testing.assert_array_equal(est.trace, [(p, trace_estimate)])
+        oracle_lam, oracle_value, oracle_trace, oracle_flags = full_lowest_slope(proc, kappa)
+        assert (oracle_lam, oracle_value, oracle_flags) == (lam, value, (flag,))
+        np.testing.assert_array_equal(oracle_trace, est.trace)
 
 
 def test_lowest_slope_ignores_ones():

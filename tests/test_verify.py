@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 import tracemalloc
@@ -354,35 +355,62 @@ def test_the_chain_is_the_mean_of_the_library_rule_on_drawn_samples():
 # -------------------------------- the theorem itself, exact under discrete-uniform nulls
 
 EXACT_SPECS = ("bh", "orc", "fixed:0.5", "rb20", "lsl", "rb20q", "kq:median")
-# each rule's exact FDR at (m0, m1, K, alpha = kappa) = (4, 2, 20, 0.2), to 6 digits; 8,855 multisets
-EXACT_FDR = {
-    "bh": 0.125413, "orc": 0.2, "fixed:0.5": 0.153260, "rb20": 0.161952, "lsl": 0.136452, "rb20q": 0.128902,
-    "kq:median": 0.161493,
+F = Fraction
+# each rule's exact FDR at (m0, m1, K, alpha = kappa) = (4, 2, 20, 0.2); 8,855 multisets
+EXACT_FDR = dict(zip(EXACT_SPECS, (
+    F(4703, 37500), F(1, 5), F(7663, 50000), F(97171, 600000), F(81871, 600000), F(77341, 600000), F(1514, 9375)
+)))
+# and at the smallest samples, (m0, m1) at K = 20 and alpha = kappa = 0.2, in the order of EXACT_SPECS
+SMALLEST_EXACT_FDR = {
+    (1, 0): (F(1, 5), F(1, 5), F(1, 10), F(3, 20), F(3, 20), F(3, 20), F(3, 20)),
+    (1, 1): (F(1, 10), F(1, 5), F(1, 10), F(1, 10), F(1, 10), F(1, 10), F(1, 10)),
+    (2, 0): (F(1, 5), F(1, 5), F(3, 20), F(3, 25), F(27, 200), F(27, 200), F(3, 25)),
 }
 
 
 def _rule_cuts(specs, m0, m1, alpha):
-    """Each spec's threshold as a function of the sample, at kappa = alpha; orc runs at the true pi0, m0 / m."""
-    rules = {s: parse_rule_spec(s, alpha) for s in specs}
-    return {s: lambda proc, r=r: run_procedure(r, proc, alpha, pi0=m0 / (m0 + m1)).threshold for s, r in rules.items()}
+    """Each spec's (threshold, flags) as a function of the sample, at kappa = alpha; orc runs at pi0 = m0 / m."""
+
+    def cut(rule, proc):
+        result = run_procedure(rule, proc, alpha, pi0=m0 / (m0 + m1))
+        return result.threshold, result.pi0.flags
+
+    return {s: functools.partial(cut, parse_rule_spec(s, alpha)) for s in specs}
 
 
 @pytest.fixture(scope="module")
-def exact_fdr_at_4_2_20():
+def exact_law_at_4_2_20():
     return discrete_uniform_exact_fdr(_rule_cuts(EXACT_SPECS, 4, 2, 0.2), 4, 2, 20)
 
 
 @pytest.mark.parametrize("spec", EXACT_SPECS)
-def test_every_rule_keeps_the_exact_fdr_at_or_below_alpha(exact_fdr_at_4_2_20, spec):
-    assert exact_fdr_at_4_2_20[spec] <= 0.2 + 1e-12
-    assert exact_fdr_at_4_2_20[spec] == pytest.approx(EXACT_FDR[spec], abs=5e-7, rel=0.0)
+def test_every_rule_keeps_the_exact_fdr_at_or_below_alpha(exact_law_at_4_2_20, spec):
+    fdr, _ = exact_law_at_4_2_20
+    assert fdr[spec] <= F(1, 5)
+    assert fdr[spec] == EXACT_FDR[spec]
 
 
-def test_the_exact_fdr_of_bh_and_orc_is_their_closed_form(exact_fdr_at_4_2_20):
+@pytest.mark.parametrize("m0, m1", SMALLEST_EXACT_FDR)
+def test_every_rule_keeps_the_exact_fdr_at_or_below_alpha_on_the_smallest_samples(m0, m1):
+    fdr, _ = discrete_uniform_exact_fdr(_rule_cuts(EXACT_SPECS, m0, m1, 0.2), m0, m1, 20)
+    assert all(fdr[spec] <= F(1, 5) for spec in EXACT_SPECS)
+    assert tuple(fdr[spec] for spec in EXACT_SPECS) == SMALLEST_EXACT_FDR[m0, m1]
+
+
+def test_the_exact_fdr_of_one_null_is_its_closed_form():
+    # the lone null is rejected iff p <= alpha / pi0*, so the FDR is floor(K alpha / pi0*) / K; the scanning
+    # rules and kq:median reject only when p < kappa, where pi0* is the plus-one estimate 1 / (1 - kappa)
+    K, alpha = 20, F(1, 5)
+    fdr, _ = discrete_uniform_exact_fdr(_rule_cuts(EXACT_SPECS, 1, 0, 0.2), 1, 0, K)
+    pi0_star = {"bh": 1, "orc": 1, "fixed:0.5": 2, **dict.fromkeys(EXACT_SPECS[3:], 1 / (1 - alpha))}
+    assert fdr == {spec: F(math.floor(K * alpha / pi0_star[spec]), K) for spec in EXACT_SPECS}
+
+
+def test_the_exact_fdr_of_bh_and_orc_is_their_closed_form(exact_law_at_4_2_20):
     # bh is at m0 alpha / m when K alpha / m is an integer, orc at alpha when K alpha / m0 is one
-    bh = discrete_uniform_exact_fdr(_rule_cuts(["bh"], 3, 1, 0.2), 3, 1, 20)["bh"]
-    assert bh == pytest.approx(0.15, abs=1e-12, rel=0.0)
-    assert exact_fdr_at_4_2_20["orc"] == pytest.approx(0.2, abs=1e-12, rel=0.0)
+    bh, _ = discrete_uniform_exact_fdr(_rule_cuts(["bh"], 3, 1, 0.2), 3, 1, 20)
+    assert bh["bh"] == F(3, 20)
+    assert exact_law_at_4_2_20[0]["orc"] == F(1, 5)
 
 
 def test_the_plus_one_is_what_keeps_the_exact_fdr_at_or_below_alpha():
@@ -392,12 +420,29 @@ def test_the_plus_one_is_what_keeps_the_exact_fdr_at_or_below_alpha():
 
     def plain_storey(proc):
         pi0 = pi0_storey(proc, 0.5)
-        return alpha if pi0 == 0 else threshold_functional(proc, pi0, alpha, alpha)
+        return (alpha if pi0 == 0 else threshold_functional(proc, pi0, alpha, alpha)), ()
 
     cuts = {"plain": plain_storey, **_rule_cuts(["fixed:0.5"], 3, 1, alpha)}
-    fdr = discrete_uniform_exact_fdr(cuts, 3, 1, 10)
-    assert fdr["plain"] == pytest.approx(0.10275, abs=1e-12, rel=0.0)
-    assert fdr["plain"] > alpha + 1e-12 and fdr["fixed:0.5"] <= alpha + 1e-12
+    fdr, _ = discrete_uniform_exact_fdr(cuts, 3, 1, 10)
+    assert fdr["plain"] == F(411, 4000) > F(1, 10)
+    assert fdr["fixed:0.5"] == F(131, 4000)
+
+
+def test_each_flag_has_its_exact_probability(exact_law_at_4_2_20):
+    # only lsl, rb20q and kq:median ever flag here; at one null lsl always falls back, one way or the other
+    _, flags = exact_law_at_4_2_20
+    assert {spec: f for spec, f in flags.items() if f} == {
+        "lsl": {"fallback-largest-order-statistic": F(10307, 80000), "fallback-kappa": F(1, 625)},
+        "rb20q": {"quantile-at-one": F(29679, 160000), "empty-grid-fallback": F(1, 625)},
+        "kq:median": {"clamped-below-one": F(1, 160000)},
+    }
+    _, flags = discrete_uniform_exact_fdr(_rule_cuts(EXACT_SPECS, 1, 0, 0.2), 1, 0, 20)
+    assert {spec: f for spec, f in flags.items() if f} == {
+        "lsl": {"fallback-largest-order-statistic": F(4, 5), "fallback-kappa": F(1, 5)},
+        "rb20q": {"empty-grid-fallback": F(1, 5), "quantile-at-one": F(1, 20)},
+        "kq:median": {"clamped-below-one": F(1, 20)},
+    }
+    assert sum(flags["lsl"].values()) == 1
 
 
 # ----------------------------------------------------------------- reports
