@@ -117,7 +117,7 @@ def _probe_out(path: str) -> None:
     existed = Path(path).exists()
     _write_out(path, lambda p: Path(p).open("a").close())  # append mode keeps an existing file as it is
     if not existed:
-        Path(path).unlink(missing_ok=True)
+        Path(path).resolve().unlink(missing_ok=True)  # a dangling symlink keeps its link; the probe made its target
 
 
 def _flag_type(name: str, convert, check, *args):
@@ -199,7 +199,7 @@ def _parse_dependence(dep) -> BlockAR | None:
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Read the JSON config: its keys are checked here, every value by ScenarioConfig and BlockAR."""
+    """Read the JSON config: its keys are checked here, every value by ScenarioConfig and BlockAR, every spec by the study."""
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -226,8 +226,6 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         first = ScenarioConfig(mu=mus[0], dependence=_parse_dependence(cfg.get("dependence")), **fields)
         # scenario i draws from seed + i, formed from the checked seed
         scenarios = [dataclasses.replace(first, mu=mu, seed=first.seed + i) for i, mu in enumerate(mus)]
-        for spec in procedures:  # a bad spec rejects the config before the study runs
-            parse_rule_spec(spec, first.kappa)
         _probe_out(args.out)  # before the study, not after it
         for scenario in scenarios:
             # a valid config can still imply data a procedure rejects (kq:5 at m = 3)

@@ -262,37 +262,48 @@ def dirac_uniform_enumerated_term(pi0_star, grid, m, m1, alpha, kappa):
     return math.fsum(terms)
 
 
+def discrete_uniform_multisets(m0, K):
+    """Every multiset of m0 null p-values from {1/K, ..., 1}, and its weight.
+
+    Returns an (n, m0) float array with one multiset per row, ascending, n = C(K + m0 - 1, m0), and
+    the int array of weights m0! / prod c_i!, where a row's values repeat c_1, c_2, ... times.  A
+    row's probability is its weight / K^m0, so the weights sum to K^m0.
+    """
+    cells = np.array(list(itertools.combinations_with_replacement(range(1, K + 1), m0))).reshape(-1, m0)
+    repeats = np.stack([np.count_nonzero(cells == k, axis=1) for k in range(1, K + 1)], axis=1)
+    factorials = np.array([math.factorial(c) for c in range(m0 + 1)])
+    return cells / K, math.factorial(m0) // factorials[repeats].prod(axis=1)
+
+
+def multiset_fdr(v, weights, m1):
+    """The exact FDR, a ``Fraction``, of cuts that reject the m1 false nulls and ``v[i]`` nulls of multiset i."""
+    total = int(weights.sum())
+    by_v = {u: int(weights[v == u].sum()) for u in map(int, np.unique(v))}  # the weights summed per count
+    return sum((Fraction(w * u, (m1 + u) * total) for u, w in by_v.items() if u), Fraction(0))
+
+
 def discrete_uniform_exact_fdr(cuts, m0, m1, K):
     """The exact FDR of each cut and the probability of each flag it raises, as ``Fraction``s.
 
     The m1 false nulls sit at p = 0, the m0 true nulls are iid uniform on {1/K, ..., 1}: the law of a
     permutation p-value with K - 1 permutations, P(p <= t) = floor(K t) / K <= t, with ties, and mass at
     p = 1.  ``cuts`` maps a name to a function of the sorted sample that returns the rejection threshold
-    and the flags the rule raised.  The sum runs over the C(K + m0 - 1, m0) multisets of null values;
-    one whose values repeat c_1, c_2, ... times has probability m0! / (K^m0 prod c_i!).  Each multiset is
+    and the flags the rule raised.  The sum runs over ``discrete_uniform_multisets``; each multiset is
     sorted once and every cut reads it.  Returns ({name: fdr}, {name: {flag: probability}}).
     """
     from dynfdr import sort_pvalues
 
-    grid = [k / K for k in range(1, K + 1)]
-    # the integer weights m0! / prod c_i!, summed per count V of rejected nulls and per flag
-    by_v = {name: Counter() for name in cuts}
-    by_flag = {name: Counter() for name in cuts}
-    for cells in itertools.combinations_with_replacement(range(K), m0):
-        weight = math.factorial(m0) // math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(cells))
-        nulls = [grid[c] for c in cells]  # ascending
-        proc = sort_pvalues([0.0] * m1 + nulls)
+    nulls, weights = discrete_uniform_multisets(m0, K)
+    v = {name: [] for name in cuts}  # the nulls at or below each threshold
+    by_flag = {name: Counter() for name in cuts}  # the weights summed per flag
+    for row, weight in zip(nulls.tolist(), weights.tolist()):
+        proc = sort_pvalues([0.0] * m1 + row)
         for name, cut in cuts.items():
             threshold, flags = cut(proc)
-            by_v[name][bisect.bisect_right(nulls, threshold)] += weight  # the nulls at or below the threshold
+            v[name].append(bisect.bisect_right(row, threshold))
             by_flag[name].update(dict.fromkeys(flags, weight))
-    total = K**m0
-    fdr = {
-        name: sum((Fraction(w * v, (m1 + v) * total) for v, w in counts.items() if v), Fraction(0))
-        for name, counts in by_v.items()
-    }
-    flags = {name: {f: Fraction(w, total) for f, w in counts.items()} for name, counts in by_flag.items()}
-    return fdr, flags
+    flags = {name: {f: Fraction(w, K**m0) for f, w in counts.items()} for name, counts in by_flag.items()}
+    return {name: multiset_fdr(np.array(v[name]), weights, m1) for name in cuts}, flags
 
 
 def equicorrelated_statistics(m, m1, mu, rho, rng):

@@ -9,13 +9,14 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynfdr import DEFAULT_PROCEDURES, cli, parse_rule_spec
+from dynfdr import DEFAULT_PROCEDURES, cli, parse_rule_spec, simulate
 from dynfdr.selection import SPEC_HELP
 from dynfdr.simulate import BlockAR, ScenarioConfig, emit_figure_data, run_experiment
 
@@ -287,12 +288,16 @@ def test_analyze_writes_out_file(four_pvalues, tmp_path):
         ["analyze", "{pvalues}", "--procedure", "bh"],
         ["verify", "lemma2"],
         ["simulate", "{config}"],
+        ["simulate", "{bad_spec_config}"],
     ],
-    ids=["analyze", "verify", "simulate"],
+    ids=["analyze", "verify", "simulate", "simulate-bad-spec"],
 )
 def test_unwritable_out_is_one_line_error(four_pvalues, sim_config, tmp_path, capsys, command):
     out = tmp_path / "missing" / "out.txt"
-    args = [a.format(pvalues=four_pvalues, config=sim_config) for a in command]
+    # simulate checks --out before its study parses the procedures
+    bad_spec_config = tmp_path / "bad.json"
+    bad_spec_config.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bogus"]}))
+    args = [a.format(pvalues=four_pvalues, config=sim_config, bad_spec_config=bad_spec_config) for a in command]
     code = run_cli([*args, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
@@ -311,10 +316,24 @@ def sim_config(tmp_path):
     return path
 
 
-def test_simulate_schema(sim_config, tmp_path, capsys):
+def test_simulate_schema(sim_config, tmp_path, capsys, monkeypatch):
+    # the study alone parses the specs: once per scenario, orc included, and the CLI never
+    def fail(*args):
+        pytest.fail("the CLI parsed a spec that the study parses")
+
+    calls = Counter()
+    parse = simulate.parse_rule_spec
+
+    def counting_parse(spec, kappa):
+        calls[spec] += 1
+        return parse(spec, kappa)
+
+    monkeypatch.setattr(cli, "parse_rule_spec", fail)
+    monkeypatch.setattr(simulate, "parse_rule_spec", counting_parse)
     out = tmp_path / "metrics.csv"
     code = run_cli(["simulate", str(sim_config), "--out", str(out)])
     assert code == 0
+    assert calls == dict.fromkeys(DEFAULT_PROCEDURES, 2)  # two scenarios, mu = 1.0 and 2.0
     lines = out.read_text().splitlines()
     # header + scenarios(2) x procedures(6) x metrics(5)
     assert len(lines) == 1 + 2 * 6 * 5
@@ -493,6 +512,22 @@ def test_simulate_leaves_no_out_file_when_the_study_fails(tmp_path, capsys):
         assert "config rejected: quantile index k=5 outside 1..3" in capsys.readouterr().err
     assert not new.exists()
     assert old.read_text() == "earlier results\n"
+
+
+def test_a_dangling_symlink_out_stays_a_link(sim_config, tmp_path):
+    # the --out probe removes the file it made at the link's target, never the link
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to("target.csv")
+    failing, bad_spec = tmp_path / "failing.json", tmp_path / "bad.json"
+    failing.write_text(json.dumps({"m": 3, "pi0": 0.8, "mu": 1.0, "J": 5, "seed": 1, "procedures": ["kq:5"]}))
+    bad_spec.write_text(json.dumps({"m": 20, "pi0": 0.8, "mu": 1.0, "J": 2, "seed": 1, "procedures": ["bogus"]}))
+    for config in (failing, bad_spec):
+        assert run_cli(["simulate", str(config), "--out", str(link)]) == 2
+        assert link.is_symlink() and not target.exists()
+    for command, header in ((["simulate", str(sim_config)], "scenario,"), (["verify", "lemma2"], "check,")):
+        assert run_cli([*command, "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith(header)
+        target.unlink()
 
 
 def test_simulate_names_missing_field(tmp_path, capsys):

@@ -455,3 +455,11 @@ def test_run_experiment_parses_each_spec_once(monkeypatch):
     cfg = ScenarioConfig(m=50, pi0=0.8, mu=2.0, n_reps=3, seed=36)
     run_experiment(cfg, ("bh", "rb20", "lsl", "rb20"))
     assert calls == {"bh": 1, "rb20": 1, "lsl": 1, "orc": 1}
+
+    # and every spec is parsed before the first draw, so a bad one is the study's first error
+    def fail(*args):
+        pytest.fail("a replication was drawn before every spec was parsed")
+
+    monkeypatch.setattr(simulate, "generate_statistics", fail)
+    with pytest.raises(ValueError, match="^invalid procedure spec 'bogus': unknown procedure"):
+        run_experiment(cfg, ("bh", "bogus"))

@@ -16,11 +16,13 @@ from dynfdr import (
     TWENTY_BIN_GRID,
     parse_rule_spec,
     pi0_storey,
+    pi0_storey_plus,
     run_procedure,
     sort_pvalues,
     threshold_functional,
     verify,
 )
+from dynfdr.estimators import tail_estimate
 from dynfdr.simulate import ScenarioConfig, mean_se, replications
 from dynfdr.verify import (
     _DRAW_BLOCK,
@@ -38,6 +40,8 @@ from conftest import (
     dirac_uniform_fixed_term,
     dirac_uniform_rb_term,
     discrete_uniform_exact_fdr,
+    discrete_uniform_multisets,
+    multiset_fdr,
     one_shot_supermartingale_check,
     reference_normal_cdf,
 )
@@ -426,6 +430,40 @@ def test_the_plus_one_is_what_keeps_the_exact_fdr_at_or_below_alpha():
     fdr, _ = discrete_uniform_exact_fdr(cuts, 3, 1, 10)
     assert fdr["plain"] == F(411, 4000) > F(1, 10)
     assert fdr["fixed:0.5"] == F(131, 4000)
+
+
+def _argmin_lambda_rejections(nulls, m1, alpha):
+    """The nulls the argmin-lambda cut rejects in each row of ``nulls`` (ascending), all rows at once.
+
+    lambda is the first twenty-bin grid point >= kappa = alpha with the smallest plus-one estimate, as
+    ``np.argmin`` picks it, and the cut is ``threshold_functional``'s, in the library's float arithmetic.
+    """
+    m = nulls.shape[1] + m1
+    grid = np.array([g for g in TWENTY_BIN_GRID if g >= alpha])
+    sample = np.hstack([np.zeros((len(nulls), m1)), nulls])  # each row sorted
+    est = tail_estimate(m, (sample[:, :, None] <= grid).sum(axis=1) - 1, grid)
+    pi0 = est[np.arange(len(est)), est.argmin(axis=1)]
+    n_region = (sample <= alpha).sum(axis=1)
+    # step-up inside [0, kappa]: the largest p_(k) there with m pi0 p_(k) <= alpha k, else 0
+    hits = (m * pi0[:, None] * sample <= alpha * np.arange(1, m + 1)) & (np.arange(m) < n_region[:, None])
+    step_up = np.where(hits, sample, 0.0).max(axis=1)
+    threshold = np.where(m * pi0 * alpha / np.maximum(n_region, 1) <= alpha, alpha, step_up)
+    return (nulls <= threshold[:, None]).sum(axis=1)
+
+
+def test_an_argmin_lambda_exceeds_alpha_exactly():
+    # the argmin lambda reads the estimate at every grid point, so it is no stopping time, and its exact
+    # FDR exceeds alpha at (m0, m1, K, alpha = kappa) = (5, 1, 20, 0.2), 42,504 multisets.  The vectorised
+    # cut is checked against the scalar library path at (3, 1, 10, 0.1), where it stays <= alpha
+    def argmin_cut(proc, alpha=0.1):
+        est = [pi0_storey_plus(proc, g) for g in TWENTY_BIN_GRID if g >= alpha]
+        return threshold_functional(proc, est[int(np.argmin(est))], alpha, alpha), ()
+
+    fdr, _ = discrete_uniform_exact_fdr({"argmin": argmin_cut}, 3, 1, 10)
+    nulls, weights = discrete_uniform_multisets(3, 10)
+    assert multiset_fdr(_argmin_lambda_rejections(nulls, 1, 0.1), weights, 1) == fdr["argmin"] == F(171, 4000) <= F(1, 10)
+    nulls, weights = discrete_uniform_multisets(5, 20)
+    assert multiset_fdr(_argmin_lambda_rejections(nulls, 1, 0.2), weights, 1) == F(3892429, 19200000) > F(1, 5)
 
 
 def test_each_flag_has_its_exact_probability(exact_law_at_4_2_20):
